@@ -5,8 +5,10 @@ from .core import (
     GlmFamily,
     LinearHypothesis,
     ReducedProblem,
+    ReductionFactor,
     SubsetHypothesis,
     build_reduction,
+    factor_reduction,
     glm_family,
     kernel_basis,
     min_norm_solution,

@@ -8,6 +8,8 @@ results do not depend on worker count or evaluation order.
 """
 
 import math
+import os
+import uuid
 from dataclasses import dataclass
 from typing import Optional
 
@@ -16,6 +18,7 @@ import numpy as np
 from .core import DesignMatrix, GlmFamily, LinearHypothesis, ReducedProblem
 from .exceptions import (
     DimensionMismatch,
+    DomainError,
     InsufficientDraws,
     StatisticMismatch,
 )
@@ -68,8 +71,15 @@ def glm_plugin_null(design, family, y_observed):
     """Plug-in null model with mean ybar (bernoulli clipped off {0, 1})."""
     y_observed = np.asarray(y_observed, dtype=float)
     n = design.n
-    if y_observed.shape[0] != n:
+    if y_observed.shape != (n,):
         raise DimensionMismatch("response length does not match design")
+    if not np.all(np.isfinite(y_observed)):
+        raise DimensionMismatch("response contains non-finite entries")
+    if family.tag == "bernoulli" and not np.all((y_observed == 0.0) | (y_observed == 1.0)):
+        raise DomainError("bernoulli responses must be 0 or 1")
+    if family.tag == "poisson" and not np.all(
+            (y_observed >= 0.0) & (y_observed == np.floor(y_observed))):
+        raise DomainError("poisson responses must be non-negative integers")
     mean = float(np.mean(y_observed))
     if family.tag == "bernoulli":
         mean = min(max(mean, 1.0 / (2 * n)), 1.0 - 1.0 / (2 * n))
@@ -118,14 +128,23 @@ class CalibrationResult:
     statistic_id: str
 
     def save(self, path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write(f"# statistic_id={self.statistic_id}\n")
-            fh.write(f"# m_draws={self.m_draws}\n")
-            fh.write(f"# alpha={self.alpha!r}\n")
-            fh.write(f"# seed={self.seed}\n")
-            fh.write(f"# lambda_alpha={float(self.lambda_alpha)!r}\n")
-            for v in self.sorted_null_stats:
-                fh.write(f"{float(v)!r}\n")
+        """Write to a temporary file beside ``path``, then rename it into place,
+        so a reader sees the old file or the whole new one, never a part."""
+        tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+        try:
+            with open(tmp, "x", newline="\n") as fh:
+                fh.write(f"# statistic_id={self.statistic_id}\n")
+                fh.write(f"# m_draws={self.m_draws}\n")
+                fh.write(f"# alpha={self.alpha!r}\n")
+                fh.write(f"# seed={self.seed}\n")
+                fh.write(f"# lambda_alpha={float(self.lambda_alpha)!r}\n")
+                for v in self.sorted_null_stats:
+                    fh.write(f"{float(v)!r}\n")
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
     @classmethod
     def load(cls, path):
@@ -149,6 +168,18 @@ class CalibrationResult:
             seed=int(meta["seed"]),
             statistic_id=meta["statistic_id"],
         )
+
+    def is_consistent(self):
+        """True when there are m_draws sorted draws and lambda_alpha is the
+        k-th of them, k = order_stat_index(m_draws, alpha)."""
+        draws = self.sorted_null_stats
+        if draws.shape != (self.m_draws,) or not np.all(draws[1:] >= draws[:-1]):
+            return False
+        try:
+            k = order_stat_index(self.m_draws, self.alpha)
+        except InsufficientDraws:
+            return False
+        return bool(draws[k - 1] == self.lambda_alpha)
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,13 @@ def _write_manifest(out_path, command, config, seed, elapsed):
         fh.write("\n")
 
 
+def _data_config(args):
+    """Every argument of the data commands that can change the result."""
+    return {"data": args.data, "hypothesis": args.hypothesis, "stat": args.stat,
+            "alpha": args.alpha, "mc": args.mc, "response": args.response,
+            "intercept": args.intercept, "family": args.family}
+
+
 def _read_data(path, response, intercept):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -128,10 +135,7 @@ def _cmd_test(args):
         stat = _resolve_stat(args.stat, hyp, args.family)
         result = run_test(y, x, hyp, stat, alpha=args.alpha, mc=mc)
     _write_record_csv(args.out, result.to_record())
-    config = {"data": args.data, "hypothesis": args.hypothesis, "stat": args.stat,
-              "alpha": args.alpha, "mc": args.mc, "response": args.response,
-              "intercept": args.intercept}
-    _write_manifest(args.out, "test", config, args.seed, time.time() - started)
+    _write_manifest(args.out, "test", _data_config(args), args.seed, time.time() - started)
     return 0
 
 
@@ -149,9 +153,8 @@ def _cmd_calibrate(args):
         evaluator = build_evaluator(stat, x, hyp=hyp, red=red)
     cal = calibrate(evaluator, model, args.mc, args.alpha, args.seed)
     cal.save(args.out)
-    config = {"data": args.data, "hypothesis": args.hypothesis, "stat": args.stat,
-              "alpha": args.alpha, "mc": args.mc}
-    _write_manifest(args.out, "calibrate", config, args.seed, time.time() - started)
+    _write_manifest(args.out, "calibrate", _data_config(args), args.seed,
+                    time.time() - started)
     return 0
 
 
@@ -180,7 +183,7 @@ def _cmd_region(args):
             writer.writerow(["c", "lambda_cr", "member"])
             lam_vals = []
             for c in axes[0]:
-                lam = region.evaluator(np.array([c]))
+                lam = region.lambda_cr(np.array([c]))
                 lam_vals.append(lam)
                 writer.writerow([repr(float(c)), repr(float(lam)),
                                  int(lam <= region.lambda_alpha)])
@@ -188,7 +191,7 @@ def _cmd_region(args):
             writer.writerow(["c1", "c2", "member"])
             for c1 in axes[0]:
                 for c2 in axes[1]:
-                    lam = region.evaluator(np.array([c1, c2]))
+                    lam = region.lambda_cr(np.array([c1, c2]))
                     writer.writerow([repr(float(c1)), repr(float(c2)),
                                      int(lam <= region.lambda_alpha)])
     if args.plot and r == 1:
@@ -200,8 +203,7 @@ def _cmd_region(args):
                  [region.lambda_alpha, region.lambda_alpha]),
             ],
         }], args.plot)
-    config = {"data": args.data, "hypothesis": args.hypothesis, "stat": args.stat,
-              "alpha": args.alpha, "mc": args.mc, "grid": args.grid}
+    config = dict(_data_config(args), grid=args.grid)
     _write_manifest(args.out, "region", config, args.seed, time.time() - started)
     return 0
 

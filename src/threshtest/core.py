@@ -3,10 +3,13 @@
 Everything downstream consumes a :class:`ReducedProblem`: an orthonormal
 kernel basis of the hypothesis matrix, the minimum-norm solution of
 ``A beta = c``, and a thin factor of the projector onto ``range(X K_A)``
-so the residual can be formed with two matrix-vector products.
+so the residual can be formed with two matrix-vector products. Only
+``beta_c`` and ``X beta_c`` depend on c; the rest is a
+:class:`ReductionFactor` of (X, A), factored once by
+:func:`factor_reduction`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -22,12 +25,15 @@ __all__ = [
     "DesignMatrix",
     "LinearHypothesis",
     "SubsetHypothesis",
+    "ReductionFactor",
     "ReducedProblem",
     "GlmFamily",
     "glm_family",
     "kernel_basis",
     "min_norm_solution",
+    "factor_reduction",
     "build_reduction",
+    "residual_parts",
     "residual",
 ]
 
@@ -153,10 +159,6 @@ class LinearHypothesis:
     def p(self):
         return self.a_matrix.shape[1]
 
-    def with_c(self, c_vector):
-        """Same A and partition, new right-hand side (used by confidence regions)."""
-        return LinearHypothesis(self.a_matrix, c_vector, self.row_partition)
-
 
 @dataclass(frozen=True)
 class SubsetHypothesis:
@@ -182,23 +184,28 @@ class SubsetHypothesis:
 
 
 @dataclass(frozen=True)
-class ReducedProblem:
-    """Precomputed pieces shared by every affine-lasso statistic.
+class ReductionFactor:
+    """The part of the reduction that depends on (X, A) but not on c.
 
     ``pseudo_*`` hold the thin SVD ``A = U diag(s) Vt`` so that
     ``(A A^T)^{-1} A w = U (Vt w / s)`` is applied without forming an
     inverse, and ``projector_factor`` holds an orthonormal basis Q of
-    ``range(X K_A)`` so projecting is two thin products.
+    ``range(X K_A)`` so projecting is two thin products. :meth:`at`
+    completes it for one right-hand side c, so a confidence region
+    factors once and takes every candidate c from the same factor.
     """
 
     kernel_basis: np.ndarray
-    beta_c: np.ndarray
     projector_factor: np.ndarray
     rank_xka: int
     pseudo_u: np.ndarray
     pseudo_s: np.ndarray
     pseudo_vt: np.ndarray
-    x_fit_c: np.ndarray = field(repr=False)  # X beta_c, cached
+    design: DesignMatrix = field(repr=False)
+
+    @property
+    def r(self):
+        return self.pseudo_s.shape[0]
 
     def apply_pseudo(self, w):
         """(A A^T)^{-1} A w for a vector or a P x M batch."""
@@ -210,6 +217,30 @@ class ReducedProblem:
         if q.shape[1] == 0:
             return np.zeros_like(v)
         return q @ (q.T @ v)
+
+    def at(self, c_vector):
+        """The ReducedProblem for H0: A beta = c; c must be finite of length R."""
+        c = _as_1d(c_vector, "c")
+        if c.shape[0] != self.r:
+            raise DimensionMismatch(f"c has length {c.shape[0]}, expected {self.r}")
+        beta_c = self.pseudo_vt.T @ (self.pseudo_u.T @ c / self.pseudo_s)
+        return ReducedProblem(
+            **{f.name: getattr(self, f.name) for f in fields(ReductionFactor)},
+            beta_c=beta_c,
+            x_fit_c=self.design.values @ beta_c,
+        )
+
+
+@dataclass(frozen=True)
+class ReducedProblem(ReductionFactor):
+    """A ReductionFactor taken at one c: everything the affine statistics need.
+
+    ``beta_c`` is the minimum-norm solution of ``A beta = c`` and
+    ``x_fit_c`` caches ``X beta_c``.
+    """
+
+    beta_c: np.ndarray
+    x_fit_c: np.ndarray = field(repr=False)
 
 
 def kernel_basis(a_matrix, tol=None):
@@ -245,18 +276,19 @@ def min_norm_solution(a_matrix, c_vector):
     return vh.T @ (u.T @ c / s)
 
 
-def build_reduction(x, hyp, tol=None):
-    """Assemble the ReducedProblem for a design and hypothesis.
+def factor_reduction(x, a_matrix, tol=None):
+    """Factor the c-independent part of the reduction for (X, A).
 
-    Fails with Untestable when rank(X K_A) = N, in which case the
-    zero-thresholding statistic is identically zero.
+    Fails with RankDeficient when A is not of full row rank, and with
+    Untestable when rank(X K_A) = N, in which case the zero-thresholding
+    statistic is identically zero.
     """
     if not isinstance(x, DesignMatrix):
         x = DesignMatrix(np.asarray(x, dtype=float))
-    a = hyp.a_matrix
+    a = _as_2d(a_matrix, "A")
     if a.shape[1] != x.p:
         raise DimensionMismatch(f"A has {a.shape[1]} columns, X has P = {x.p}")
-    r = hyp.r
+    r = a.shape[0]
     u, s, vh = np.linalg.svd(a, full_matrices=True)
     if tol is None:
         a_tol = max(a.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
@@ -266,7 +298,6 @@ def build_reduction(x, hyp, tol=None):
     if rank_a < r:
         raise RankDeficient(f"numerical row rank {rank_a} < R = {r}")
     k_a = vh[r:].T
-    beta_c = vh[:r].T @ (u.T @ hyp.c_vector / s[:r])
 
     xka = x.values @ k_a
     if xka.shape[1] == 0:
@@ -281,20 +312,29 @@ def build_reduction(x, hyp, tol=None):
         raise Untestable(
             "rank(X K_A) = N: lambda_0(y) = 0 for all y, no thresholding test exists"
         )
-    return ReducedProblem(
+    return ReductionFactor(
         kernel_basis=k_a,
-        beta_c=beta_c,
         projector_factor=q,
         rank_xka=rank_xka,
         pseudo_u=u,
         pseudo_s=s[:r],
         pseudo_vt=vh[:r],
-        x_fit_c=x.values @ beta_c,
+        design=x,
     )
 
 
-def residual(red, x, y):
-    """r = (I - P_{X K_A})(y - X beta_c); accepts an N-vector or N x M batch."""
+def build_reduction(x, hyp, tol=None):
+    """Assemble the ReducedProblem for a design and hypothesis: the factor
+    for (X, A) taken at c."""
+    return factor_reduction(x, hyp.a_matrix, tol).at(hyp.c_vector)
+
+
+def residual_parts(red, x, y):
+    """(r, Q^T v) for v = y - X beta_c and r = (I - Q Q^T) v.
+
+    r is orthogonal to range(Q), so ``||v||^2 = ||r||^2 + ||Q^T v||^2``
+    gives the size of v per column without another pass over it.
+    """
     if not isinstance(x, DesignMatrix):
         x = DesignMatrix(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -304,7 +344,14 @@ def residual(red, x, y):
         v = y - red.x_fit_c
     else:
         v = y - red.x_fit_c[:, None]
-    return v - red.project(v)
+    q = red.projector_factor
+    qtv = q.T @ v
+    return v - q @ qtv, qtv
+
+
+def residual(red, x, y):
+    """r = (I - P_{X K_A})(y - X beta_c); accepts an N-vector or N x M batch."""
+    return residual_parts(red, x, y)[0]
 
 
 @dataclass(frozen=True)

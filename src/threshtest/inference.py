@@ -3,14 +3,15 @@
 ``run_test`` wires hypothesis reduction, calibration (cached), statistic
 evaluation and the rejection rule together; ``run_composite`` does the
 same for the max-of-ratios composite test. Confidence regions invert the
-square-root (scale-pivotal) tests, so one calibration serves every
-candidate c.
+square-root (scale-pivotal) tests, so one calibration at c = 0 serves
+every candidate c, and one reduction factor of (X, A) does too: each
+candidate adds only ``beta_c``, ``X beta_c`` and one statistic evaluation.
 """
 
 import hashlib
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import stats as sp_stats
@@ -23,8 +24,14 @@ from .calibration import (
     glm_plugin_null,
     p_value as mc_p_value,
 )
-from .core import DesignMatrix, LinearHypothesis, SubsetHypothesis, build_reduction
-from .exceptions import NotApplicable, UnsupportedDimension
+from .core import (
+    DesignMatrix,
+    ReductionFactor,
+    SubsetHypothesis,
+    build_reduction,
+    factor_reduction,
+)
+from .exceptions import DimensionMismatch, NotApplicable, UnsupportedDimension
 from .statistics import (
     GLM_FAMILIES,
     SQRT_FAMILIES,
@@ -93,12 +100,23 @@ def _digest(*parts):
     return h.hexdigest()
 
 
+def _load_consistent(path):
+    """The calibration stored at ``path``, or None when it does not parse or
+    fails :meth:`CalibrationResult.is_consistent` (say, a truncated file)."""
+    try:
+        cal = CalibrationResult.load(path)
+    except (OSError, ValueError, KeyError):
+        return None
+    return cal if cal.is_consistent() else None
+
+
 class CalibrationCache:
     """Read-mostly calibration cache, optionally backed by a directory.
 
     The directory defaults to THRESHTEST_CACHE_DIR when set; pass
     ``directory=False`` for a memory-only cache. Entries are installed
-    once and never mutated.
+    once and never mutated; a file on disk is used only when it is
+    consistent, and is otherwise recomputed and rewritten.
     """
 
     def __init__(self, directory=None):
@@ -115,9 +133,10 @@ class CalibrationCache:
         if self.directory is not None:
             path = os.path.join(self.directory, f"cal_{key}.txt")
             if os.path.exists(path):
-                cal = CalibrationResult.load(path)
-                self._memory[key] = cal
-                return cal
+                cal = _load_consistent(path)
+                if cal is not None:
+                    self._memory[key] = cal
+                    return cal
         cal = compute()
         self._memory[key] = cal
         if self.directory is not None:
@@ -142,6 +161,10 @@ def _coerce_inputs(y, x, hyp):
     if isinstance(hyp, SubsetHypothesis):
         hyp = hyp.expand(x.p)
     y = np.asarray(y, dtype=float)
+    if y.shape != (x.n,):
+        raise DimensionMismatch(f"y must be 1-d of length N = {x.n}, got shape {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise DimensionMismatch("y contains non-finite entries")
     return y, x, hyp
 
 
@@ -292,22 +315,23 @@ def _require_pivotal(stat):
         )
 
 
-def _lambda_cr(c, y, x, a_matrix, stat):
-    hyp = LinearHypothesis(a_matrix, np.atleast_1d(np.asarray(c, dtype=float)),
-                           stat.row_partition)
-    red = build_reduction(x, hyp)
-    ev = build_evaluator(stat, x, hyp=hyp, red=red)
-    val = ev.evaluate(y)
-    # r = 0 means y sits exactly in the null fit space: lambda_0 = 0
+def _region_inputs(y, x, a_matrix, stat):
+    """Checked (y, X) and the one reduction factor every candidate c shares."""
+    _require_pivotal(stat)
+    y, x, _ = _coerce_inputs(y, x, None)
+    return y, x, factor_reduction(x, np.atleast_2d(np.asarray(a_matrix, dtype=float)))
+
+
+def _lambda_cr(factor, c, y, x, stat):
+    val = build_evaluator(stat, x, red=factor.at(np.atleast_1d(c))).evaluate(y)
+    # a vanished r means y sits in the null fit space at c: lambda_0 = 0
     return 0.0 if val.degenerate else val.value
 
 
 def cr_member(c, y, x, a_matrix, stat, lambda_alpha):
     """Membership of c in the test-inversion region: lambda_CR(c; y) <= lambda_alpha."""
-    _require_pivotal(stat)
-    y, x, _ = _coerce_inputs(y, x, LinearHypothesis(
-        a_matrix, np.atleast_1d(np.asarray(c, dtype=float))))
-    return _lambda_cr(c, y, x, a_matrix, stat) <= lambda_alpha
+    y, x, factor = _region_inputs(y, x, a_matrix, stat)
+    return _lambda_cr(factor, c, y, x, stat) <= lambda_alpha
 
 
 def cr_grid(y, x, a_matrix, stat, lambda_alpha, grid):
@@ -316,9 +340,8 @@ def cr_grid(y, x, a_matrix, stat, lambda_alpha, grid):
     For R = 1 also returns the endpoints of the contiguous membership
     interval (None when empty).
     """
-    _require_pivotal(stat)
-    a = np.atleast_2d(np.asarray(a_matrix, dtype=float))
-    r = a.shape[0]
+    y, x, factor = _region_inputs(y, x, a_matrix, stat)
+    r = factor.r
     if r > 2:
         raise UnsupportedDimension(f"grids support R <= 2, got R = {r}")
     grid = np.asarray(grid, dtype=float)
@@ -330,11 +353,8 @@ def cr_grid(y, x, a_matrix, stat, lambda_alpha, grid):
         if grid.ndim != 2 or grid.shape[1] != 2:
             raise UnsupportedDimension("R = 2 grids must be (G, 2) arrays of points")
         points = grid
-    if not isinstance(x, DesignMatrix):
-        x = DesignMatrix(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
     mask = np.array([
-        _lambda_cr(pt, y, x, a, stat) <= lambda_alpha for pt in points
+        _lambda_cr(factor, pt, y, x, stat) <= lambda_alpha for pt in points
     ])
     if r == 1:
         members = np.flatnonzero(mask)
@@ -347,14 +367,25 @@ def cr_grid(y, x, a_matrix, stat, lambda_alpha, grid):
 
 @dataclass(frozen=True)
 class ConfidenceRegion:
-    """Test-inversion region {c : lambda_CR(c; y) <= lambda_alpha}."""
+    """Test-inversion region {c : lambda_CR(c; y) <= lambda_alpha}.
+
+    Holds the data and the reduction factor of (X, A), so each candidate
+    c costs one cheap ``factor.at(c)`` and one statistic evaluation.
+    """
 
     hypothesis_matrix: np.ndarray
     lambda_alpha: float
-    evaluator: Callable[[np.ndarray], float]
+    factor: ReductionFactor
+    y: np.ndarray
+    x: DesignMatrix
+    stat: StatisticSpec
+
+    def lambda_cr(self, c):
+        """lambda_CR(c; y), the statistic of H0: A beta = c (0 when degenerate)."""
+        return _lambda_cr(self.factor, c, self.y, self.x, self.stat)
 
     def member(self, c):
-        return self.evaluator(c) <= self.lambda_alpha
+        return self.lambda_cr(c) <= self.lambda_alpha
 
 
 def confidence_region(y, x, a_matrix, stat=None, alpha=0.05, mc=McConfig()):
@@ -362,22 +393,20 @@ def confidence_region(y, x, a_matrix, stat=None, alpha=0.05, mc=McConfig()):
 
     Defaults to the square-root affine lasso statistic; its pivotality
     in (beta, sigma) means the single calibration at c = 0 is valid for
-    every candidate c.
+    every candidate c, and the reduction factor of (X, A) serves them all.
     """
     if stat is None:
         stat = StatisticSpec("sqrt_affine_lasso")
-    _require_pivotal(stat)
     a = np.atleast_2d(np.asarray(a_matrix, dtype=float))
-    if not isinstance(x, DesignMatrix):
-        x = DesignMatrix(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
-    hyp0 = LinearHypothesis(a, np.zeros(a.shape[0]), stat.row_partition)
-    red0 = build_reduction(x, hyp0)
-    ev0 = build_evaluator(stat, x, hyp=hyp0, red=red0)
-    model = gaussian_pivotal_null(x, hyp0, red0)
-    cal = calibrate(ev0, model, mc.m_draws, alpha, mc.seed)
+    y, x, factor = _region_inputs(y, x, a, stat)
+    red0 = factor.at(np.zeros(factor.r))
+    ev0 = build_evaluator(stat, x, red=red0)
+    cal = calibrate(ev0, gaussian_pivotal_null(x, None, red0), mc.m_draws, alpha, mc.seed)
     return ConfidenceRegion(
         hypothesis_matrix=a,
         lambda_alpha=cal.lambda_alpha,
-        evaluator=lambda c: _lambda_cr(c, y, x, a, stat),
+        factor=factor,
+        y=y,
+        x=x,
+        stat=stat,
     )

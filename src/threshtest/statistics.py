@@ -18,7 +18,7 @@ from .core import (
     ReducedProblem,
     build_reduction,
     glm_family,
-    residual,
+    residual_parts,
 )
 from .exceptions import (
     DimensionMismatch,
@@ -157,7 +157,7 @@ def _affine_batch(red, x, y_mat, group_ids, n_blocks, sqrt):
     """Shared batch path for the affine family; y_mat is N x M."""
     if not isinstance(x, DesignMatrix):
         x = DesignMatrix(np.asarray(x, dtype=float))
-    r_mat = residual(red, x, y_mat)
+    r_mat, qtv = residual_parts(red, x, y_mat)
     z = red.apply_pseudo(x.values.T @ r_mat)
     if group_ids is None:
         vals = _kernels.sup_abs_cols(z)
@@ -166,7 +166,10 @@ def _affine_batch(red, x, y_mat, group_ids, n_blocks, sqrt):
     if not sqrt:
         return vals, np.zeros(vals.shape, dtype=bool)
     denom = _kernels.norm_cols(r_mat)
-    degen = denom == 0.0
+    # a y in the null fit space leaves only rounding noise in r, so ||r|| is
+    # judged against ||y - X beta_c||^2 = ||r||^2 + ||Q^T v||^2
+    scale = np.sqrt(denom * denom + np.sum(qtv * qtv, axis=0))
+    degen = denom <= max(x.n, x.p) * np.finfo(float).eps * scale
     out = np.zeros_like(vals)
     np.divide(vals, denom, out=out, where=~degen)
     return out, degen
@@ -317,14 +320,14 @@ class Evaluator:
         self.statistic_id = spec.fingerprint()
         fam = spec.family
         if fam in AFFINE_FAMILIES:
-            if hyp is None:
-                raise NotApplicable(f"{fam} requires a hypothesis")
+            if hyp is None and red is None:
+                raise NotApplicable(f"{fam} requires a hypothesis or a reduction")
             self.red = red if red is not None else build_reduction(x, hyp)
             if spec.is_group:
                 part = spec.row_partition
-                if part is None:
+                if part is None and hyp is not None:
                     part = hyp.row_partition
-                self._ids, self._n_blocks = _partition_ids(part, hyp.r)
+                self._ids, self._n_blocks = _partition_ids(part, self.red.r)
             else:
                 self._ids, self._n_blocks = None, None
         elif fam == "fisher_weighted":

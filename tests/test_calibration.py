@@ -20,7 +20,12 @@ from threshtest import (
 )
 from threshtest.calibration import calibrate_many, order_stat_index
 from threshtest.statistics import StatisticSpec
-from threshtest.exceptions import InsufficientDraws, StatisticMismatch
+from threshtest.exceptions import (
+    DimensionMismatch,
+    DomainError,
+    InsufficientDraws,
+    StatisticMismatch,
+)
 
 
 @pytest.fixture
@@ -112,6 +117,17 @@ class TestSimulateNull:
         draws = np.concatenate([simulate_null(model, substream(3, 0, m))
                                 for m in range(1000)])
         assert np.mean(draws) == pytest.approx(3.0, abs=0.02)
+
+    @pytest.mark.parametrize("tag, bad, error", [
+        ("gaussian", np.nan, DimensionMismatch),
+        ("bernoulli", 0.5, DomainError),
+        ("poisson", 2.5, DomainError),
+    ])
+    def test_plugin_null_rejects_response_outside_support(self, tag, bad, error):
+        y = np.ones(10)
+        y[0] = bad
+        with pytest.raises(error):
+            glm_plugin_null(DesignMatrix(np.ones((10, 2))), glm_family(tag), y)
 
     def test_bernoulli_all_ones_clipped(self):
         x = DesignMatrix(np.ones((10, 2)))

@@ -150,6 +150,33 @@ class TestCmdRegion:
         assert code == 2
 
 
+class TestManifestDigest:
+    # --intercept is in the digest too, but it changes P, so no hypothesis
+    # file serves a pair of runs that differ in it alone
+    @pytest.mark.parametrize("command, flag, value", [
+        ("test", "--family", "bernoulli"),
+        ("calibrate", "--response", "x1"),
+        ("calibrate", "--family", "bernoulli"),
+        ("region", "--response", "x1"),
+        ("region", "--family", "bernoulli"),
+    ])
+    def test_digest_covers_argument(self, dataset, tmp_path, command, flag, value):
+        data, hyp = dataset
+        args = [command, "--data", str(data), "--intercept", "--mc", "100"]
+        if command == "region":
+            hyp = tmp_path / "h1.json"
+            hyp.write_text(json.dumps({"A": [[0.0, 1.0, 0.0, 0.0]], "c": [0.0]}))
+            args.append("--grid=-1:1:5")
+        args += ["--hypothesis", str(hyp)]
+        digests = []
+        for i, extra in enumerate((["--response", "y"], ["--response", "y", flag, value])):
+            out = tmp_path / f"run{i}.out"
+            assert main(args + extra + ["--out", str(out)]) == 0
+            manifest = json.loads((tmp_path / f"run{i}.out.manifest.json").read_text())
+            digests.append(manifest["config_digest"])
+        assert digests[0] != digests[1]
+
+
 class TestCmdPower:
     def _config(self, tmp_path, threads_note=""):
         doc = {

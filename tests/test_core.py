@@ -1,13 +1,18 @@
 """Tests for the model types and the kernel/projector reduction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from threshtest import (
     DesignMatrix,
     LinearHypothesis,
+    ReducedProblem,
     SubsetHypothesis,
     build_reduction,
+    factor_reduction,
     glm_family,
     kernel_basis,
     min_norm_solution,
@@ -145,6 +150,60 @@ class TestBuildReduction:
         np.testing.assert_array_equal(red1.kernel_basis, red2.kernel_basis)
         np.testing.assert_array_equal(red1.beta_c, red2.beta_c)
         np.testing.assert_array_equal(red1.projector_factor, red2.projector_factor)
+
+
+@st.composite
+def factored_problems(draw):
+    """A design, a full-row-rank A with R in {1, 2, 3}, a row partition of
+    A and several right-hand sides c."""
+    r = draw(st.integers(1, 3))
+    p = draw(st.integers(r, 7))
+    n = draw(st.integers(p + 1, 25))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    labels = draw(st.lists(st.integers(0, r - 1), min_size=r, max_size=r))
+    partition = [tuple(i for i in range(r) if labels[i] == b) for b in sorted(set(labels))]
+    finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    cs = draw(st.lists(st.lists(finite, min_size=r, max_size=r), min_size=1, max_size=4))
+    x = DesignMatrix(rng.standard_normal((n, p)))
+    return x, rng.standard_normal((r, p)), [np.array(c) for c in cs], partition
+
+
+def _assert_same_fields(got, want):
+    for f in dataclasses.fields(ReducedProblem):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(a, DesignMatrix):
+            a, b = a.values, b.values
+        if isinstance(a, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+
+
+class TestReductionFactor:
+    @settings(max_examples=40, deadline=None)
+    @given(factored_problems())
+    def test_factor_at_c_is_build_reduction_bitwise(self, problem):
+        x, a, cs, partition = problem
+        factor = factor_reduction(x, a)
+        for c in cs:  # one factor reused for every c, in turn
+            red = factor.at(c)
+            _assert_same_fields(red, build_reduction(x, LinearHypothesis(a, c, partition)))
+            # re-taking a reduction at another c only replaces beta_c and X beta_c
+            _assert_same_fields(red.at(cs[0]), factor.at(cs[0]))
+
+    @pytest.mark.parametrize("c", [[0.0], [0.0, np.nan], [np.inf, 0.0], [[0.0, 0.0]]])
+    def test_at_rejects_bad_c(self, rng, c):
+        factor = factor_reduction(DesignMatrix(rng.standard_normal((8, 3))),
+                                  rng.standard_normal((2, 3)))
+        with pytest.raises(DimensionMismatch):
+            factor.at(np.array(c))
+
+    def test_factor_checks_rank_and_testability(self, rng):
+        x = DesignMatrix(rng.standard_normal((5, 8)))
+        with pytest.raises(RankDeficient):
+            factor_reduction(x, np.ones((2, 8)))
+        with pytest.raises(Untestable):
+            factor_reduction(x, np.eye(8)[7:])
 
 
 class TestValidation:

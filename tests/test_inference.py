@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from threshtest import (
     DesignMatrix,
     LinearHypothesis,
     McConfig,
     SubsetHypothesis,
+    build_evaluator,
     build_reduction,
     confidence_region,
     cr_grid,
@@ -15,9 +17,16 @@ from threshtest import (
     run_composite,
     run_test,
 )
+from threshtest import core, inference, statistics
 from threshtest.inference import CalibrationCache
 from threshtest.statistics import StatisticSpec
-from threshtest.exceptions import NotApplicable, Untestable, UnsupportedDimension
+from threshtest.exceptions import (
+    DimensionMismatch,
+    DomainError,
+    NotApplicable,
+    Untestable,
+    UnsupportedDimension,
+)
 
 
 MC = McConfig(m_draws=400, seed=0)
@@ -136,6 +145,86 @@ class TestRunTest:
         assert res1.p_value == res2.p_value
         assert list(tmp_path.glob("cal_*.txt"))
 
+    @pytest.mark.parametrize("damage", [
+        lambda lines: lines[:len(lines) // 2],
+        lambda lines: lines[:-1] + ["not a number\n"],
+        lambda lines: lines[:5] + lines[6:] + ["1e308\n"],
+        lambda lines: lines[:5] + [lines[6], lines[5]] + lines[7:],
+    ], ids=["truncated", "unparsable", "shifted", "unsorted"])
+    def test_damaged_cache_file_recomputed(self, dataset, rng, tmp_path, damage):
+        x, hyp = dataset
+        y = x.values @ np.array([0.0, 0.3, 0.0, 0.0, 0.0]) + rng.standard_normal(x.n)
+        spec = StatisticSpec("sqrt_affine_lasso")
+        fresh = run_test(y, x, hyp, spec, mc=MC,
+                         cache=CalibrationCache(directory=str(tmp_path)))
+        (path,) = tmp_path.glob("cal_*.txt")
+        good = path.read_text()
+        path.write_text("".join(damage(good.splitlines(keepends=True))))
+        again = run_test(y, x, hyp, spec, mc=MC,
+                         cache=CalibrationCache(directory=str(tmp_path)))
+        assert again == fresh
+        assert path.read_text() == good  # rewritten whole
+        assert list(tmp_path.iterdir()) == [path]  # no temporary file left
+
+    def test_response_in_null_span_is_degenerate(self):
+        # y = X[:, :2] b lies in the null fit space of H0: beta_3..5 = 0, so
+        # the residual is rounding noise and the sqrt statistic is 0/0
+        rng = np.random.default_rng(2)
+        x = DesignMatrix(rng.standard_normal((30, 5)))
+        y = x.values[:, :2] @ rng.standard_normal(2)
+        res = run_test(y, x, SubsetHypothesis(2, np.zeros(3)),
+                       StatisticSpec("sqrt_affine_lasso"),
+                       mc=McConfig(m_draws=2000, seed=0),
+                       cache=CalibrationCache(directory=False))
+        assert res.observed.degenerate
+        assert not res.reject and res.p_value == 1.0 and res.degenerate_note
+
+
+class TestInvalidResponse:
+    """A response no valid test exists for raises a typed error, never a p-value."""
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda y: np.where(np.arange(y.size) == 3, np.nan, y),
+        lambda y: np.where(np.arange(y.size) == 3, np.inf, y),
+        lambda y: y[:, None],
+    ], ids=["nan", "inf", "2d"])
+    def test_run_test(self, dataset, rng, corrupt):
+        x, hyp = dataset
+        with pytest.raises(DimensionMismatch):
+            run_test(corrupt(rng.standard_normal(x.n)), x, hyp,
+                     StatisticSpec("sqrt_affine_lasso"), mc=MC,
+                     cache=CalibrationCache(directory=False))
+
+    def test_run_composite(self, dataset, rng):
+        x, hyp = dataset
+        y = rng.standard_normal(x.n)
+        y[0] = np.nan
+        with pytest.raises(DimensionMismatch):
+            run_composite(y, x, hyp, mc=MC)
+
+    @pytest.mark.parametrize("call", [
+        lambda y, x, a, s: confidence_region(y, x, a, stat=s, mc=MC),
+        lambda y, x, a, s: cr_grid(y, x, a, s, 2.0, np.linspace(-1.0, 1.0, 5)),
+        lambda y, x, a, s: cr_member(np.array([0.0]), y, x, a, s, 2.0),
+    ], ids=["confidence_region", "cr_grid", "cr_member"])
+    def test_regions(self, dataset, rng, call):
+        x, _ = dataset
+        y = rng.standard_normal(x.n)
+        y[0] = np.nan
+        with pytest.raises(DimensionMismatch):
+            call(y, x, np.eye(5)[1:2], StatisticSpec("sqrt_affine_lasso"))
+
+    @pytest.mark.parametrize("family, bad", [
+        ("bernoulli", 2.5), ("poisson", 1.5), ("poisson", -1.0)])
+    def test_glm_response_outside_support(self, dataset, rng, family, bad):
+        x, hyp = dataset
+        y = rng.poisson(1.0, x.n).astype(float) if family == "poisson" else \
+            (rng.random(x.n) < 0.5).astype(float)
+        y[0] = bad
+        with pytest.raises(DomainError):
+            run_test(y, x, hyp, StatisticSpec("glm_score_sup", glm_family=family),
+                     mc=MC, cache=CalibrationCache(directory=False))
+
 
 class TestComposite:
     def test_null_behaviour(self, dataset, rng):
@@ -241,3 +330,75 @@ class TestConfidenceRegion:
         mask = cr_grid(y, x, a, StatisticSpec("sqrt_affine_lasso"),
                        region.lambda_alpha, pts)
         assert mask[0] and not mask[1]
+
+
+def _per_point_lambda(y, x, a, stat, c):
+    """lambda_CR(c) through a fresh hypothesis and a full reduction."""
+    hyp = LinearHypothesis(a, c, stat.row_partition)
+    red = build_reduction(x, hyp)
+    val = build_evaluator(stat, x, hyp=hyp, red=red).evaluate(y)
+    return 0.0 if val.degenerate else val.value
+
+
+@st.composite
+def region_problems(draw):
+    r = draw(st.integers(1, 2))
+    n = draw(st.integers(8, 30))
+    p = draw(st.integers(r + 1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    family = draw(st.sampled_from(["sqrt_affine_lasso", "sqrt_affine_group_lasso"]))
+    blocks = draw(st.sampled_from([None, ((0,), (1,)), ((0, 1),)])) if r == 2 else None
+    x = DesignMatrix(rng.standard_normal((n, p)))
+    a = rng.standard_normal((r, p))
+    y = x.values @ rng.standard_normal(p) + rng.standard_normal(n)
+    if r == 1:
+        grid = np.linspace(-3.0, 3.0, draw(st.integers(1, 9)))
+        points = grid.reshape(-1, 1)
+    else:
+        g = np.linspace(-3.0, 3.0, draw(st.integers(1, 4)))
+        grid = points = np.array([[u, v] for u in g for v in g])
+    stat = StatisticSpec(family, row_partition=blocks if family.endswith("group_lasso")
+                         else None)
+    return y, x, a, stat, grid, points, draw(st.integers(0, len(points) - 1))
+
+
+class TestRegionSharesOneReduction:
+    @settings(max_examples=30, deadline=None)
+    @given(region_problems())
+    def test_grid_matches_per_point_reduction_bitwise(self, problem):
+        y, x, a, stat, grid, points, k = problem
+        want = np.array([_per_point_lambda(y, x, a, stat, c) for c in points])
+        region = confidence_region(y, x, a, stat=stat, mc=McConfig(m_draws=19, seed=0))
+        got = np.array([region.lambda_cr(c) for c in points])
+        assert got.tobytes() == want.tobytes()
+        # a threshold equal to one of the values makes the mask bit-sensitive
+        out = cr_grid(y, x, a, stat, want[k], grid)
+        mask = out[0] if a.shape[0] == 1 else out
+        assert np.array_equal(mask, want <= want[k]) and mask[k]
+
+    def test_one_reduction_per_call(self, monkeypatch, rng):
+        x = DesignMatrix(rng.standard_normal((30, 4)))
+        a = np.array([[1.0, -1.0, 0.0, 0.0]])
+        y = x.values @ np.array([0.5, 0.1, -0.2, 0.3]) + rng.standard_normal(30)
+        calls = {"factor": 0, "build": 0, "svd": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(inference, "factor_reduction",
+                            counting("factor", core.factor_reduction))
+        for module in (core, inference, statistics):
+            monkeypatch.setattr(module, "build_reduction",
+                                counting("build", core.build_reduction))
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        stat = StatisticSpec("sqrt_affine_lasso")
+        grid = np.linspace(-2.0, 2.0, 41)
+        region = confidence_region(y, x, a, stat=stat, mc=MC)
+        for c in grid:
+            region.member(np.array([c]))
+        assert calls == {"factor": 1, "build": 0, "svd": 2}  # the SVDs of A and X K_A
+        cr_grid(y, x, a, stat, region.lambda_alpha, grid)
+        assert calls == {"factor": 2, "build": 0, "svd": 4}
