@@ -5,9 +5,15 @@ k-th order statistic with k = ceil((M+1)(1-alpha)), a conservative
 finite-M reading of the generalized inverse quantile. Replicate m of a
 run seeded with s draws from the substream keyed (s, batch, m), so
 results do not depend on worker count or evaluation order.
+
+``substream`` is the one definition of a key. A batch seeds all of its
+replicates in one vectorised pass (``_substreams``): every replicate's
+``SeedSequence`` state words are computed together, and each generator
+draws exactly what ``substream`` with the same key would.
 """
 
 import math
+import operator
 import os
 import uuid
 from dataclasses import dataclass
@@ -43,6 +49,72 @@ __all__ = [
 def substream(seed, *key):
     """Independent generator for one replicate, keyed by (seed, *key)."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
+
+
+# SeedSequence's hash constants. NumPy keeps its entropy mixing and
+# generate_state stream-stable across releases, so these never change.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+
+
+def _hash_constants(init, mult, skip, n):
+    """The (xor, multiply) constants of n hash steps that follow ``skip`` steps."""
+    h = init * pow(mult, skip, 1 << 32) % (1 << 32)
+    xor, mul = [], []
+    for _ in range(n):
+        xor.append(h)
+        h = h * mult % (1 << 32)
+        mul.append(h)
+    return np.array(xor, dtype=np.uint32), np.array(mul, dtype=np.uint32)
+
+
+def _word_count(value):
+    """How many uint32 entropy words SeedSequence makes of an int or a
+    sequence of ints (0 still takes one word)."""
+    try:
+        return max(1, -(-operator.index(value).bit_length() // 32))
+    except TypeError:
+        return sum(_word_count(v) for v in value)
+
+
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 one replicate's precomputed state words."""
+
+    def __init__(self, words):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(
+                f"precomputed state holds 4 uint64 words, not {n_words} {np.dtype(dtype)}")
+        return self._words
+
+
+def _substreams(seed, *prefix, count):
+    """Generators equal to ``substream(seed, *prefix, m)`` for m < count.
+
+    SeedSequence mixes the entropy words in order, so the pool after
+    (seed, *prefix) is shared; only the last word m is mixed in per
+    replicate, for all m at once, followed by ``generate_state(4, uint64)``.
+    """
+    shared = np.random.SeedSequence(seed, spawn_key=prefix)  # same input checks
+    size = shared.pool_size
+    # hash steps taken so far: one per pool word, the all-pairs mix, then
+    # one per pool word for each entropy word past the (zero-padded) pool
+    late = max(_word_count(shared.entropy), size) - size + _word_count(prefix)
+    xor_a, mul_a = _hash_constants(_INIT_A, _MULT_A, size * size + size * late, size)
+    m = np.arange(count, dtype=np.uint32)[:, None]
+    h = (m ^ xor_a) * mul_a
+    h ^= h >> _XSHIFT
+    pool = np.uint32(_MIX_MULT_L) * shared.pool[None, :] - np.uint32(_MIX_MULT_R) * h
+    pool ^= pool >> _XSHIFT
+    xor_b, mul_b = _hash_constants(_INIT_B, _MULT_B, 0, 2 * size)
+    state = (pool[:, np.arange(2 * size) % size] ^ xor_b) * mul_b
+    state ^= state >> _XSHIFT
+    words = np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
+    return (np.random.Generator(np.random.PCG64(_StateWords(row))) for row in words)
 
 
 @dataclass(frozen=True)
@@ -111,8 +183,8 @@ def simulate_null(model, rng):
 def _simulate_batch(model, seed, m_draws, batch):
     n = model.design.n
     out = np.empty((n, m_draws))
-    for m in range(m_draws):
-        out[:, m] = simulate_null(model, substream(seed, batch, m))
+    for m, rng in enumerate(_substreams(seed, batch, count=m_draws)):
+        out[:, m] = simulate_null(model, rng)
     return out
 
 

@@ -10,6 +10,8 @@ candidate adds only ``beta_c``, ``X beta_c`` and one statistic evaluation.
 
 import hashlib
 import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,6 +40,7 @@ from .statistics import (
     StatisticSpec,
     StatValue,
     _fisher_batch,
+    _rss_vanished,
     build_evaluator,
 )
 
@@ -128,8 +131,9 @@ class CalibrationCache:
         self._memory = {}
 
     def get_or_compute(self, key, compute):
-        if key in self._memory:
-            return self._memory[key]
+        cal = self._memory.get(key)
+        if cal is not None:
+            return cal
         if self.directory is not None:
             path = os.path.join(self.directory, f"cal_{key}.txt")
             if os.path.exists(path):
@@ -145,13 +149,38 @@ class CalibrationCache:
         return cal
 
 
+# calibrations the process-wide default cache keeps in memory (about 16 KB
+# each at M = 2000); the least recently used one goes first
+_DEFAULT_CACHE_ENTRIES = 32
+
+
+class _BoundedCalibrationCache(CalibrationCache):
+    """A CalibrationCache that keeps only the most recently used entries in
+    memory. Files on disk are neither bounded nor removed."""
+
+    def __init__(self, max_entries):
+        super().__init__()
+        self._memory = OrderedDict()
+        self._max_entries = max_entries
+        self._lock = threading.Lock()
+
+    def get_or_compute(self, key, compute):
+        cal = super().get_or_compute(key, compute)
+        with self._lock:
+            if key in self._memory:
+                self._memory.move_to_end(key)
+            while len(self._memory) > self._max_entries:
+                self._memory.popitem(last=False)
+        return cal
+
+
 _default_cache = None
 
 
 def _get_default_cache():
     global _default_cache
     if _default_cache is None:
-        _default_cache = CalibrationCache()
+        _default_cache = _BoundedCalibrationCache(_DEFAULT_CACHE_ENTRIES)
     return _default_cache
 
 
@@ -168,6 +197,9 @@ def _coerce_inputs(y, x, hyp):
     return y, x, hyp
 
 
+_DEGENERATE_NOTE = "statistic denominator vanished; conservative no-reject"
+
+
 def _fisher_exact_test(y, x, hyp, stat, alpha):
     """Exact-F calibration of the Fisher-weighted thresholding test.
 
@@ -178,17 +210,27 @@ def _fisher_exact_test(y, x, hyp, stat, alpha):
     lam0, rss, df2 = _fisher_batch(x, hyp, y[:, None])
     df1 = hyp.r
     s2 = rss[0] / df2
-    f_val = lam0[0] ** 2 / (s2 * df1) if s2 > 0 else np.inf
-    p = float(sp_stats.f.sf(f_val, df1, df2))
     f_crit = float(sp_stats.f.ppf(1.0 - alpha, df1, df2))
     lam_alpha = float(np.sqrt(f_crit * s2 * df1))
+    statistic_id = stat.fingerprint() + "|exact_f"
+    if _rss_vanished(rss, y[:, None], x)[0]:
+        return TestResult(
+            observed=StatValue(float(lam0[0]), degenerate=True),
+            lambda_alpha=lam_alpha,
+            p_value=1.0,
+            reject=False,
+            alpha=alpha,
+            statistic_id=statistic_id,
+            degenerate_note=_DEGENERATE_NOTE,
+        )
+    p = float(sp_stats.f.sf(lam0[0] ** 2 / (s2 * df1), df1, df2))
     return TestResult(
         observed=StatValue(float(lam0[0])),
         lambda_alpha=lam_alpha,
         p_value=p,
         reject=bool(lam0[0] > lam_alpha),
         alpha=alpha,
-        statistic_id=stat.fingerprint() + "|exact_f",
+        statistic_id=statistic_id,
     )
 
 
@@ -232,7 +274,7 @@ def run_test(y, x, hyp, stat, alpha=0.05, mc=McConfig(), cache=None):
             statistic_id=cal.statistic_id,
             m_draws=mc.m_draws,
             seed=mc.seed,
-            degenerate_note="statistic denominator vanished; conservative no-reject",
+            degenerate_note=_DEGENERATE_NOTE,
         )
     p = mc_p_value(observed, cal)
     return TestResult(

@@ -4,9 +4,10 @@ Provides a self-contained experiment design at desk scale: AR(1)
 gaussian designs, sparse/dense alternatives with random signs and
 positions, canonical-link response generation, and per-cell rejection
 rates with Monte-Carlo standard errors. Replicate substreams are keyed
-by (seed, s, theta, rep), so a theta = 0 power row is bit-identical to
+by (seed, 1, s, theta, rep), so a theta = 0 power row is bit-identical to
 the level estimate of the same configuration and results do not depend
-on thread count.
+on thread count. A cell seeds all of its replicates' keys in one
+vectorised pass; each draws what ``substream`` with that key would.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -18,6 +19,7 @@ from scipy import stats as sp_stats
 
 from .calibration import (
     NullModel,
+    _substreams,
     calibrate_composite,
     calibrate_many,
     gaussian_pivotal_null,
@@ -269,8 +271,8 @@ class _Harness:
         cfg = self.cfg
         alt = AlternativeSpec(s, theta)
         y = np.empty((cfg.n, cfg.n_reps))
-        for m in range(cfg.n_reps):
-            rng = substream(cfg.seed, 1, s, _theta_key(theta), m)
+        rngs = _substreams(cfg.seed, 1, s, _theta_key(theta), count=cfg.n_reps)
+        for m, rng in enumerate(rngs):
             beta = gen_beta(alt, cfg.p, rng)
             y[:, m] = gen_response(self.x_cov, cfg.beta0, beta, self.family, rng)
         return y
@@ -327,13 +329,10 @@ class _Harness:
 
     def _lrt_rejects(self, y):
         cfg = self.cfg
-        out = np.zeros(y.shape[1], dtype=bool)
         x1 = np.hstack([np.ones((cfg.n, 1)), self.x_cov.values])
-        for m in range(y.shape[1]):
-            res = baseline_lrt(y[:, m], self.x_cov.values, cfg.family, cfg.alpha,
-                               _design_with_intercept=x1)
-            out[m] = res.reject
-        return out
+        stats = np.array([_lrt_statistic(y[:, m], x1, self.family)
+                          for m in range(y.shape[1])])
+        return sp_stats.chi2.sf(stats, cfg.p) <= cfg.alpha
 
 
 def estimate_power(cfg, threads=1):
@@ -444,6 +443,21 @@ def fit_glm_irls(x, y, family, tol=1e-8, max_iter=100):
     return beta, dev
 
 
+def _lrt_statistic(y, x1, family):
+    """Deviance drop from the intercept-only fit to the full fit on x1 (an
+    intercept column followed by the tested columns)."""
+    _, dev_full = fit_glm_irls(x1, y, family)
+    ybar = float(np.mean(y))
+    if family.tag == "bernoulli":
+        mu0 = min(max(ybar, 1e-12), 1 - 1e-12)
+    elif family.tag == "poisson":
+        mu0 = max(ybar, 1e-12)
+    else:
+        mu0 = ybar
+    dev_null = _deviance(y, np.full(y.shape[0], mu0), family.tag)
+    return max(dev_null - dev_full, 0.0)
+
+
 def baseline_lrt(y, x, family, alpha=0.05, _design_with_intercept=None):
     """Likelihood-ratio (deviance) test of H0: beta = 0 with a free intercept,
     against the chi-squared reference with P degrees of freedom."""
@@ -459,16 +473,7 @@ def baseline_lrt(y, x, family, alpha=0.05, _design_with_intercept=None):
     x1 = _design_with_intercept
     if x1 is None:
         x1 = np.hstack([np.ones((n, 1)), x])
-    _, dev_full = fit_glm_irls(x1, y, family)
-    ybar = float(np.mean(y))
-    if family.tag == "bernoulli":
-        mu0 = min(max(ybar, 1e-12), 1 - 1e-12)
-    elif family.tag == "poisson":
-        mu0 = max(ybar, 1e-12)
-    else:
-        mu0 = ybar
-    dev_null = _deviance(y, np.full(n, mu0), family.tag)
-    stat = max(dev_null - dev_full, 0.0)
+    stat = _lrt_statistic(y, x1, family)
     p_val = float(sp_stats.chi2.sf(stat, p))
     return TestResult(
         observed=StatValue(stat),

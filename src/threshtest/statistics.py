@@ -206,6 +206,13 @@ def _fisher_batch(x, hyp, y_mat):
     return lam0, rss, x.n - x.p
 
 
+def _rss_vanished(rss, y_mat, x):
+    """True where the full-model RSS is rounding noise: a y in the column span
+    of X leaves ||y - X beta_hat|| of order max(N, P) eps ||y||."""
+    tol = max(x.n, x.p) * np.finfo(float).eps
+    return rss <= tol * tol * np.sum(y_mat * y_mat, axis=0)
+
+
 def zt_fisher_weighted(x, hyp, y):
     """Fisher-weighted statistic: lambda_0^2 = RSS_{H0} - RSS."""
     lam0, _, _ = _fisher_batch(x, hyp, np.asarray(y, dtype=float)[:, None])
@@ -260,15 +267,17 @@ def _glm_batch(x_mat, y_mat, family, group_ids, n_blocks):
     z = x_mat.T @ (y_mat - ybar[None, :])
     if family.tag == "gaussian":
         xi = np.var(y_mat, axis=0, ddof=1)
-    elif family.tag == "bernoulli":
-        xi = ybar * (1.0 - ybar)
+        # a constant y leaves rounding noise of order (eps |y|)^2 in the
+        # variance, so sqrt(xi) is judged against N eps rms(y)
+        tol = n * np.finfo(float).eps
+        degen = xi <= tol * tol * np.mean(y_mat * y_mat, axis=0)
     else:
-        xi = ybar
+        xi = ybar * (1.0 - ybar) if family.tag == "bernoulli" else ybar
+        degen = xi <= 0.0
     if group_ids is None:
         num = _kernels.sup_abs_cols(z)
     else:
         num = _kernels.block_max_norm_cols(z, group_ids, n_blocks)
-    degen = xi <= 0.0
     out = np.zeros_like(num)
     np.divide(num, np.sqrt(n * np.where(degen, 1.0, xi)), out=out, where=~degen)
     return out, degen
@@ -278,7 +287,8 @@ def glm_score_stat(x, y, family, norm="sup", partition=None):
     """T(y) = ||X^T (y - ybar 1)|| / sqrt(N xi_hat), sup or max-of-block-2-norms.
 
     ``xi_hat`` is the family's null variance estimate from ybar
-    (gaussian: unbiased sample variance). Degenerate when xi_hat = 0.
+    (gaussian: unbiased sample variance). Degenerate when xi_hat = 0, or for
+    the gaussian family when it is rounding noise against the scale of y.
     """
     if isinstance(family, str):
         family = glm_family(family)
@@ -362,7 +372,7 @@ class Evaluator:
             # Monte-Carlo calibration under unit-variance nulls is valid
             lam0, rss, df2 = _fisher_batch(self.x, self.hyp, y_mat)
             s2 = np.sqrt(rss / df2)
-            degen = s2 == 0.0
+            degen = _rss_vanished(rss, y_mat, self.x)
             out = np.zeros_like(lam0)
             np.divide(lam0, s2, out=out, where=~degen)
             return out, degen

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from threshtest import (
     CalibrationResult,
@@ -18,7 +19,9 @@ from threshtest import (
     simulate_null,
     substream,
 )
-from threshtest.calibration import calibrate_many, order_stat_index
+from threshtest import calibration
+from threshtest.calibration import _StateWords, _substreams, calibrate_many, order_stat_index
+from threshtest.simulate import _theta_key
 from threshtest.statistics import StatisticSpec
 from threshtest.exceptions import (
     DimensionMismatch,
@@ -226,3 +229,87 @@ class TestSubstream:
         np.testing.assert_array_equal(a, b)
         c = substream(123, 0, 8).standard_normal(5)
         assert not np.allclose(a, c)
+
+
+def _per_key_substreams(seed, *prefix, count):
+    """The per-replicate reference: one substream call per key."""
+    return (substream(seed, *prefix, m) for m in range(count))
+
+
+_SEEDS = st.one_of(
+    st.just(0),
+    st.integers(1, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.integers(2**64, 2**200),
+    st.lists(st.integers(0, 2**40), min_size=1, max_size=6),
+)
+# (batch,) as in calibration; (1, s, theta key) as in the power harness,
+# where theta = 0 and subnormal thetas give one-word keys and the rest two
+_PREFIXES = st.one_of(
+    st.tuples(st.integers(0, 3)),
+    st.tuples(st.just(1), st.integers(0, 50),
+              st.one_of(st.just(0.0), st.just(5e-324),
+                        st.floats(0.0, 1e6, allow_nan=False)).map(_theta_key)),
+)
+
+
+class TestSubstreams:
+    """One vectorised seeding pass equals the per-key substream bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=_SEEDS, prefix=_PREFIXES,
+           count=st.one_of(st.just(0), st.just(1), st.integers(2, 400)))
+    @example(seed=0, prefix=(0,), count=0)
+    @example(seed=2**32 - 1, prefix=(1, 3, _theta_key(0.0)), count=1)
+    @example(seed=2**32, prefix=(1, 0, _theta_key(2.5)), count=300)
+    @example(seed=2**70 + 5, prefix=(1,), count=300)
+    def test_draws_equal_per_key_substream(self, seed, prefix, count):
+        got = list(_substreams(seed, *prefix, count=count))
+        assert len(got) == count
+        for m, rng in enumerate(got):
+            ref = substream(seed, *prefix, m)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            np.testing.assert_array_equal(rng.standard_normal(3), ref.standard_normal(3))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_raises_as_seed_sequence_does(self, seed):
+        with pytest.raises((ValueError, TypeError)) as per_key:
+            substream(seed, 0, 0)
+        with pytest.raises(per_key.type) as batched:
+            _substreams(seed, 0, count=3)
+        assert str(batched.value) == str(per_key.value)
+
+    @pytest.mark.parametrize("n_words,dtype", [
+        (4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)])
+    def test_shim_serves_only_four_uint64_words(self, n_words, dtype):
+        words = np.arange(4, dtype=np.uint64)
+        assert _StateWords(words).generate_state(4, np.uint64) is words
+        with pytest.raises(ValueError):
+            _StateWords(words).generate_state(n_words, dtype)
+
+    def test_calibrations_equal_per_key_reference(self, gaussian_model, monkeypatch):
+        x, hyp, red, model = gaussian_model
+        specs = [StatisticSpec("sqrt_affine_lasso"), StatisticSpec("affine_lasso")]
+        pair = (StatisticSpec("sqrt_affine_lasso"),
+                StatisticSpec("sqrt_affine_group_lasso", row_partition=[(0, 1, 2)]))
+        bern = glm_plugin_null(x, glm_family("bernoulli"),
+                               (np.arange(x.n) % 3 == 0).astype(float))
+        glm_spec = StatisticSpec("glm_score_sup", glm_family="bernoulli")
+
+        def run():
+            return (calibrate_many(specs, model, 199, 0.05, seed=2**40 + 3, batch=2),
+                    calibrate_composite(*pair, model, 199, 0.05, seed=11),
+                    calibrate(glm_spec, bern, 199, 0.05, seed=5))
+
+        batched = run()
+        monkeypatch.setattr(calibration, "_substreams", _per_key_substreams)
+        reference = run()
+        many, comp, glm = batched
+        ref_many, ref_comp, ref_glm = reference
+        for got, ref in zip(many + [comp.cal_1, comp.cal_2, glm],
+                            ref_many + [ref_comp.cal_1, ref_comp.cal_2, ref_glm]):
+            np.testing.assert_array_equal(got.sorted_null_stats, ref.sorted_null_stats)
+            assert got.lambda_alpha == ref.lambda_alpha
+        np.testing.assert_array_equal(comp.sorted_composite_stats,
+                                      ref_comp.sorted_composite_stats)
+        assert comp.kappa_alpha == ref_comp.kappa_alpha

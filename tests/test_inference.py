@@ -1,5 +1,8 @@
 """End-to-end tests of run_test, run_composite, and confidence regions."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,6 +181,59 @@ class TestRunTest:
                        cache=CalibrationCache(directory=False))
         assert res.observed.degenerate
         assert not res.reject and res.p_value == 1.0 and res.degenerate_note
+
+
+    def test_fisher_response_in_span_is_degenerate(self):
+        # y = X[:, :2] b leaves rounding noise in both the Fisher numerator
+        # and the RSS; the exact-F path must not turn 0/0 into a p-value
+        rng = np.random.default_rng(0)
+        x = DesignMatrix(rng.standard_normal((30, 5)))
+        y = x.values[:, :2] @ rng.standard_normal(2)
+        res = run_test(y, x, SubsetHypothesis(2, np.zeros(3)),
+                       StatisticSpec("fisher_weighted"))
+        assert res.observed.degenerate
+        assert not res.reject and res.p_value == 1.0 and res.degenerate_note
+
+
+class TestDefaultCache:
+    def test_keeps_most_recent_entries(self):
+        cache = inference._BoundedCalibrationCache(3)
+        for key in "abc":
+            cache.get_or_compute(key, lambda k=key: k)
+        assert cache.get_or_compute("a", lambda: "again") == "a"  # a is now newest
+        cache.get_or_compute("d", lambda: "d")
+        assert list(cache._memory) == ["c", "a", "d"]
+
+    def test_fifty_designs_stay_bounded(self, monkeypatch):
+        monkeypatch.delenv("THRESHTEST_CACHE_DIR", raising=False)
+        monkeypatch.setattr(inference, "_default_cache", None)
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            x = DesignMatrix(rng.standard_normal((12, 3)))
+            run_test(rng.standard_normal(12), x, SubsetHypothesis(1, np.zeros(2)),
+                     StatisticSpec("sqrt_affine_lasso"), mc=McConfig(m_draws=39))
+        assert len(inference._get_default_cache()._memory) == \
+            inference._DEFAULT_CACHE_ENTRIES
+
+    def test_concurrent_use_stays_bounded(self):
+        cache = inference._BoundedCalibrationCache(4)
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(cache.get_or_compute, k % 11, lambda k=k: k % 11)
+                           for k in range(3000)]
+                got = [f.result(timeout=30) for f in futures]
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert got == [k % 11 for k in range(3000)]
+        assert len(cache._memory) <= 4
+
+    def test_explicit_cache_is_unbounded(self):
+        cache = CalibrationCache(directory=False)
+        for key in range(inference._DEFAULT_CACHE_ENTRIES + 5):
+            cache.get_or_compute(key, lambda k=key: k)
+        assert len(cache._memory) == inference._DEFAULT_CACHE_ENTRIES + 5
 
 
 class TestInvalidResponse:

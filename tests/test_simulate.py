@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats as sp_stats
 
 from threshtest import (
     AlternativeSpec,
@@ -19,7 +20,9 @@ from threshtest import (
     gen_response,
     glm_family,
 )
-from threshtest.simulate import fit_glm_irls
+from threshtest import calibration, simulate
+from threshtest.calibration import substream
+from threshtest.simulate import _Harness, fit_glm_irls
 from threshtest.statistics import StatisticSpec
 from threshtest.exceptions import InvalidSpec, OverflowGuard
 
@@ -171,6 +174,40 @@ class TestPowerGrid:
         good = [r for r in rows if r.statistic_id.startswith("glm_score_sup")]
         assert bad and all(r.status != "ok" for r in bad)
         assert good and all(r.status == "ok" for r in good)
+
+    @pytest.mark.parametrize("family,beta0,stats", [
+        ("gaussian", -2.0, (StatisticSpec("sqrt_affine_lasso"), "composite", "fisher")),
+        ("poisson", 0.5, (StatisticSpec("glm_score_sup", glm_family="poisson"),
+                          "composite")),
+    ])
+    def test_rows_equal_per_key_reference(self, monkeypatch, family, beta0, stats):
+        # the vectorised seeding of calibration and response draws must give
+        # the rows of the old one-substream-call-per-replicate loop
+        cfg = self._cfg(family=family, beta0=beta0, statistics=stats,
+                        s_values=(0, 2), theta_grid=(0.0, 0.7), n_reps=150)
+        batched = estimate_power(cfg)
+
+        def per_key(seed, *prefix, count):
+            return (substream(seed, *prefix, m) for m in range(count))
+
+        monkeypatch.setattr(calibration, "_substreams", per_key)
+        monkeypatch.setattr(simulate, "_substreams", per_key)
+        reference = estimate_power(cfg)
+        assert [r.as_csv_row() for r in batched] == [r.as_csv_row() for r in reference]
+
+    @pytest.mark.parametrize("family,beta0", [("gaussian", -2.0), ("bernoulli", 0.0)])
+    def test_lrt_rejects_equal_per_replicate_baseline(self, family, beta0):
+        cfg = self._cfg(family=family, beta0=beta0, statistics=("lrt",), n_reps=300)
+        harness = _Harness(cfg)
+        y = harness.simulate_cell(1, 0.5)
+        results = [baseline_lrt(y[:, m], harness.x_cov, family, cfg.alpha)
+                   for m in range(cfg.n_reps)]
+        rejects = harness._lrt_rejects(y)
+        assert rejects.tolist() == [res.reject for res in results]
+        assert 0 < rejects.sum() < cfg.n_reps
+        # one vectorised chi2.sf call gives the scalar calls' p-values bit for bit
+        stats = np.array([res.observed.value for res in results])
+        assert sp_stats.chi2.sf(stats, cfg.p).tolist() == [res.p_value for res in results]
 
     def test_baseline_requires_p_less_than_n(self):
         with pytest.raises(InvalidSpec):

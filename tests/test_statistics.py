@@ -184,6 +184,16 @@ class TestFisherWeighted:
             lam0 = zt_fisher_weighted(x, hyp, y).value
             assert lam0**2 == pytest.approx(rss0 - rss, rel=1e-8)
 
+    def test_evaluator_flags_response_in_span(self):
+        # y in the column span of X: the studentizing RSS is rounding noise
+        rng = np.random.default_rng(0)
+        x = DesignMatrix(rng.standard_normal((30, 5)))
+        hyp = SubsetHypothesis(2, np.zeros(3)).expand(5)
+        ev = build_evaluator(StatisticSpec("fisher_weighted"), x, hyp=hyp)
+        y = x.values[:, :2] @ rng.standard_normal(2)
+        assert ev.evaluate(y).degenerate
+        assert not ev.evaluate(y + 1e-6 * rng.standard_normal(30)).degenerate
+
     def test_wide_design_not_applicable(self, rng):
         x = DesignMatrix(rng.standard_normal((4, 6)))
         hyp = LinearHypothesis(np.eye(6), np.zeros(6))
@@ -249,6 +259,14 @@ class TestGlmScore:
         x = np.ones((5, 1))
         assert glm_score_stat(x, np.ones(5), "bernoulli").degenerate
         assert glm_score_stat(x, np.zeros(5), "bernoulli").degenerate
+
+    def test_degenerate_gaussian_constant(self, rng):
+        # np.var of a constant leaves rounding noise, judged against y's scale
+        x = rng.standard_normal((30, 3))
+        assert glm_score_stat(x, np.full(30, 0.1), "gaussian").degenerate
+        assert glm_score_stat(x, np.full(30, -3e7), "gaussian").degenerate
+        # a small spread on a large mean is a real variance
+        assert not glm_score_stat(x, 1e8 + rng.standard_normal(30), "gaussian").degenerate
 
     def test_group_norm(self, rng):
         x = rng.standard_normal((12, 4))
