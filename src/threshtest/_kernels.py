@@ -1,32 +1,21 @@
-"""Column-reduction kernels used by calibration and the simulation harness.
+"""Column reductions of an R x M score matrix, one value per column.
 
-The matrix products feeding these reductions are BLAS calls, so only the
-per-column norm reductions are jitted. Set ``THRESHTEST_NO_NUMBA=1`` to
-force the pure-numpy fallbacks (also used automatically when numba is
-unavailable). ``benchmarks/bench_kernels.py`` compares both paths.
+The statistics call them as ``_kernels.<name>``, looked up on this module
+at call time, so a profiler can wrap the reductions for the length of a
+run without touching their callers.
 """
-
-import os
 
 import numpy as np
 
-USE_NUMBA = os.environ.get("THRESHTEST_NO_NUMBA", "0") != "1"
 
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
-
-
-def sup_abs_cols_np(z):
+def sup_abs_cols(z):
     """Column-wise sup norm of a 2-d array: out[m] = max_r |z[r, m]|."""
     if z.shape[0] == 0:
         return np.zeros(z.shape[1])
     return np.max(np.abs(z), axis=0)
 
 
-def block_max_norm_cols_np(z, block_ids, n_blocks):
+def block_max_norm_cols(z, block_ids, n_blocks):
     """Column-wise max of block 2-norms.
 
     ``block_ids[r]`` assigns row r to a block; out[m] is the largest
@@ -37,69 +26,6 @@ def block_max_norm_cols_np(z, block_ids, n_blocks):
     return np.sqrt(np.max(sq, axis=0))
 
 
-def norm_cols_np(z):
+def norm_cols(z):
     """Column-wise euclidean norms."""
     return np.sqrt(np.sum(z * z, axis=0))
-
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _sup_abs_cols_nb(z):
-        n_rows, n_cols = z.shape
-        out = np.zeros(n_cols)
-        for m in range(n_cols):
-            best = 0.0
-            for r in range(n_rows):
-                v = abs(z[r, m])
-                if v > best:
-                    best = v
-            out[m] = best
-        return out
-
-    @njit(cache=True)
-    def _block_max_norm_cols_nb(z, block_ids, n_blocks):
-        n_rows, n_cols = z.shape
-        out = np.empty(n_cols)
-        sq = np.empty(n_blocks)
-        for m in range(n_cols):
-            sq[:] = 0.0
-            for r in range(n_rows):
-                sq[block_ids[r]] += z[r, m] * z[r, m]
-            best = 0.0
-            for l in range(n_blocks):
-                if sq[l] > best:
-                    best = sq[l]
-            out[m] = np.sqrt(best)
-        return out
-
-    @njit(cache=True)
-    def _norm_cols_nb(z):
-        n_rows, n_cols = z.shape
-        out = np.empty(n_cols)
-        for m in range(n_cols):
-            acc = 0.0
-            for r in range(n_rows):
-                acc += z[r, m] * z[r, m]
-            out[m] = np.sqrt(acc)
-        return out
-
-    def sup_abs_cols(z):
-        if z.shape[0] == 0:
-            return np.zeros(z.shape[1])
-        return _sup_abs_cols_nb(np.ascontiguousarray(z, dtype=np.float64))
-
-    def block_max_norm_cols(z, block_ids, n_blocks):
-        return _block_max_norm_cols_nb(
-            np.ascontiguousarray(z, dtype=np.float64),
-            np.ascontiguousarray(block_ids, dtype=np.int64),
-            n_blocks,
-        )
-
-    def norm_cols(z):
-        return _norm_cols_nb(np.ascontiguousarray(z, dtype=np.float64))
-
-else:
-    sup_abs_cols = sup_abs_cols_np
-    block_max_norm_cols = block_max_norm_cols_np
-    norm_cols = norm_cols_np

@@ -266,6 +266,10 @@ class CompositeCalibration:
     seed: int
     sorted_composite_stats: Optional[np.ndarray] = None
 
+    @property
+    def statistic_id(self):
+        return f"composite({self.cal_1.statistic_id},{self.cal_2.statistic_id})"
+
 
 def order_stat_index(m_draws, alpha):
     """1-based order-statistic index k = ceil((M+1)(1-alpha))."""
@@ -321,8 +325,13 @@ def p_value(observed, cal, statistic_id=None):
         )
     if isinstance(observed, StatValue):
         observed = observed.value
-    count = cal.m_draws - int(np.searchsorted(cal.sorted_null_stats, observed, side="left"))
-    return (1 + count) / (cal.m_draws + 1)
+    return _counting_p_value(observed, cal.sorted_null_stats, cal.m_draws)
+
+
+def _counting_p_value(observed, sorted_draws, m_draws):
+    """(1 + #{draws >= observed}) / (M + 1) over M ascending draws."""
+    count = m_draws - int(np.searchsorted(sorted_draws, observed, side="left"))
+    return (1 + count) / (m_draws + 1)
 
 
 def calibrate_composite(stat1, stat2, model, m_draws, alpha, seed):

@@ -243,37 +243,41 @@ class ReducedProblem(ReductionFactor):
     x_fit_c: np.ndarray = field(repr=False)
 
 
-def kernel_basis(a_matrix, tol=None):
-    """Orthonormal basis of ker(A), with a numerical-rank guard.
+def _full_row_rank_svd(a, tol=None):
+    """The full SVD (u, s, vh) of an R x P matrix A of full row rank.
 
     Raises RankDeficient if A does not have full row rank at the usual
     ``max(shape) * eps * s_max`` cutoff (or the given absolute ``tol``).
     """
-    a = _as_2d(a_matrix, "A")
     r, p = a.shape
     if r > p:
         raise RankDeficient(f"A is {r}x{p}: cannot have full row rank")
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    u, s, vh = np.linalg.svd(a, full_matrices=True)
     if tol is None:
         tol = max(a.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > tol))
     if rank < r:
         raise RankDeficient(f"numerical row rank {rank} < R = {r}")
-    return vh[rank:].T
+    return u, s, vh
+
+
+def kernel_basis(a_matrix, tol=None):
+    """Orthonormal basis of ker(A); A must have full row rank (see
+    :func:`_full_row_rank_svd` for the cutoff)."""
+    a = _as_2d(a_matrix, "A")
+    _, _, vh = _full_row_rank_svd(a, tol)
+    return vh[a.shape[0]:].T
 
 
 def min_norm_solution(a_matrix, c_vector):
     """beta_c = A^T (A A^T)^{-1} c, the minimum l2-norm solution of A beta = c."""
     a = _as_2d(a_matrix, "A")
     c = _as_1d(c_vector, "c")
-    r, p = a.shape
+    r = a.shape[0]
     if c.shape[0] != r:
         raise DimensionMismatch(f"c has length {c.shape[0]}, expected {r}")
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    tol = max(a.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    if int(np.sum(s > tol)) < r:
-        raise RankDeficient("A is numerically row-rank deficient")
-    return vh.T @ (u.T @ c / s)
+    u, s, vh = _full_row_rank_svd(a)
+    return vh[:r].T @ (u.T @ c / s)
 
 
 def factor_reduction(x, a_matrix, tol=None):
@@ -289,14 +293,7 @@ def factor_reduction(x, a_matrix, tol=None):
     if a.shape[1] != x.p:
         raise DimensionMismatch(f"A has {a.shape[1]} columns, X has P = {x.p}")
     r = a.shape[0]
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
-    if tol is None:
-        a_tol = max(a.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    else:
-        a_tol = tol
-    rank_a = int(np.sum(s > a_tol))
-    if rank_a < r:
-        raise RankDeficient(f"numerical row rank {rank_a} < R = {r}")
+    u, s, vh = _full_row_rank_svd(a, tol)
     k_a = vh[r:].T
 
     xka = x.values @ k_a

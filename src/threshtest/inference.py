@@ -20,6 +20,7 @@ from scipy import stats as sp_stats
 
 from .calibration import (
     CalibrationResult,
+    _counting_p_value,
     calibrate,
     calibrate_composite,
     gaussian_pivotal_null,
@@ -40,7 +41,6 @@ from .statistics import (
     StatisticSpec,
     StatValue,
     _fisher_batch,
-    _rss_vanished,
     build_evaluator,
 )
 
@@ -207,15 +207,14 @@ def _fisher_exact_test(y, x, hyp, stat, alpha):
     F-test, whose null distribution is known exactly, so no Monte-Carlo
     step is needed.
     """
-    lam0, rss, df2 = _fisher_batch(x, hyp, y[:, None])
-    df1 = hyp.r
-    s2 = rss[0] / df2
-    f_crit = float(sp_stats.f.ppf(1.0 - alpha, df1, df2))
-    lam_alpha = float(np.sqrt(f_crit * s2 * df1))
+    fisher = _fisher_batch(x, hyp, y[:, None])
+    lam0 = float(fisher.lam0[0])
+    f_crit = float(sp_stats.f.ppf(1.0 - alpha, fisher.df1, fisher.df2))
+    lam_alpha = float(np.sqrt(f_crit * fisher.s2[0] * fisher.df1))
     statistic_id = stat.fingerprint() + "|exact_f"
-    if _rss_vanished(rss, y[:, None], x)[0]:
+    if fisher.degenerate[0]:
         return TestResult(
-            observed=StatValue(float(lam0[0]), degenerate=True),
+            observed=StatValue(lam0, degenerate=True),
             lambda_alpha=lam_alpha,
             p_value=1.0,
             reject=False,
@@ -223,12 +222,12 @@ def _fisher_exact_test(y, x, hyp, stat, alpha):
             statistic_id=statistic_id,
             degenerate_note=_DEGENERATE_NOTE,
         )
-    p = float(sp_stats.f.sf(lam0[0] ** 2 / (s2 * df1), df1, df2))
+    p = float(sp_stats.f.sf(fisher.f[0], fisher.df1, fisher.df2))
     return TestResult(
-        observed=StatValue(float(lam0[0])),
+        observed=StatValue(lam0),
         lambda_alpha=lam_alpha,
         p_value=p,
-        reject=bool(lam0[0] > lam_alpha),
+        reject=bool(lam0 > lam_alpha),
         alpha=alpha,
         statistic_id=statistic_id,
     )
@@ -328,22 +327,20 @@ def run_composite(y, x, hyp, stat1=None, stat2=None, alpha=0.05, mc=McConfig()):
             p_value=1.0,
             reject=False,
             alpha=alpha,
-            statistic_id=f"composite({comp.cal_1.statistic_id},{comp.cal_2.statistic_id})",
+            statistic_id=comp.statistic_id,
             m_draws=mc.m_draws,
             seed=mc.seed,
             degenerate_note="component statistic degenerate; conservative no-reject",
         )
     observed = max(o1.value / comp.cal_1.lambda_alpha,
                    o2.value / comp.cal_2.lambda_alpha)
-    count = comp.m_draws - int(
-        np.searchsorted(comp.sorted_composite_stats, observed, side="left"))
     return TestResult(
         observed=StatValue(observed),
         lambda_alpha=comp.kappa_alpha,
-        p_value=(1 + count) / (comp.m_draws + 1),
+        p_value=_counting_p_value(observed, comp.sorted_composite_stats, comp.m_draws),
         reject=bool(observed > comp.kappa_alpha),
         alpha=alpha,
-        statistic_id=f"composite({comp.cal_1.statistic_id},{comp.cal_2.statistic_id})",
+        statistic_id=comp.statistic_id,
         m_draws=mc.m_draws,
         seed=mc.seed,
     )

@@ -27,7 +27,7 @@ from .calibration import (
 )
 from .core import DesignMatrix, LinearHypothesis, SubsetHypothesis, build_reduction, glm_family
 from .exceptions import InvalidSpec, NotApplicable, OverflowGuard, RankDeficient
-from .inference import TestResult
+from .inference import _DEGENERATE_NOTE, TestResult
 from .statistics import (
     GLM_FAMILIES,
     StatValue,
@@ -206,16 +206,12 @@ class _Harness:
         rng = substream(cfg.seed, 0)
         self.x_cov = gen_design(cfg.n, cfg.p, cfg.design_spec, rng, intercept=False)
         self.family = glm_family(cfg.family)
-        if cfg.family == "gaussian":
-            self.x_full = DesignMatrix(
-                np.hstack([np.ones((cfg.n, 1)), self.x_cov.values]),
-                intercept_column=0)
-            self.hyp = SubsetHypothesis(1, np.zeros(cfg.p)).expand(cfg.p + 1)
-            self.red = build_reduction(self.x_full, self.hyp)
-        else:
-            self.x_full = None
-            self.hyp = None
-            self.red = None
+        # the intercept design and H0: beta_1..P = 0 serve the F and LRT
+        # baselines of every family; only the gaussian statistics reduce it
+        self.x_full = DesignMatrix(np.hstack([np.ones((cfg.n, 1)), self.x_cov.values]),
+                                   intercept_column=0)
+        self.hyp = SubsetHypothesis(1, np.zeros(cfg.p)).expand(cfg.p + 1)
+        self.red = build_reduction(self.x_full, self.hyp) if cfg.family == "gaussian" else None
         self._prepare_statistics()
 
     def _null_model(self):
@@ -298,8 +294,7 @@ class _Harness:
                     ratio = np.maximum(v1 / artifact.cal_1.lambda_alpha,
                                        v2 / artifact.cal_2.lambda_alpha)
                     rejects = (~(d1 | d2)) & (ratio > artifact.kappa_alpha)
-                    sid = (f"composite({artifact.cal_1.statistic_id},"
-                           f"{artifact.cal_2.statistic_id})")
+                    sid = artifact.statistic_id
                 elif kind == "fisher":
                     rejects = self._fisher_rejects(y)
                     sid = "baseline_fisher"
@@ -316,23 +311,16 @@ class _Harness:
         return rows
 
     def _fisher_rejects(self, y):
-        cfg = self.cfg
-        if cfg.family == "gaussian":
-            x, hyp = self.x_full, self.hyp
-        else:
-            x = DesignMatrix(np.hstack([np.ones((cfg.n, 1)), self.x_cov.values]),
-                             intercept_column=0)
-            hyp = SubsetHypothesis(1, np.zeros(cfg.p)).expand(cfg.p + 1)
-        lam0, rss, df2 = _fisher_batch(x, hyp, y)
-        f_vals = lam0 ** 2 / (rss / df2 * hyp.r)
-        return sp_stats.f.sf(f_vals, hyp.r, df2) <= cfg.alpha
+        """F-test rejections; a degenerate replicate never rejects."""
+        fisher = _fisher_batch(self.x_full, self.hyp, y)
+        return ~fisher.degenerate & (
+            sp_stats.f.sf(fisher.f, fisher.df1, fisher.df2) <= self.cfg.alpha)
 
     def _lrt_rejects(self, y):
-        cfg = self.cfg
-        x1 = np.hstack([np.ones((cfg.n, 1)), self.x_cov.values])
+        x1 = self.x_full.values
         stats = np.array([_lrt_statistic(y[:, m], x1, self.family)
                           for m in range(y.shape[1])])
-        return sp_stats.chi2.sf(stats, cfg.p) <= cfg.alpha
+        return sp_stats.chi2.sf(stats, self.cfg.p) <= self.cfg.alpha
 
 
 def estimate_power(cfg, threads=1):
@@ -362,24 +350,27 @@ def estimate_level(cfg, threads=1):
 
 
 def baseline_f_test(y, x, hyp, alpha=0.05):
-    """Exact F-test of H0: A beta = c from two least-squares fits."""
+    """Exact F-test of H0: A beta = c from two least-squares fits.
+
+    A y in the column span of X leaves only rounding noise in the RSS; the
+    result is then degenerate with p = 1 and no rejection.
+    """
     if not isinstance(x, DesignMatrix):
         x = DesignMatrix(np.asarray(x, dtype=float))
     if isinstance(hyp, SubsetHypothesis):
         hyp = hyp.expand(x.p)
     y = np.asarray(y, dtype=float)
-    lam0, rss, df2 = _fisher_batch(x, hyp, y[:, None])
-    df1 = hyp.r
-    s2 = rss[0] / df2
-    f_val = float(lam0[0] ** 2 / (s2 * df1)) if s2 > 0 else np.inf
-    p = float(sp_stats.f.sf(f_val, df1, df2))
+    fisher = _fisher_batch(x, hyp, y[:, None])
+    degenerate = bool(fisher.degenerate[0])
+    p = float(sp_stats.f.sf(fisher.f[0], fisher.df1, fisher.df2))  # 1 at F = 0
     return TestResult(
-        observed=StatValue(f_val),
-        lambda_alpha=float(sp_stats.f.ppf(1.0 - alpha, df1, df2)),
+        observed=StatValue(float(fisher.f[0]), degenerate=degenerate),
+        lambda_alpha=float(sp_stats.f.ppf(1.0 - alpha, fisher.df1, fisher.df2)),
         p_value=p,
         reject=p <= alpha,
         alpha=alpha,
         statistic_id="baseline_fisher",
+        degenerate_note=_DEGENERATE_NOTE if degenerate else None,
     )
 
 

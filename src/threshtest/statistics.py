@@ -6,7 +6,7 @@ evaluators (N x M response matrices) back the Monte-Carlo calibration.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .core import (
     residual_parts,
 )
 from .exceptions import (
+    DegenerateStatistic,
     DimensionMismatch,
     NotApplicable,
     RankDeficient,
@@ -193,8 +194,22 @@ def _full_rank_ls(x, hyp):
     return x, q, rr, l
 
 
+class _Fisher(NamedTuple):
+    lam0: np.ndarray
+    s2: np.ndarray  # S_2^2 = RSS / (N - P)
+    f: np.ndarray  # lambda_0^2 / (S_2^2 R); 0 where degenerate
+    df1: int
+    df2: int
+    degenerate: np.ndarray
+
+
 def _fisher_batch(x, hyp, y_mat):
-    """lambda_0, RSS, and df for an N x M batch of responses."""
+    """lambda_0, S_2^2 and the F-test of H0 for an N x M batch of responses.
+
+    A y in the column span of X leaves ||y - X beta_hat|| of order
+    max(N, P) eps ||y||. Such a column's RSS is rounding noise: it is marked
+    degenerate and gets F = 0, so its F-test p-value is 1.
+    """
     x, q, rr, l = _full_rank_ls(x, hyp)
     qty = q.T @ y_mat
     beta = np.linalg.solve(rr, qty)
@@ -203,32 +218,32 @@ def _fisher_batch(x, hyp, y_mat):
     d = hyp.a_matrix @ beta - hyp.c_vector[:, None]
     w = np.linalg.solve(l, d)
     lam0 = np.sqrt(np.maximum(np.sum(w * w, axis=0), 0.0))
-    return lam0, rss, x.n - x.p
-
-
-def _rss_vanished(rss, y_mat, x):
-    """True where the full-model RSS is rounding noise: a y in the column span
-    of X leaves ||y - X beta_hat|| of order max(N, P) eps ||y||."""
+    df2 = x.n - x.p
+    s2 = rss / df2
     tol = max(x.n, x.p) * np.finfo(float).eps
-    return rss <= tol * tol * np.sum(y_mat * y_mat, axis=0)
+    degen = rss <= tol * tol * np.sum(y_mat * y_mat, axis=0)
+    f = np.zeros_like(lam0)
+    np.divide(lam0 ** 2, s2 * hyp.r, out=f, where=~degen)
+    return _Fisher(lam0, s2, f, hyp.r, df2, degen)
 
 
 def zt_fisher_weighted(x, hyp, y):
     """Fisher-weighted statistic: lambda_0^2 = RSS_{H0} - RSS."""
-    lam0, _, _ = _fisher_batch(x, hyp, np.asarray(y, dtype=float)[:, None])
-    return StatValue(float(lam0[0]))
+    fisher = _fisher_batch(x, hyp, np.asarray(y, dtype=float)[:, None])
+    return StatValue(float(fisher.lam0[0]))
 
 
 def fisher_F(x, hyp, y):
     """Classical F statistic computed through the thresholding route.
 
     Returns (F, df1, df2) with F = lambda_0^2 / (S_2^2 R),
-    S_2^2 = RSS / (N - P).
+    S_2^2 = RSS / (N - P). Raises DegenerateStatistic when y lies in the
+    column span of X, where the RSS is rounding noise.
     """
-    lam0, rss, df2 = _fisher_batch(x, hyp, np.asarray(y, dtype=float)[:, None])
-    df1 = hyp.r
-    s2 = rss[0] / df2
-    return float(lam0[0] ** 2 / (s2 * df1)), df1, df2
+    fisher = _fisher_batch(x, hyp, np.asarray(y, dtype=float)[:, None])
+    if fisher.degenerate[0]:
+        raise DegenerateStatistic("RSS vanished: y lies in the column span of X")
+    return float(fisher.f[0]), fisher.df1, fisher.df2
 
 
 def zt_lad(x, y, center="none"):
@@ -370,12 +385,11 @@ class Evaluator:
         if fam == "fisher_weighted":
             # studentized by S2 so the statistic is pivotal in sigma and
             # Monte-Carlo calibration under unit-variance nulls is valid
-            lam0, rss, df2 = _fisher_batch(self.x, self.hyp, y_mat)
-            s2 = np.sqrt(rss / df2)
-            degen = _rss_vanished(rss, y_mat, self.x)
-            out = np.zeros_like(lam0)
-            np.divide(lam0, s2, out=out, where=~degen)
-            return out, degen
+            fisher = _fisher_batch(self.x, self.hyp, y_mat)
+            out = np.zeros_like(fisher.lam0)
+            np.divide(fisher.lam0, np.sqrt(fisher.s2), out=out,
+                      where=~fisher.degenerate)
+            return out, fisher.degenerate
         if fam == "lad_sign":
             if self._lad_center == "median":
                 y_mat = y_mat - np.median(y_mat, axis=0)[None, :]

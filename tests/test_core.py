@@ -56,6 +56,20 @@ class TestKernelBasis:
             kernel_basis(np.ones((3, 2)))
 
 
+@pytest.mark.parametrize("call", [
+    kernel_basis,
+    lambda a: min_norm_solution(a, np.zeros(a.shape[0])),
+    lambda a: factor_reduction(np.arange(12.0 * a.shape[1]).reshape(12, -1) ** 0.5, a),
+], ids=["kernel_basis", "min_norm_solution", "factor_reduction"])
+@pytest.mark.parametrize("a,message", [
+    (np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]), "numerical row rank 1 < R = 2"),
+    (np.ones((3, 2)), "3x2: cannot have full row rank"),
+], ids=["dependent_rows", "wide"])
+def test_one_row_rank_check(call, a, message):
+    with pytest.raises(RankDeficient, match=message):
+        call(a)
+
+
 class TestMinNormSolution:
     def test_zero_rhs(self):
         np.testing.assert_allclose(
@@ -76,6 +90,15 @@ class TestMinNormSolution:
         np.testing.assert_allclose(a @ beta_c, c, atol=1e-10)
         k = kernel_basis(a)
         np.testing.assert_allclose(k.T @ beta_c, 0.0, atol=1e-10)
+
+    def test_equals_reduction_beta_c_bitwise(self, rng):
+        # both take beta_c from the same full SVD of A
+        for r, p in [(1, 4), (2, 5), (3, 3)]:
+            a = rng.standard_normal((r, p))
+            c = rng.standard_normal(r)
+            x = DesignMatrix(rng.standard_normal((10, p)))
+            assert (min_norm_solution(a, c).tobytes()
+                    == factor_reduction(x, a).at(c).beta_c.tobytes())
 
 
 class TestBuildReduction:

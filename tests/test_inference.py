@@ -14,9 +14,11 @@ from threshtest import (
     SubsetHypothesis,
     build_evaluator,
     build_reduction,
+    calibrate_composite,
     confidence_region,
     cr_grid,
     cr_member,
+    gaussian_pivotal_null,
     run_composite,
     run_test,
 )
@@ -307,6 +309,20 @@ class TestComposite:
             comp = run_composite(y, x, hyp, stat1=spec, stat2=spec, mc=MC)
             single = run_test(y, x, hyp, spec, mc=MC, cache=cache)
             assert comp.reject == single.reject
+
+    def test_p_value_counts_composite_draws(self, dataset, rng):
+        x, hyp = dataset
+        y = x.values @ np.array([0.0, 0.5, 0.0, 0.0, 0.0]) + rng.standard_normal(x.n)
+        res = run_composite(y, x, hyp, mc=MC)
+        red = build_reduction(x, hyp)
+        evs = [build_evaluator(spec, x, hyp=hyp, red=red)
+               for spec in inference._default_composite_pair(hyp)]
+        comp = calibrate_composite(*evs, gaussian_pivotal_null(x, hyp, red),
+                                   MC.m_draws, 0.05, MC.seed)
+        assert res.statistic_id == comp.statistic_id == (
+            f"composite({comp.cal_1.statistic_id},{comp.cal_2.statistic_id})")
+        exceed = np.sum(comp.sorted_composite_stats >= res.observed.value)
+        assert res.p_value == (1 + exceed) / (MC.m_draws + 1)
 
     def test_mixed_null_models_rejected(self, dataset, rng):
         x, hyp = dataset

@@ -213,8 +213,36 @@ class TestPowerGrid:
         with pytest.raises(InvalidSpec):
             self._cfg(n=4, p=5, statistics=("fisher",))
 
+    @pytest.mark.parametrize("family,beta0", [("gaussian", -2.0), ("bernoulli", 0.0)])
+    def test_fisher_rejects_equal_baseline_and_skip_degenerate(self, family, beta0):
+        cfg = self._cfg(family=family, beta0=beta0, statistics=("fisher",), n_reps=200)
+        harness = _Harness(cfg)
+        y = harness.simulate_cell(1, 1.0)
+        # three replicates in the column span of the intercept design: the
+        # RSS is rounding noise, so they are degenerate and never reject
+        in_span = [0, 7, 100]
+        coef = np.random.default_rng(1).standard_normal((cfg.p + 1, len(in_span)))
+        y[:, in_span] = harness.x_full.values @ coef
+        x = DesignMatrix(np.hstack([np.ones((cfg.n, 1)), harness.x_cov.values]),
+                         intercept_column=0)
+        hyp = SubsetHypothesis(1, np.zeros(cfg.p))
+        results = [baseline_f_test(y[:, m], x, hyp, cfg.alpha) for m in range(cfg.n_reps)]
+        rejects = harness._fisher_rejects(y)
+        assert rejects.tolist() == [res.reject for res in results]
+        assert [results[m].observed.degenerate for m in in_span] == [True] * 3
+        assert not rejects[in_span].any() and 0 < rejects.sum()
+
 
 class TestBaselines:
+    def test_f_test_response_in_span_is_degenerate(self):
+        # y = X[:, :2] b: the F numerator and the RSS are both rounding noise
+        rng = np.random.default_rng(0)
+        x = DesignMatrix(rng.standard_normal((30, 5)))
+        y = x.values[:, :2] @ rng.standard_normal(2)
+        res = baseline_f_test(y, x, SubsetHypothesis(2, np.zeros(3)))
+        assert res.observed.degenerate and res.degenerate_note
+        assert res.p_value == 1.0 and not res.reject
+
     def test_f_test_null_distribution(self, rng):
         # exact test: p-values uniform; check rejection count at alpha = 0.2
         n, p = 25, 3

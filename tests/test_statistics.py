@@ -23,6 +23,7 @@ from threshtest import (
 )
 from threshtest.statistics import StatisticSpec
 from threshtest.exceptions import (
+    DegenerateStatistic,
     DimensionMismatch,
     DomainError,
     NotApplicable,
@@ -193,6 +194,16 @@ class TestFisherWeighted:
         y = x.values[:, :2] @ rng.standard_normal(2)
         assert ev.evaluate(y).degenerate
         assert not ev.evaluate(y + 1e-6 * rng.standard_normal(30)).degenerate
+
+    def test_fisher_F_raises_for_response_in_span(self):
+        rng = np.random.default_rng(0)
+        x = DesignMatrix(rng.standard_normal((30, 5)))
+        hyp = SubsetHypothesis(2, np.zeros(3)).expand(5)
+        y = x.values[:, :2] @ rng.standard_normal(2)
+        with pytest.raises(DegenerateStatistic):
+            fisher_F(x, hyp, y)
+        f, df1, df2 = fisher_F(x, hyp, y + 1e-6 * rng.standard_normal(30))
+        assert np.isfinite(f) and (df1, df2) == (3, 25)
 
     def test_wide_design_not_applicable(self, rng):
         x = DesignMatrix(rng.standard_normal((4, 6)))
