@@ -134,22 +134,17 @@ class LinearHypothesis:
         c = _as_1d(self.c_vector, "c")
         object.__setattr__(self, "a_matrix", a)
         object.__setattr__(self, "c_vector", c)
-        r, p = a.shape
+        r = a.shape[0]
         if c.shape[0] != r:
             raise DimensionMismatch(f"c has length {c.shape[0]}, expected {r}")
-        if r > p:
-            raise RankDeficient(f"A is {r}x{p}: cannot have full row rank")
+        # full row rank is a standing assumption of every statistic
+        _full_row_rank_svd(a)
         if self.row_partition is None:
             object.__setattr__(self, "row_partition", _default_partition(r))
         else:
             object.__setattr__(
                 self, "row_partition", _validate_partition(self.row_partition, r)
             )
-        # full row rank is a standing assumption of every statistic
-        s = np.linalg.svd(a, compute_uv=False)
-        tol = max(a.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-        if int(np.sum(s > tol)) < r:
-            raise RankDeficient("A is numerically row-rank deficient")
 
     @property
     def r(self):

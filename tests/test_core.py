@@ -60,7 +60,8 @@ class TestKernelBasis:
     kernel_basis,
     lambda a: min_norm_solution(a, np.zeros(a.shape[0])),
     lambda a: factor_reduction(np.arange(12.0 * a.shape[1]).reshape(12, -1) ** 0.5, a),
-], ids=["kernel_basis", "min_norm_solution", "factor_reduction"])
+    lambda a: LinearHypothesis(a, np.zeros(a.shape[0])),
+], ids=["kernel_basis", "min_norm_solution", "factor_reduction", "LinearHypothesis"])
 @pytest.mark.parametrize("a,message", [
     (np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]), "numerical row rank 1 < R = 2"),
     (np.ones((3, 2)), "3x2: cannot have full row rank"),

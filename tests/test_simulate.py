@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats as sp_stats
 
 from threshtest import (
@@ -24,7 +25,7 @@ from threshtest import calibration, simulate
 from threshtest.calibration import substream
 from threshtest.simulate import _Harness, fit_glm_irls
 from threshtest.statistics import StatisticSpec
-from threshtest.exceptions import InvalidSpec, OverflowGuard
+from threshtest.exceptions import InvalidSpec, NotApplicable, OverflowGuard, RankDeficient
 
 
 @pytest.fixture
@@ -289,3 +290,152 @@ class TestBaselines:
             y = rng.poisson(np.exp(0.3), size=n).astype(float)
             rejects += baseline_lrt(y, x, "poisson", alpha=0.1).reject
         assert abs(rejects / 300 - 0.1) < 0.07
+
+
+# The per-replicate IRLS the column-batched fit replaced: one lstsq per
+# iteration and a scalar deviance. Kept verbatim as the reference.
+_ETA_CLIP = 30.0
+
+
+def _deviance(y, mu, tag):
+    if tag == "gaussian":  # sigma = 1 known: deviance reduces to RSS
+        return float(np.sum((y - mu) ** 2))
+    if tag == "bernoulli":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = np.where(y > 0, y * np.log(y / mu), 0.0)
+            t2 = np.where(y < 1, (1 - y) * np.log((1 - y) / (1 - mu)), 0.0)
+        return float(2.0 * np.sum(t1 + t2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(y > 0, y * np.log(y / mu), 0.0)
+    return float(2.0 * np.sum(t - (y - mu)))
+
+
+def _reference_irls(x, y, family, tol=1e-8, max_iter=100):
+    """Canonical-link GLM fit by iteratively reweighted least squares.
+
+    Returns (coefficients, deviance). Desk-scale only (P < N full rank).
+    """
+    if isinstance(family, str):
+        family = glm_family(family)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, p = x.shape
+    if p >= n:
+        raise NotApplicable("IRLS baseline requires P < N")
+    if family.tag == "gaussian":
+        beta, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
+        if rank < p:
+            raise RankDeficient("design is rank deficient")
+        mu = x @ beta
+        return beta, _deviance(y, mu, "gaussian")
+    beta = np.zeros(p)
+    ybar = float(np.mean(y))
+    # start from the intercept-only fit when an intercept column is present
+    ones = np.where(np.all(x == 1.0, axis=0))[0]
+    mustart = min(max(ybar, 1e-8), 1 - 1e-8) if family.tag == "bernoulli" \
+        else max(ybar, 1e-8)
+    if ones.size:
+        beta[ones[0]] = float(family.canonical_link(mustart))
+    dev = np.inf
+    for _ in range(max_iter):
+        eta = np.clip(x @ beta, -_ETA_CLIP, _ETA_CLIP)
+        mu = family.canonical_inverse_link(eta)
+        w = np.asarray(family.variance(mu), dtype=float)  # canonical: dmu/deta = V(mu)
+        w = np.maximum(w, 1e-10)
+        z = eta + (y - mu) / w
+        sw = np.sqrt(w)
+        beta, _, _, _ = np.linalg.lstsq(x * sw[:, None], z * sw, rcond=None)
+        new_dev = _deviance(y, family.canonical_inverse_link(
+            np.clip(x @ beta, -_ETA_CLIP, _ETA_CLIP)), family.tag)
+        if abs(dev - new_dev) <= tol * (abs(new_dev) + 0.1):
+            dev = new_dev
+            break
+        dev = new_dev
+    return beta, dev
+
+
+def _reference_lrt_statistic(y, x1, family):
+    """Deviance drop from the intercept-only fit to the full fit on x1 (an
+    intercept column followed by the tested columns)."""
+    _, dev_full = _reference_irls(x1, y, family)
+    ybar = float(np.mean(y))
+    if family.tag == "bernoulli":
+        mu0 = min(max(ybar, 1e-12), 1 - 1e-12)
+    elif family.tag == "poisson":
+        mu0 = max(ybar, 1e-12)
+    else:
+        mu0 = ybar
+    dev_null = _deviance(y, np.full(y.shape[0], mu0), family.tag)
+    return max(dev_null - dev_full, 0.0)
+
+
+def _lrt_cell(family, beta0, s, theta, seed, width, n=100, p=4):
+    """An intercept design and `width` responses drawn under (s, theta).
+
+    At N = 100 and P = 5 the IRLS fits 262 columns per block, so a width of
+    300 spans two blocks.
+    """
+    rng = np.random.default_rng(seed)
+    x = gen_design(n, p, DesignSpec(), rng)
+    y = np.column_stack([
+        gen_response(x, beta0, gen_beta(AlternativeSpec(s, theta), p, rng), family, rng)
+        for _ in range(width)])
+    return np.hstack([np.ones((n, 1)), x.values]), y
+
+
+class TestBatchedIrls:
+    @pytest.mark.parametrize("family,beta0,s,theta", [
+        ("gaussian", -2.0, 1, 0.4),
+        ("bernoulli", 0.0, 2, 0.4),
+        ("poisson", 0.5, 2, 0.3),
+        ("bernoulli", 0.0, 4, 3.0),  # about a tenth of the columns are separated
+        ("bernoulli", -3.0, 1, 0.4),  # rare events
+    ], ids=["gaussian", "bernoulli", "poisson", "separated", "rare_events"])
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.sampled_from([1, 2, 300]))
+    @example(seed=0, width=1)
+    @example(seed=1, width=2)
+    @example(seed=2, width=300)
+    def test_lrt_statistics_equal_per_column_reference(self, family, beta0, s, theta,
+                                                       seed, width):
+        x1, y = _lrt_cell(family, beta0, s, theta, seed, width)
+        fam = glm_family(family)
+        stats = simulate._lrt_statistics(y, x1, fam)
+        reference = np.array([_reference_lrt_statistic(y[:, m], x1, fam)
+                              for m in range(width)])
+        np.testing.assert_allclose(stats, reference, rtol=1e-8, atol=0.0)
+        p = x1.shape[1] - 1
+        assert (sp_stats.chi2.sf(stats, p) <= 0.05).tolist() == \
+            (sp_stats.chi2.sf(reference, p) <= 0.05).tolist()
+        # a settled column is frozen: one more iteration moves a separated
+        # fit's coefficients far more than the deviance rule notices
+        beta, _ = simulate._irls_batch(x1, y, fam)
+        for m in range(width):
+            ref_beta, _ = _reference_irls(x1, y[:, m], fam)
+            assert np.max(np.abs(beta[:, m] - ref_beta)) <= 1e-8 * np.max(np.abs(ref_beta))
+
+    @pytest.mark.parametrize("family,beta0", [("bernoulli", 0.0), ("poisson", 0.5)])
+    def test_column_active_at_max_iter_returns_last_deviance(self, family, beta0):
+        x1, y = _lrt_cell(family, beta0, 2, 1.0, 3, 5)
+        fam = glm_family(family)
+        beta, dev = simulate._irls_batch(x1, y, fam, max_iter=2)
+        for m in range(y.shape[1]):
+            ref_beta, ref_dev = _reference_irls(x1, y[:, m], fam, max_iter=2)
+            np.testing.assert_allclose(beta[:, m], ref_beta, rtol=1e-8, atol=1e-12)
+            assert dev[m] == pytest.approx(ref_dev, rel=1e-10)
+            # the deviance of the last update, not of the one before it
+            mu = fam.canonical_inverse_link(np.clip(x1 @ beta[:, m], -30.0, 30.0))
+            assert dev[m] == pytest.approx(_deviance(y[:, m], mu, family), rel=1e-12)
+            assert fit_glm_irls(x1, y[:, m], family, max_iter=2)[1] == \
+                pytest.approx(ref_dev, rel=1e-10)
+        # every column was still active: the converged fits reach lower deviances
+        assert np.all(dev > simulate._irls_batch(x1, y, fam)[1] + 1e-6)
+
+    @pytest.mark.parametrize("family", ["gaussian", "bernoulli", "poisson"])
+    def test_rank_deficient_design_raises_for_every_family(self, family):
+        x1, y = _lrt_cell(family, 0.0, 1, 0.5, 4, 1)
+        dup = np.hstack([x1, x1[:, 1:2]])
+        with pytest.raises(RankDeficient, match="design is rank deficient"):
+            fit_glm_irls(dup, y[:, 0], family)
+        with pytest.raises(RankDeficient):
+            baseline_lrt(y[:, 0], dup[:, 1:], family)
