@@ -9,6 +9,7 @@ inference, 2 parse/validation error, 3 untestable/not-applicable,
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -17,8 +18,8 @@ import time
 import numpy as np
 
 from . import __version__, _svg
-from .calibration import calibrate, gaussian_pivotal_null, glm_plugin_null
-from .core import DesignMatrix, LinearHypothesis, SubsetHypothesis, build_reduction
+from .calibration import calibrate
+from .core import DesignMatrix, LinearHypothesis, SubsetHypothesis
 from .exceptions import (
     DimensionMismatch,
     DomainError,
@@ -31,9 +32,9 @@ from .exceptions import (
     UnsupportedDimension,
     Untestable,
 )
-from .inference import McConfig, confidence_region, run_composite, run_test
-from .simulate import DesignSpec, ExperimentConfig, estimate_level, estimate_power
-from .statistics import GLM_FAMILIES, StatisticSpec, build_evaluator
+from .inference import McConfig, _bind, confidence_region, run_composite, run_test
+from .simulate import DesignSpec, ExperimentConfig, PowerRow, estimate_level, estimate_power
+from .statistics import GLM_FAMILIES, StatisticSpec
 
 _PARSE_ERRORS = (InvalidSpec, InsufficientDraws, DimensionMismatch, RankDeficient,
                  StatisticMismatch, DomainError, OverflowGuard, UnsupportedDimension,
@@ -99,21 +100,32 @@ def _read_hypothesis(path, p):
     return LinearHypothesis(a, c, row_partition=doc.get("groups"))
 
 
-def _resolve_stat(name, hyp, family_tag):
-    """Map a CLI statistic name to a StatisticSpec; group variants default
-    to a single block over all tested rows."""
-    if name in ("glm_score_sup", "glm_score_group"):
-        if family_tag is None:
-            raise InvalidSpec(f"{name} requires --family")
-        if name == "glm_score_group":
-            return StatisticSpec(name, glm_family=family_tag,
-                                 row_partition=None)  # resolved at evaluation
-        return StatisticSpec(name, glm_family=family_tag)
-    if name in ("affine_group_lasso", "sqrt_affine_group_lasso"):
-        part = hyp.row_partition if hyp is not None and len(hyp.row_partition) < hyp.r \
-            else ((tuple(range(hyp.r)),) if hyp is not None else None)
-        return StatisticSpec(name, row_partition=part)
-    return StatisticSpec(name)
+def _resolve_stat(name, family_tag, n_rows, groups=None):
+    """The StatisticSpec a statistic name stands for.
+
+    A group statistic over ``n_rows`` rows takes ``groups`` when some block
+    holds more than one row, and one block over all its rows otherwise.
+    ``family_tag`` is used by the GLM score statistics only.
+    """
+    if name not in GLM_FAMILIES:
+        family_tag = None
+    elif family_tag is None:
+        raise InvalidSpec(f"{name} requires --family")
+    spec = StatisticSpec(name, glm_family=family_tag)
+    if not spec.is_group:
+        return spec
+    if groups is None or all(len(block) == 1 for block in groups):
+        groups = (tuple(range(n_rows)),)
+    return dataclasses.replace(spec, row_partition=groups)
+
+
+def _data_stat(args, x, hyp):
+    """``--stat`` of a hypothesis-file command. A GLM score statistic has
+    one row per tested column of X; any other has the rows of A and their
+    groups from the hypothesis file."""
+    if args.stat in GLM_FAMILIES:
+        return _resolve_stat(args.stat, args.family, x.tested_values().shape[1])
+    return _resolve_stat(args.stat, args.family, hyp.r, hyp.row_partition)
 
 
 def _write_record_csv(path, record):
@@ -132,8 +144,7 @@ def _cmd_test(args):
     if args.stat == "composite":
         result = run_composite(y, x, hyp, alpha=args.alpha, mc=mc)
     else:
-        stat = _resolve_stat(args.stat, hyp, args.family)
-        result = run_test(y, x, hyp, stat, alpha=args.alpha, mc=mc)
+        result = run_test(y, x, hyp, _data_stat(args, x, hyp), alpha=args.alpha, mc=mc)
     _write_record_csv(args.out, result.to_record())
     _write_manifest(args.out, "test", _data_config(args), args.seed, time.time() - started)
     return 0
@@ -143,14 +154,7 @@ def _cmd_calibrate(args):
     started = time.time()
     x, y = _read_data(args.data, args.response, args.intercept)
     hyp = _read_hypothesis(args.hypothesis, x.p)
-    stat = _resolve_stat(args.stat, hyp, args.family)
-    if stat.family in GLM_FAMILIES:
-        model = glm_plugin_null(x, stat.glm_family, y)
-        evaluator = build_evaluator(stat, x)
-    else:
-        red = build_reduction(x, hyp)
-        model = gaussian_pivotal_null(x, hyp, red)
-        evaluator = build_evaluator(stat, x, hyp=hyp, red=red)
+    (evaluator,), model = _bind([_data_stat(args, x, hyp)], y, x, hyp)
     cal = calibrate(evaluator, model, args.mc, args.alpha, args.seed)
     cal.save(args.out)
     _write_manifest(args.out, "calibrate", _data_config(args), args.seed,
@@ -173,8 +177,7 @@ def _cmd_region(args):
         raise UnsupportedDimension(f"region grids support R <= 2, got R = {r}")
     if len(args.grid) != r:
         raise InvalidSpec(f"need {r} --grid axes for an R = {r} hypothesis")
-    stat = _resolve_stat(args.stat, hyp, args.family)
-    region = confidence_region(y, x, a, stat=stat, alpha=args.alpha,
+    region = confidence_region(y, x, a, stat=_data_stat(args, x, hyp), alpha=args.alpha,
                                mc=McConfig(m_draws=args.mc, seed=args.seed))
     axes = [_parse_axis(g) for g in args.grid]
     with open(args.out, "w", newline="\n") as fh:
@@ -212,22 +215,11 @@ def _scenario_config(doc, seed_override):
     design = doc.get("design", {})
     stats = []
     for entry in doc.get("statistics", []):
-        if isinstance(entry, str):
-            if entry in ("composite", "fisher", "lrt"):
-                stats.append(entry)
-            elif entry in GLM_FAMILIES:
-                if entry == "glm_score_group":
-                    stats.append(StatisticSpec(
-                        entry, glm_family=doc.get("family", "gaussian"),
-                        row_partition=(tuple(range(int(doc["p"]))),)))
-                else:
-                    stats.append(StatisticSpec(
-                        entry, glm_family=doc.get("family", "gaussian")))
-            elif entry in ("affine_group_lasso", "sqrt_affine_group_lasso"):
-                stats.append(StatisticSpec(
-                    entry, row_partition=(tuple(range(int(doc["p"]))),)))
-            else:
-                stats.append(StatisticSpec(entry))
+        if entry in ("composite", "fisher", "lrt"):
+            stats.append(entry)
+        elif isinstance(entry, str):
+            # every statistic of a study tests all P covariates
+            stats.append(_resolve_stat(entry, doc.get("family", "gaussian"), int(doc["p"])))
         else:
             stats.append(StatisticSpec(
                 entry["family"],
@@ -253,8 +245,6 @@ def _scenario_config(doc, seed_override):
 
 
 def _write_power_csv(path, rows):
-    from .simulate import PowerRow
-
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(PowerRow.HEADER))
@@ -279,78 +269,70 @@ def _plot_power(rows, path):
     _svg.line_panels(panels, path)
 
 
-def _cmd_power(args, level_only=False):
+def _cmd_power(args):
+    """``power`` and ``level``: one CSV per scenario of the config."""
     started = time.time()
     with open(args.config) as fh:
         doc = json.load(fh)
     scenarios = doc["scenarios"] if "scenarios" in doc else [doc]
+    runner = estimate_level if args.command == "level" else estimate_power
     all_rows = []
     for i, scenario in enumerate(scenarios):
-        cfg = _scenario_config(scenario, args.seed)
-        runner = estimate_level if level_only else estimate_power
-        rows = runner(cfg, threads=args.threads)
+        rows = runner(_scenario_config(scenario, args.seed), threads=args.threads)
         all_rows.extend(rows)
         path = args.out if len(scenarios) == 1 else f"{args.out}.scenario{i + 1}.csv"
         _write_power_csv(path, rows)
     if args.plot:
         _plot_power(all_rows, args.plot)
-    _write_manifest(args.out, "level" if level_only else "power", doc,
-                    args.seed, time.time() - started)
+    _write_manifest(args.out, args.command, doc, args.seed, time.time() - started)
     return 0
 
 
-def _add_common(parser):
-    parser.add_argument("--alpha", type=float, default=0.05)
-    parser.add_argument("--mc", type=int, default=2000,
-                        help="number of Monte-Carlo calibration draws")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--stat", default="sqrt_affine_lasso")
-    parser.add_argument("--out", required=True)
-    parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--plot", default=None, help="optional SVG output path")
-
-
-def _add_data_args(parser):
+def _add_data_command(sub, name, func):
+    """A command on a CSV data file and a hypothesis file."""
+    parser = sub.add_parser(name)
     parser.add_argument("--data", required=True, help="CSV data file with header")
     parser.add_argument("--response", required=True, help="response column name")
     parser.add_argument("--intercept", action="store_true",
                         help="prepend an unpenalized all-ones column")
     parser.add_argument("--hypothesis", required=True, help="hypothesis JSON file")
+    parser.add_argument("--stat", default="sqrt_affine_lasso")
     parser.add_argument("--family", default=None,
                         help="glm family for glm_score statistics")
+    parser.add_argument("--alpha", type=float, default=0.05)
+    parser.add_argument("--mc", type=int, default=2000,
+                        help="number of Monte-Carlo calibration draws")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", required=True)
+    parser.set_defaults(func=func)
+    return parser
 
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="threshtest")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("test", "calibrate", "region"):
-        sp = sub.add_parser(name)
-        _add_common(sp)
-        _add_data_args(sp)
-        if name == "region":
-            sp.add_argument("--grid", action="append", default=[],
-                            help="axis as lo:hi:count (repeat for R = 2)")
+    _add_data_command(sub, "test", _cmd_test)
+    _add_data_command(sub, "calibrate", _cmd_calibrate)
+    region = _add_data_command(sub, "region", _cmd_region)
+    region.add_argument("--grid", action="append", default=[],
+                        help="axis as lo:hi:count (repeat for R = 2)")
+    region.add_argument("--plot", default=None, help="optional SVG output path")
     for name in ("power", "level"):
-        sp = sub.add_parser(name)
-        _add_common(sp)
-        sp.add_argument("--config", required=True, help="experiment config JSON")
+        study = sub.add_parser(name)
+        study.add_argument("--config", required=True, help="experiment config JSON")
+        study.add_argument("--seed", type=int, default=None,
+                           help="replaces the seed of every scenario")
+        study.add_argument("--out", required=True)
+        study.add_argument("--threads", type=int, default=1)
+        study.add_argument("--plot", default=None, help="optional SVG output path")
+        study.set_defaults(func=_cmd_power)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.seed is None:
-        args.seed = 0 if args.command in ("test", "calibrate", "region") else None
     try:
-        if args.command == "test":
-            return _cmd_test(args)
-        if args.command == "calibrate":
-            return _cmd_calibrate(args)
-        if args.command == "region":
-            return _cmd_region(args)
-        if args.command == "power":
-            return _cmd_power(args)
-        return _cmd_power(args, level_only=True)
+        return args.func(args)
     except _SKIP_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -128,9 +128,13 @@ class LinearHypothesis:
     a_matrix: np.ndarray
     c_vector: np.ndarray
     row_partition: Optional[Sequence[Sequence[int]]] = None
+    # the SVD of A taken by the row-rank check; build_reduction reuses it
+    _a_svd: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = _as_2d(self.a_matrix, "A")
+        # a read-only copy, so that _a_svd stays the SVD of a_matrix
+        a = _as_2d(self.a_matrix, "A").copy()
+        a.flags.writeable = False
         c = _as_1d(self.c_vector, "c")
         object.__setattr__(self, "a_matrix", a)
         object.__setattr__(self, "c_vector", c)
@@ -138,7 +142,7 @@ class LinearHypothesis:
         if c.shape[0] != r:
             raise DimensionMismatch(f"c has length {c.shape[0]}, expected {r}")
         # full row rank is a standing assumption of every statistic
-        _full_row_rank_svd(a)
+        object.__setattr__(self, "_a_svd", _full_row_rank_svd(a))
         if self.row_partition is None:
             object.__setattr__(self, "row_partition", _default_partition(r))
         else:
@@ -238,29 +242,28 @@ class ReducedProblem(ReductionFactor):
     x_fit_c: np.ndarray = field(repr=False)
 
 
-def _full_row_rank_svd(a, tol=None):
+def _full_row_rank_svd(a):
     """The full SVD (u, s, vh) of an R x P matrix A of full row rank.
 
     Raises RankDeficient if A does not have full row rank at the usual
-    ``max(shape) * eps * s_max`` cutoff (or the given absolute ``tol``).
+    ``max(shape) * eps * s_max`` cutoff.
     """
     r, p = a.shape
     if r > p:
         raise RankDeficient(f"A is {r}x{p}: cannot have full row rank")
     u, s, vh = np.linalg.svd(a, full_matrices=True)
-    if tol is None:
-        tol = max(a.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+    tol = max(a.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > tol))
     if rank < r:
         raise RankDeficient(f"numerical row rank {rank} < R = {r}")
     return u, s, vh
 
 
-def kernel_basis(a_matrix, tol=None):
+def kernel_basis(a_matrix):
     """Orthonormal basis of ker(A); A must have full row rank (see
     :func:`_full_row_rank_svd` for the cutoff)."""
     a = _as_2d(a_matrix, "A")
-    _, _, vh = _full_row_rank_svd(a, tol)
+    _, _, vh = _full_row_rank_svd(a)
     return vh[a.shape[0]:].T
 
 
@@ -275,20 +278,25 @@ def min_norm_solution(a_matrix, c_vector):
     return vh[:r].T @ (u.T @ c / s)
 
 
-def factor_reduction(x, a_matrix, tol=None):
+def factor_reduction(x, a_matrix):
     """Factor the c-independent part of the reduction for (X, A).
 
     Fails with RankDeficient when A is not of full row rank, and with
     Untestable when rank(X K_A) = N, in which case the zero-thresholding
     statistic is identically zero.
     """
+    return _factor(x, _as_2d(a_matrix, "A"), None)
+
+
+def _factor(x, a, a_svd):
+    """:func:`factor_reduction` of (X, A), taking the SVD of A from ``a_svd``
+    when it is not None."""
     if not isinstance(x, DesignMatrix):
         x = DesignMatrix(np.asarray(x, dtype=float))
-    a = _as_2d(a_matrix, "A")
     if a.shape[1] != x.p:
         raise DimensionMismatch(f"A has {a.shape[1]} columns, X has P = {x.p}")
     r = a.shape[0]
-    u, s, vh = _full_row_rank_svd(a, tol)
+    u, s, vh = _full_row_rank_svd(a) if a_svd is None else a_svd
     k_a = vh[r:].T
 
     xka = x.values @ k_a
@@ -315,10 +323,10 @@ def factor_reduction(x, a_matrix, tol=None):
     )
 
 
-def build_reduction(x, hyp, tol=None):
+def build_reduction(x, hyp):
     """Assemble the ReducedProblem for a design and hypothesis: the factor
-    for (X, A) taken at c."""
-    return factor_reduction(x, hyp.a_matrix, tol).at(hyp.c_vector)
+    for (X, A) taken at c, reusing the hypothesis's SVD of A."""
+    return _factor(x, hyp.a_matrix, hyp._a_svd).at(hyp.c_vector)
 
 
 def residual_parts(red, x, y):

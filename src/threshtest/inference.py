@@ -233,10 +233,22 @@ def _fisher_exact_test(y, x, hyp, stat, alpha):
     )
 
 
-def _null_model_for(stat, y, x, hyp, red):
-    if stat.family in GLM_FAMILIES:
-        return glm_plugin_null(x, stat.glm_family, y)
-    return gaussian_pivotal_null(x, hyp, red)
+def _bind(stats, y, x, hyp):
+    """The evaluators of ``stats`` on (X, hypothesis) and the null model
+    they share.
+
+    GLM score statistics share the plug-in null of the first one's family
+    and need no reduction; every other statistic shares the gaussian
+    pivotal null over the one reduction of (X, hypothesis).
+    """
+    glm = [stat.family in GLM_FAMILIES for stat in stats]
+    if any(glm) != all(glm):
+        raise NotApplicable("cannot mix gaussian and glm null models")
+    red = None if glm[0] else build_reduction(x, hyp)
+    evaluators = [build_evaluator(stat, x, hyp=hyp, red=red) for stat in stats]
+    if red is None:
+        return evaluators, glm_plugin_null(x, stats[0].glm_family, y)
+    return evaluators, gaussian_pivotal_null(x, hyp, red)
 
 
 def run_test(y, x, hyp, stat, alpha=0.05, mc=McConfig(), cache=None):
@@ -251,15 +263,14 @@ def run_test(y, x, hyp, stat, alpha=0.05, mc=McConfig(), cache=None):
     y, x, hyp = _coerce_inputs(y, x, hyp)
     if stat.family == "fisher_weighted":
         return _fisher_exact_test(y, x, hyp, stat, alpha)
-    red = None
-    if stat.family not in GLM_FAMILIES:
-        red = build_reduction(x, hyp)  # gaussian null model needs the reduction
-    evaluator = build_evaluator(stat, x, hyp=hyp, red=red)
-    model = _null_model_for(stat, y, x, hyp, red)
+    (evaluator,), model = _bind([stat], y, x, hyp)
     if cache is None:
         cache = _get_default_cache()
-    key = _digest(x.values, hyp.a_matrix, hyp.c_vector, evaluator.statistic_id,
-                  mc.m_draws, alpha, mc.seed, model.kind, model.null_mean)
+    # the block ids and the intercept column change the statistic without
+    # changing its id, so they are keyed too
+    key = _digest(x.values, x.intercept_column, hyp.a_matrix, hyp.c_vector,
+                  evaluator.statistic_id, evaluator.block_ids, mc.m_draws, alpha,
+                  mc.seed, model.kind, model.null_mean)
     cal = cache.get_or_compute(
         key, lambda: calibrate(evaluator, model, mc.m_draws, alpha, mc.seed))
     observed = evaluator.evaluate(y)
@@ -308,15 +319,7 @@ def run_composite(y, x, hyp, stat1=None, stat2=None, alpha=0.05, mc=McConfig()):
         d1, d2 = _default_composite_pair(hyp)
         stat1 = stat1 or d1
         stat2 = stat2 or d2
-    red = build_reduction(x, hyp)
-    ev1 = build_evaluator(stat1, x, hyp=hyp, red=red)
-    ev2 = build_evaluator(stat2, x, hyp=hyp, red=red)
-    if stat1.family in GLM_FAMILIES or stat2.family in GLM_FAMILIES:
-        if stat1.family not in GLM_FAMILIES or stat2.family not in GLM_FAMILIES:
-            raise NotApplicable("cannot mix gaussian and glm null models")
-        model = glm_plugin_null(x, stat1.glm_family, y)
-    else:
-        model = gaussian_pivotal_null(x, hyp, red)
+    (ev1, ev2), model = _bind([stat1, stat2], y, x, hyp)
     comp = calibrate_composite(ev1, ev2, model, mc.m_draws, alpha, mc.seed)
     o1 = ev1.evaluate(y)
     o2 = ev2.evaluate(y)

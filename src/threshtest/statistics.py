@@ -14,8 +14,6 @@ from . import _kernels
 from .core import (
     DesignMatrix,
     GlmFamily,
-    LinearHypothesis,
-    ReducedProblem,
     build_reduction,
     glm_family,
     residual_parts,
@@ -259,11 +257,17 @@ def zt_lad(x, y, center="none"):
     y = np.asarray(y, dtype=float)
     if x.shape[0] != y.shape[0]:
         raise DimensionMismatch("X and y have different numbers of rows")
+    return StatValue(float(_lad_batch(x, y[:, None], center)[0]))
+
+
+def _lad_batch(x_mat, y_mat, center):
+    """||X^T sign(y)||_inf for each column y of an N x M batch, centered
+    first by its own median when ``center="median"``."""
     if center == "median":
-        y = y - np.median(y)
+        y_mat = y_mat - np.median(y_mat, axis=0)[None, :]
     elif center != "none":
         raise NotApplicable(f"unknown centering {center!r}")
-    return StatValue(float(np.max(np.abs(x.T @ np.sign(y)))))
+    return _kernels.sup_abs_cols(x_mat.T @ np.sign(y_mat))
 
 
 def sign_test(u, v):
@@ -334,7 +338,12 @@ def link_identity_residual(family, x_grid):
 
 
 class Evaluator:
-    """Bound statistic: evaluates one StatisticSpec on vectors or N x M batches."""
+    """Bound statistic: evaluates one StatisticSpec on vectors or N x M batches.
+
+    ``block_ids`` maps each row of a group statistic to its block, as
+    resolved from the spec, the hypothesis or the one-block default; it is
+    None for every other family.
+    """
 
     def __init__(self, spec, x, hyp=None, red=None):
         if not isinstance(x, DesignMatrix):
@@ -343,6 +352,7 @@ class Evaluator:
         self.x = x
         self.hyp = hyp
         self.statistic_id = spec.fingerprint()
+        self.block_ids, self._n_blocks = None, None
         fam = spec.family
         if fam in AFFINE_FAMILIES:
             if hyp is None and red is None:
@@ -352,9 +362,7 @@ class Evaluator:
                 part = spec.row_partition
                 if part is None and hyp is not None:
                     part = hyp.row_partition
-                self._ids, self._n_blocks = _partition_ids(part, self.red.r)
-            else:
-                self._ids, self._n_blocks = None, None
+                self.block_ids, self._n_blocks = _partition_ids(part, self.red.r)
         elif fam == "fisher_weighted":
             if hyp is None:
                 raise NotApplicable("fisher_weighted requires a hypothesis")
@@ -371,16 +379,14 @@ class Evaluator:
                 part = spec.row_partition
                 if part is None:  # default: one block over all tested columns
                     part = (tuple(range(self._glm_x.shape[1])),)
-                self._ids, self._n_blocks = _partition_ids(part, self._glm_x.shape[1])
-            else:
-                self._ids, self._n_blocks = None, None
+                self.block_ids, self._n_blocks = _partition_ids(part, self._glm_x.shape[1])
 
     def evaluate_batch(self, y_mat):
         """Return (values, degenerate_mask) for an N x M response matrix."""
         y_mat = np.asarray(y_mat, dtype=float)
         fam = self.spec.family
         if fam in AFFINE_FAMILIES:
-            return _affine_batch(self.red, self.x, y_mat, self._ids,
+            return _affine_batch(self.red, self.x, y_mat, self.block_ids,
                                  self._n_blocks, sqrt=self.spec.is_sqrt)
         if fam == "fisher_weighted":
             # studentized by S2 so the statistic is pivotal in sigma and
@@ -391,12 +397,10 @@ class Evaluator:
                       where=~fisher.degenerate)
             return out, fisher.degenerate
         if fam == "lad_sign":
-            if self._lad_center == "median":
-                y_mat = y_mat - np.median(y_mat, axis=0)[None, :]
-            vals = _kernels.sup_abs_cols(self._lad_x.T @ np.sign(y_mat))
+            vals = _lad_batch(self._lad_x, y_mat, self._lad_center)
             return vals, np.zeros(vals.shape, dtype=bool)
         return _glm_batch(self._glm_x, y_mat, self.spec.glm_family,
-                          self._ids, self._n_blocks)
+                          self.block_ids, self._n_blocks)
 
     def evaluate(self, y):
         vals, degen = self.evaluate_batch(np.asarray(y, dtype=float)[:, None])

@@ -1,12 +1,13 @@
 """CLI surface: happy paths, determinism, exit codes, manifests."""
 
+import argparse
 import csv
 import json
 
 import numpy as np
 import pytest
 
-from threshtest.cli import main
+from threshtest.cli import _scenario_config, build_parser, main
 
 
 @pytest.fixture
@@ -38,6 +39,50 @@ def _read_record(path):
         header = next(reader)
         values = next(reader)
     return dict(zip(header, values))
+
+
+_DATA_FLAGS = ["--alpha", "--data", "--family", "--hypothesis", "--intercept", "--mc",
+               "--out", "--response", "--seed", "--stat"]
+_STUDY_FLAGS = ["--config", "--out", "--plot", "--seed", "--threads"]
+
+
+class TestParser:
+    def test_each_command_takes_the_flags_it_reads(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {name: sorted(flag for action in cmd._actions
+                              for flag in action.option_strings if flag not in ("-h", "--help"))
+                 for name, cmd in sub.choices.items()}
+        assert flags == {
+            "test": _DATA_FLAGS,
+            "calibrate": _DATA_FLAGS,
+            "region": sorted(_DATA_FLAGS + ["--grid", "--plot"]),
+            "power": _STUDY_FLAGS,
+            "level": _STUDY_FLAGS,
+        }
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("test", "--threads", "2"),
+        ("test", "--plot", "t.svg"),
+        ("calibrate", "--threads", "2"),
+        ("calibrate", "--plot", "c.svg"),
+        ("region", "--threads", "2"),
+        ("power", "--alpha", "0.5"),
+        ("power", "--mc", "7"),
+        ("power", "--stat", "nonsense"),
+        ("level", "--alpha", "0.5"),
+        ("level", "--mc", "7"),
+        ("level", "--stat", "nonsense"),
+    ])
+    def test_unread_flag_is_a_usage_error(self, command, flag, value, capsys):
+        if command in ("power", "level"):
+            required = ["--config", "cfg.json"]
+        else:
+            required = ["--data", "d.csv", "--response", "y", "--hypothesis", "h.json"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *required, "--out", "o.csv", flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestCmdTest:
@@ -120,6 +165,26 @@ class TestCmdCalibrate:
         cal = CalibrationResult.load(out)
         assert cal.m_draws == 100
         assert cal.sorted_null_stats.shape == (100,)
+
+
+class TestStatisticNames:
+    @pytest.mark.parametrize("command", ["test", "calibrate"])
+    def test_glm_group_names_its_one_block(self, dataset, tmp_path, command):
+        # the same id a power config's "glm_score_group" entry gets at P = 3
+        from threshtest import CalibrationResult
+
+        data, hyp = dataset
+        out = tmp_path / "o.csv"
+        assert main([command, "--data", str(data), "--response", "y", "--intercept",
+                     "--hypothesis", str(hyp), "--stat", "glm_score_group",
+                     "--family", "gaussian", "--mc", "100", "--out", str(out)]) == 0
+        if command == "test":
+            got = _read_record(out)["statistic"]
+        else:
+            got = CalibrationResult.load(out).statistic_id
+        (spec,) = _scenario_config({"n": 30, "p": 3, "seed": 0,
+                                    "statistics": ["glm_score_group"]}, None).statistics
+        assert got == spec.fingerprint() == "glm_score_group|groups=0,1,2|family=gaussian"
 
 
 class TestCmdRegion:

@@ -215,6 +215,18 @@ class TestReductionFactor:
             # re-taking a reduction at another c only replaces beta_c and X beta_c
             _assert_same_fields(red.at(cs[0]), factor.at(cs[0]))
 
+    def test_hypothesis_keeps_its_own_a(self, rng):
+        # build_reduction reuses the SVD of A taken at construction, so a
+        # later write to the caller's array must not reach the hypothesis
+        x = DesignMatrix(rng.standard_normal((8, 3)))
+        a = rng.standard_normal((2, 3))
+        hyp = LinearHypothesis(a, np.zeros(2))
+        want = factor_reduction(x, a.copy()).at(np.zeros(2))
+        a[0, 0] += 1.0
+        _assert_same_fields(build_reduction(x, hyp), want)
+        with pytest.raises(ValueError):
+            hyp.a_matrix[0, 0] = 0.0
+
     @pytest.mark.parametrize("c", [[0.0], [0.0, np.nan], [np.inf, 0.0], [[0.0, 0.0]]])
     def test_at_rejects_bad_c(self, rng, c):
         factor = factor_reduction(DesignMatrix(rng.standard_normal((8, 3))),

@@ -150,6 +150,37 @@ class TestRunTest:
         assert res1.p_value == res2.p_value
         assert list(tmp_path.glob("cal_*.txt"))
 
+    @staticmethod
+    def _group_partitions(rng):
+        x = DesignMatrix(rng.standard_normal((80, 6)))
+        y = x.values @ np.array([0.5, -0.3, 0.2, 0.0, 0.1, 0.0]) + rng.standard_normal(80)
+        first = SubsetHypothesis(2, np.zeros(4)).expand(6)
+        second = SubsetHypothesis(2, np.zeros(4)).expand(6, row_partition=[[0, 1, 2, 3]])
+        return y, (x, first), (x, second), StatisticSpec("sqrt_affine_group_lasso")
+
+    @staticmethod
+    def _intercept_marking(rng):
+        cols = np.column_stack([np.ones(60), rng.standard_normal((60, 4))])
+        y = 1.0 + cols[:, 1] + rng.standard_normal(60)
+        hyp = SubsetHypothesis(1, np.zeros(4)).expand(5)
+        return (y, (DesignMatrix(cols, intercept_column=0), hyp),
+                (DesignMatrix(cols), hyp), StatisticSpec("lad_sign"))
+
+    @pytest.mark.parametrize("case", ["_group_partitions", "_intercept_marking"])
+    def test_cache_key_tells_same_id_statistics_apart(self, rng, case):
+        # both calls share data, A, c and the statistic id, but not the
+        # statistic: the group partition or the centering differs
+        y, (x1, hyp1), (x2, hyp2), spec = getattr(self, case)(rng)
+        mc = McConfig(m_draws=999, seed=3)
+        cache = CalibrationCache(directory=False)
+        first = run_test(y, x1, hyp1, spec, mc=mc, cache=cache)
+        second = run_test(y, x2, hyp2, spec, mc=mc, cache=cache)
+        fresh = run_test(y, x2, hyp2, spec, mc=mc, cache=CalibrationCache(directory=False))
+        assert first.statistic_id == second.statistic_id == spec.family
+        assert first.lambda_alpha != fresh.lambda_alpha
+        assert second == fresh
+        assert len(cache._memory) == 2
+
     @pytest.mark.parametrize("damage", [
         lambda lines: lines[:len(lines) // 2],
         lambda lines: lines[:-1] + ["not a number\n"],
@@ -474,3 +505,18 @@ class TestRegionSharesOneReduction:
         assert calls == {"factor": 1, "build": 0, "svd": 2}  # the SVDs of A and X K_A
         cr_grid(y, x, a, stat, region.lambda_alpha, grid)
         assert calls == {"factor": 2, "build": 0, "svd": 4}
+
+    def test_one_svd_of_a_per_run_test(self, monkeypatch, rng):
+        x = DesignMatrix(rng.standard_normal((50, 6)))
+        y = rng.standard_normal(50)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        run_test(y, x, SubsetHypothesis(2, np.zeros(4)), StatisticSpec("sqrt_affine_lasso"),
+                 mc=MC, cache=CalibrationCache(directory=False))
+        assert calls == [(4, 6), (50, 2)]  # A, when the hypothesis is expanded, and X K_A

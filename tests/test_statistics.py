@@ -233,6 +233,19 @@ class TestLadSign:
         expected = np.max(np.abs(x.T @ np.sign(centered)))
         assert zt_lad(x, y, center="median").value == pytest.approx(expected)
 
+    @pytest.mark.parametrize("center", ["none", "median"])
+    def test_matches_evaluator_per_column(self, rng, center):
+        # integer entries make X^T sign(y) exact, whatever order BLAS sums in
+        x = rng.integers(-9, 10, (40, 5)).astype(float)
+        if center == "median":  # a marked intercept makes the evaluator center
+            design = DesignMatrix(np.column_stack([np.ones(40), x]), intercept_column=0)
+        else:
+            design = DesignMatrix(x)
+        y = rng.standard_normal((40, 30))
+        vals, degen = build_evaluator(StatisticSpec("lad_sign"), design).evaluate_batch(y)
+        want = [zt_lad(x, y[:, m], center=center).value for m in range(30)]
+        assert vals.tolist() == want and not degen.any()
+
     def test_sign_test_values(self):
         u = np.zeros(4)
         assert sign_test(u, u) == (0, 4)
