@@ -10,6 +10,12 @@ results do not depend on worker count or evaluation order.
 replicates in one vectorised pass (``_substreams``): every replicate's
 ``SeedSequence`` state words are computed together, and each generator
 draws exactly what ``substream`` with the same key would.
+
+``_fill_draws`` is the one definition of a draw: replicates fill the rows
+of a reused block, which is added to the null mean into its columns of the
+batch. ``simulate_null`` is its one-replicate case. Each batch is drawn
+once and evaluated by ``evaluate_many``, so statistics that share a
+reduction (or a GLM design and family) share one residual/score pass.
 """
 
 import math
@@ -28,7 +34,7 @@ from .exceptions import (
     InsufficientDraws,
     StatisticMismatch,
 )
-from .statistics import Evaluator, StatisticSpec, StatValue, build_evaluator
+from .statistics import Evaluator, StatValue, build_evaluator, evaluate_many
 
 __all__ = [
     "NullModel",
@@ -165,27 +171,57 @@ def glm_plugin_null(design, family, y_observed):
                      null_mean=mean, beta0_hat=beta0_hat)
 
 
+# replicates drawn into one row block before it is added into its columns
+_DRAW_BLOCK = 64
+
+
+def _fill_draws(model, rngs, out):
+    """Write the draw of the m-th generator of ``rngs`` into column m of the
+    N x M array ``out``.
+
+    Each replicate fills one row of a reused (_DRAW_BLOCK, N) block: its
+    standard normal noise for the gaussian nulls, its whole response for
+    the others. A filled block is then added to the null mean (X beta_c, or
+    ybar for the gaussian plug-in) once, into its columns of ``out``.
+    """
+    n, m_draws = out.shape
+    if model.kind == "gaussian_pivotal":
+        shift = model.reduced.x_fit_c[:, None]
+    elif model.family.tag == "gaussian":
+        # unit variance: the gaussian score statistic is location/scale
+        # invariant, so the choice is immaterial
+        shift = model.null_mean
+    else:
+        shift = None
+    block = np.empty((min(_DRAW_BLOCK, m_draws), n))
+    rngs = iter(rngs)
+    for start in range(0, m_draws, _DRAW_BLOCK):
+        rows = block[:min(_DRAW_BLOCK, m_draws - start)]
+        for row in rows:
+            rng = next(rngs)
+            if shift is not None:
+                rng.standard_normal(out=row)
+            elif model.family.tag == "bernoulli":
+                row[:] = rng.binomial(1, model.null_mean, size=n)
+            else:
+                row[:] = rng.poisson(model.null_mean, size=n)
+        cols = out[:, start:start + rows.shape[0]]
+        if shift is None:
+            cols[...] = rows.T
+        else:
+            np.add(shift, rows.T, out=cols)
+    return out
+
+
 def simulate_null(model, rng):
     """One draw of Y0 under the null model."""
-    n = model.design.n
-    if model.kind == "gaussian_pivotal":
-        return model.reduced.x_fit_c + rng.standard_normal(n)
-    tag = model.family.tag
-    if tag == "bernoulli":
-        return rng.binomial(1, model.null_mean, size=n).astype(float)
-    if tag == "poisson":
-        return rng.poisson(model.null_mean, size=n).astype(float)
-    # gaussian plug-in: unit variance; the gaussian score statistic is
-    # location/scale invariant so the choice is immaterial
-    return model.null_mean + rng.standard_normal(n)
+    return _fill_draws(model, [rng], np.empty((model.design.n, 1)))[:, 0]
 
 
 def _simulate_batch(model, seed, m_draws, batch):
-    n = model.design.n
-    out = np.empty((n, m_draws))
-    for m, rng in enumerate(_substreams(seed, batch, count=m_draws)):
-        out[:, m] = simulate_null(model, rng)
-    return out
+    """N x M null draws; column m is drawn from ``substream(seed, batch, m)``."""
+    return _fill_draws(model, _substreams(seed, batch, count=m_draws),
+                       np.empty((model.design.n, m_draws)))
 
 
 @dataclass(frozen=True)
@@ -302,8 +338,7 @@ def calibrate_many(stats, model, m_draws, alpha, seed, batch=0):
     evaluators = [_resolve_evaluator(s, model) for s in stats]
     y0 = _simulate_batch(model, seed, m_draws, batch)
     results = []
-    for ev in evaluators:
-        vals, degen = ev.evaluate_batch(y0)
+    for ev, (vals, degen) in zip(evaluators, evaluate_many(evaluators, y0)):
         vals = np.where(degen, np.inf, vals)  # degenerate draws sort last
         vals = np.sort(vals)
         results.append(CalibrationResult(
@@ -337,17 +372,22 @@ def _counting_p_value(observed, sorted_draws, m_draws):
 def calibrate_composite(stat1, stat2, model, m_draws, alpha, seed):
     """Two-batch calibration of the composite max-of-ratios statistic.
 
-    Batch 1 (shared draws) calibrates the component thresholds; an
-    independent batch 2 calibrates kappa_alpha for the composite value
+    Batch 0 (shared draws) calibrates the component thresholds; an
+    independent batch 1 calibrates kappa_alpha for the composite value
     max(lambda_0^(1)/lambda_alpha^(1), lambda_0^(2)/lambda_alpha^(2)).
     """
+    ev1, ev2 = (_resolve_evaluator(s, model) for s in (stat1, stat2))
+    cal1, cal2 = calibrate_many([ev1, ev2], model, m_draws, alpha, seed, batch=0)
+    return _calibrate_kappa(ev1, ev2, cal1, cal2, model, m_draws, alpha, seed)
+
+
+def _calibrate_kappa(ev1, ev2, cal1, cal2, model, m_draws, alpha, seed):
+    """The composite calibration of ``calibrate_composite`` from component
+    calibrations ``cal1`` and ``cal2`` already taken on batch 0: batch 1
+    calibrates kappa_alpha."""
     k = order_stat_index(m_draws, alpha)
-    cal1, cal2 = calibrate_many([stat1, stat2], model, m_draws, alpha, seed, batch=0)
-    ev1 = _resolve_evaluator(stat1, model)
-    ev2 = _resolve_evaluator(stat2, model)
     y0 = _simulate_batch(model, seed, m_draws, batch=1)
-    v1, d1 = ev1.evaluate_batch(y0)
-    v2, d2 = ev2.evaluate_batch(y0)
+    (v1, d1), (v2, d2) = evaluate_many([ev1, ev2], y0)
     comp = np.maximum(
         np.where(d1, np.inf, v1) / cal1.lambda_alpha,
         np.where(d2, np.inf, v2) / cal2.lambda_alpha,

@@ -34,7 +34,7 @@ from .exceptions import (
 )
 from .inference import McConfig, _bind, confidence_region, run_composite, run_test
 from .simulate import DesignSpec, ExperimentConfig, PowerRow, estimate_level, estimate_power
-from .statistics import GLM_FAMILIES, StatisticSpec
+from .statistics import ALL_FAMILIES, GLM_FAMILIES, StatisticSpec
 
 _PARSE_ERRORS = (InvalidSpec, InsufficientDraws, DimensionMismatch, RankDeficient,
                  StatisticMismatch, DomainError, OverflowGuard, UnsupportedDimension,
@@ -100,6 +100,14 @@ def _read_hypothesis(path, p):
     return LinearHypothesis(a, c, row_partition=doc.get("groups"))
 
 
+def _known_stat(name):
+    """``name`` when it names a statistic family; InvalidSpec otherwise."""
+    if name not in ALL_FAMILIES:
+        raise InvalidSpec(f"unknown statistic {name!r}; expected one of "
+                          + ", ".join(ALL_FAMILIES))
+    return name
+
+
 def _resolve_stat(name, family_tag, n_rows, groups=None):
     """The StatisticSpec a statistic name stands for.
 
@@ -107,7 +115,7 @@ def _resolve_stat(name, family_tag, n_rows, groups=None):
     holds more than one row, and one block over all its rows otherwise.
     ``family_tag`` is used by the GLM score statistics only.
     """
-    if name not in GLM_FAMILIES:
+    if _known_stat(name) not in GLM_FAMILIES:
         family_tag = None
     elif family_tag is None:
         raise InvalidSpec(f"{name} requires --family")
@@ -122,8 +130,14 @@ def _resolve_stat(name, family_tag, n_rows, groups=None):
 def _data_stat(args, x, hyp):
     """``--stat`` of a hypothesis-file command. A GLM score statistic has
     one row per tested column of X; any other has the rows of A and their
-    groups from the hypothesis file."""
+    groups from the hypothesis file. Those groups index rows of A, so a
+    group block of more than one row cannot apply to glm_score_group."""
     if args.stat in GLM_FAMILIES:
+        if args.stat == "glm_score_group" and any(
+                len(block) > 1 for block in hyp.row_partition):
+            raise InvalidSpec(
+                "the hypothesis file's groups do not apply to glm_score_group: "
+                "they group rows of A, and its blocks are the tested columns of X")
         return _resolve_stat(args.stat, args.family, x.tested_values().shape[1])
     return _resolve_stat(args.stat, args.family, hyp.r, hyp.row_partition)
 
@@ -222,7 +236,7 @@ def _scenario_config(doc, seed_override):
             stats.append(_resolve_stat(entry, doc.get("family", "gaussian"), int(doc["p"])))
         else:
             stats.append(StatisticSpec(
-                entry["family"],
+                _known_stat(entry["family"]),
                 row_partition=entry.get("groups"),
                 glm_family=entry.get("glm_family")))
     return ExperimentConfig(

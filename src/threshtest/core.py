@@ -333,7 +333,8 @@ def residual_parts(red, x, y):
     """(r, Q^T v) for v = y - X beta_c and r = (I - Q Q^T) v.
 
     r is orthogonal to range(Q), so ``||v||^2 = ||r||^2 + ||Q^T v||^2``
-    gives the size of v per column without another pass over it.
+    gives the size of v per column without another pass over it. r is
+    formed in v's place, so a batch holds one N x M temporary besides r.
     """
     if not isinstance(x, DesignMatrix):
         x = DesignMatrix(np.asarray(x, dtype=float))
@@ -346,7 +347,8 @@ def residual_parts(red, x, y):
         v = y - red.x_fit_c[:, None]
     q = red.projector_factor
     qtv = q.T @ v
-    return v - q @ qtv, qtv
+    v -= q @ qtv
+    return v, qtv
 
 
 def residual(red, x, y):

@@ -42,6 +42,7 @@ from .statistics import (
     StatValue,
     _fisher_batch,
     build_evaluator,
+    evaluate_many,
 )
 
 __all__ = [
@@ -321,8 +322,8 @@ def run_composite(y, x, hyp, stat1=None, stat2=None, alpha=0.05, mc=McConfig()):
         stat2 = stat2 or d2
     (ev1, ev2), model = _bind([stat1, stat2], y, x, hyp)
     comp = calibrate_composite(ev1, ev2, model, mc.m_draws, alpha, mc.seed)
-    o1 = ev1.evaluate(y)
-    o2 = ev2.evaluate(y)
+    o1, o2 = (StatValue(float(vals[0]), degenerate=bool(degen[0]))
+              for vals, degen in evaluate_many([ev1, ev2], y[:, None]))
     if o1.degenerate or o2.degenerate:
         return TestResult(
             observed=StatValue(0.0, degenerate=True),

@@ -17,20 +17,20 @@ family requires an intercept design of full column rank with P < N.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 from scipy import stats as sp_stats
 
 from .calibration import (
     NullModel,
+    _calibrate_kappa,
     _substreams,
-    calibrate_composite,
     calibrate_many,
     gaussian_pivotal_null,
     substream,
 )
-from .core import DesignMatrix, LinearHypothesis, SubsetHypothesis, build_reduction, glm_family
+from .core import DesignMatrix, SubsetHypothesis, build_reduction, glm_family
 from .exceptions import InvalidSpec, NotApplicable, OverflowGuard, RankDeficient
 from .inference import _DEGENERATE_NOTE, TestResult
 from .statistics import (
@@ -39,6 +39,7 @@ from .statistics import (
     StatisticSpec,
     _fisher_batch,
     build_evaluator,
+    evaluate_many,
 )
 
 __all__ = [
@@ -161,7 +162,7 @@ def gen_beta(alt, p, rng):
     beta = np.zeros(p)
     if alt.s > 0:
         positions = rng.permutation(p)[:alt.s]
-        signs = rng.choice([-1.0, 1.0], size=alt.s)
+        signs = np.array([-1.0, 1.0])[rng.integers(0, 2, size=alt.s)]
         beta[positions] = signs * alt.theta
     return beta
 
@@ -227,11 +228,13 @@ class _Harness:
         return _glm_true_null(self.x_cov, self.cfg.family, self.cfg.beta0)
 
     def _prepare_statistics(self):
+        """Bind the statistics of the config and calibrate them. The mc
+        statistics and the composite components are calibrated on one
+        batch-0 draw; each composite then draws its own batch 1."""
         cfg = self.cfg
         self.entries = []
-        model = self._null_model()
-        mc_specs, mc_idx = [], []
-        for i, entry in enumerate(cfg.statistics):
+        self.evaluators = []  # every calibrated evaluator, in entry order
+        for entry in cfg.statistics:
             if isinstance(entry, StatisticSpec):
                 if entry.family in GLM_FAMILIES:
                     ev = build_evaluator(entry, self.x_cov)
@@ -241,9 +244,8 @@ class _Harness:
                     continue
                 else:
                     ev = build_evaluator(entry, self.x_full, hyp=self.hyp, red=self.red)
-                mc_specs.append(ev)
-                mc_idx.append(len(self.entries))
-                self.entries.append(("mc", ev, None))
+                self.entries.append(["mc", ev, None])
+                self.evaluators.append(ev)
             elif entry == "composite":
                 if cfg.family == "gaussian":
                     one_block = (tuple(range(self.hyp.r)),)
@@ -259,16 +261,22 @@ class _Harness:
                     ev2 = build_evaluator(
                         StatisticSpec("glm_score_group", row_partition=one_block,
                                       glm_family=cfg.family), self.x_cov)
-                comp = calibrate_composite(ev1, ev2, model, cfg.m_calib,
-                                           cfg.alpha, cfg.seed)
-                self.entries.append(("composite", (ev1, ev2), comp))
+                self.entries.append(["composite", (ev1, ev2), None])
+                self.evaluators.extend((ev1, ev2))
             else:
                 self.entries.append((entry, entry, None))  # fisher / lrt baselines
-        if mc_specs:
-            cals = calibrate_many(mc_specs, model, cfg.m_calib, cfg.alpha, cfg.seed)
-            for idx, cal in zip(mc_idx, cals):
-                kind, ev, _ = self.entries[idx]
-                self.entries[idx] = (kind, ev, cal)
+        if not self.evaluators:
+            return
+        model = self._null_model()
+        cals = dict(zip(self.evaluators, calibrate_many(
+            self.evaluators, model, cfg.m_calib, cfg.alpha, cfg.seed)))
+        for entry in self.entries:
+            if entry[0] == "mc":
+                entry[2] = cals[entry[1]]
+            elif entry[0] == "composite":
+                ev1, ev2 = entry[1]
+                entry[2] = _calibrate_kappa(ev1, ev2, cals[ev1], cals[ev2], model,
+                                            cfg.m_calib, cfg.alpha, cfg.seed)
 
     def simulate_cell(self, s, theta):
         cfg = self.cfg
@@ -284,20 +292,21 @@ class _Harness:
         cfg = self.cfg
         y = self.simulate_cell(s, theta)
         rows = []
+        shared = None  # {evaluator: (values, degenerate mask)} on y
         for kind, ev, artifact in self.entries:
             if kind == "error":
                 rows.append(PowerRow(ev, cfg.family, s, theta, np.nan, np.nan,
                                      cfg.n_reps, status=artifact))
                 continue
             try:
+                if kind in ("mc", "composite") and shared is None:
+                    shared = dict(zip(self.evaluators, evaluate_many(self.evaluators, y)))
                 if kind == "mc":
-                    vals, degen = ev.evaluate_batch(y)
+                    vals, degen = shared[ev]
                     rejects = (~degen) & (vals > artifact.lambda_alpha)
                     sid = ev.statistic_id
                 elif kind == "composite":
-                    ev1, ev2 = ev
-                    v1, d1 = ev1.evaluate_batch(y)
-                    v2, d2 = ev2.evaluate_batch(y)
+                    (v1, d1), (v2, d2) = shared[ev[0]], shared[ev[1]]
                     ratio = np.maximum(v1 / artifact.cal_1.lambda_alpha,
                                        v2 / artifact.cal_2.lambda_alpha)
                     rejects = (~(d1 | d2)) & (ratio > artifact.kappa_alpha)

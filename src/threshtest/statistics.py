@@ -3,6 +3,13 @@
 Each statistic is a pure function of the data; the affine family also
 needs the precomputed :class:`~threshtest.core.ReducedProblem`. Batch
 evaluators (N x M response matrices) back the Monte-Carlo calibration.
+
+A family's batch path is a pass over the batch (``_parts``) followed by a
+reduction of its result (``_reduce``). The affine parts are
+z = (A A^T)^{-1} A X^T r, ||r|| and Q^T v; the GLM score parts are
+z = X_tested^T (Y - ybar), sqrt(N xi_hat) and the degenerate mask. The
+statistics of one family on one design differ only in the reduction, so
+``evaluate_many`` computes the parts once for all of them.
 """
 
 from dataclasses import dataclass
@@ -28,6 +35,7 @@ from .exceptions import (
 __all__ = [
     "StatisticSpec",
     "StatValue",
+    "ALL_FAMILIES",
     "AFFINE_FAMILIES",
     "SQRT_FAMILIES",
     "GLM_FAMILIES",
@@ -41,6 +49,7 @@ __all__ = [
     "glm_score_stat",
     "link_identity_residual",
     "build_evaluator",
+    "evaluate_many",
 ]
 
 AFFINE_FAMILIES = (
@@ -51,7 +60,7 @@ AFFINE_FAMILIES = (
 )
 SQRT_FAMILIES = ("sqrt_affine_lasso", "sqrt_affine_group_lasso")
 GLM_FAMILIES = ("glm_score_sup", "glm_score_group")
-_ALL_FAMILIES = AFFINE_FAMILIES + ("fisher_weighted", "lad_sign") + GLM_FAMILIES
+ALL_FAMILIES = AFFINE_FAMILIES + ("fisher_weighted", "lad_sign") + GLM_FAMILIES
 
 
 @dataclass(frozen=True)
@@ -76,7 +85,7 @@ class StatisticSpec:
     glm_family: Optional[GlmFamily] = None
 
     def __post_init__(self):
-        if self.family not in _ALL_FAMILIES:
+        if self.family not in ALL_FAMILIES:
             raise NotApplicable(f"unknown statistic family {self.family!r}")
         if isinstance(self.glm_family, str):
             object.__setattr__(self, "glm_family", glm_family(self.glm_family))
@@ -156,15 +165,28 @@ def _affine_batch(red, x, y_mat, group_ids, n_blocks, sqrt):
     """Shared batch path for the affine family; y_mat is N x M."""
     if not isinstance(x, DesignMatrix):
         x = DesignMatrix(np.asarray(x, dtype=float))
+    parts = _affine_parts(red, x, y_mat, with_norm=sqrt)
+    return _affine_reduce(parts, x, group_ids, n_blocks, sqrt)
+
+
+def _affine_parts(red, x, y_mat, with_norm):
+    """(z, ||r||, Q^T v) for each column y of an N x M batch, with
+    v = y - X beta_c, r = (I - Q Q^T) v and z = (A A^T)^{-1} A X^T r;
+    ``||r||`` is None unless ``with_norm``."""
     r_mat, qtv = residual_parts(red, x, y_mat)
     z = red.apply_pseudo(x.values.T @ r_mat)
+    return z, _kernels.norm_cols(r_mat) if with_norm else None, qtv
+
+
+def _affine_reduce(parts, x, group_ids, n_blocks, sqrt):
+    """(values, degenerate mask) of one affine statistic from its parts."""
+    z, denom, qtv = parts
     if group_ids is None:
         vals = _kernels.sup_abs_cols(z)
     else:
         vals = _kernels.block_max_norm_cols(z, group_ids, n_blocks)
     if not sqrt:
         return vals, np.zeros(vals.shape, dtype=bool)
-    denom = _kernels.norm_cols(r_mat)
     # a y in the null fit space leaves only rounding noise in r, so ||r|| is
     # judged against ||y - X beta_c||^2 = ||r||^2 + ||Q^T v||^2
     scale = np.sqrt(denom * denom + np.sum(qtv * qtv, axis=0))
@@ -281,6 +303,13 @@ def sign_test(u, v):
 
 
 def _glm_batch(x_mat, y_mat, family, group_ids, n_blocks):
+    return _glm_reduce(_glm_parts(x_mat, y_mat, family), group_ids, n_blocks)
+
+
+def _glm_parts(x_mat, y_mat, family):
+    """(z, sqrt(N xi_hat), degenerate mask) for each column y of an N x M
+    batch, with z = X^T (y - ybar 1) and xi_hat the family's null variance
+    (taken as 1 where it is degenerate)."""
     n = y_mat.shape[0]
     ybar = np.mean(y_mat, axis=0)
     z = x_mat.T @ (y_mat - ybar[None, :])
@@ -293,12 +322,18 @@ def _glm_batch(x_mat, y_mat, family, group_ids, n_blocks):
     else:
         xi = ybar * (1.0 - ybar) if family.tag == "bernoulli" else ybar
         degen = xi <= 0.0
+    return z, np.sqrt(n * np.where(degen, 1.0, xi)), degen
+
+
+def _glm_reduce(parts, group_ids, n_blocks):
+    """(values, degenerate mask) of one GLM score statistic from its parts."""
+    z, scale, degen = parts
     if group_ids is None:
         num = _kernels.sup_abs_cols(z)
     else:
         num = _kernels.block_max_norm_cols(z, group_ids, n_blocks)
     out = np.zeros_like(num)
-    np.divide(num, np.sqrt(n * np.where(degen, 1.0, xi)), out=out, where=~degen)
+    np.divide(num, scale, out=out, where=~degen)
     return out, degen
 
 
@@ -353,11 +388,14 @@ class Evaluator:
         self.hyp = hyp
         self.statistic_id = spec.fingerprint()
         self.block_ids, self._n_blocks = None, None
+        # evaluators with equal keys compute equal parts from one batch
+        self._share_key = self
         fam = spec.family
         if fam in AFFINE_FAMILIES:
             if hyp is None and red is None:
                 raise NotApplicable(f"{fam} requires a hypothesis or a reduction")
             self.red = red if red is not None else build_reduction(x, hyp)
+            self._share_key = ("affine", id(self.red), id(x))
             if spec.is_group:
                 part = spec.row_partition
                 if part is None and hyp is not None:
@@ -375,32 +413,44 @@ class Evaluator:
         else:  # glm score families
             self.red = None
             self._glm_x = x.tested_values()
+            self._share_key = ("glm", id(x), spec.glm_family.tag)
             if spec.family == "glm_score_group":
                 part = spec.row_partition
                 if part is None:  # default: one block over all tested columns
                     part = (tuple(range(self._glm_x.shape[1])),)
                 self.block_ids, self._n_blocks = _partition_ids(part, self._glm_x.shape[1])
 
-    def evaluate_batch(self, y_mat):
-        """Return (values, degenerate_mask) for an N x M response matrix."""
-        y_mat = np.asarray(y_mat, dtype=float)
+    def _parts(self, y_mat):
+        """The batch pass this evaluator's reduction reads: the affine and
+        GLM score parts above, or the batch itself for Fisher and lad_sign."""
         fam = self.spec.family
         if fam in AFFINE_FAMILIES:
-            return _affine_batch(self.red, self.x, y_mat, self.block_ids,
-                                 self._n_blocks, sqrt=self.spec.is_sqrt)
+            return _affine_parts(self.red, self.x, y_mat, with_norm=self.spec.is_sqrt)
+        if fam in GLM_FAMILIES:
+            return _glm_parts(self._glm_x, y_mat, self.spec.glm_family)
+        return y_mat
+
+    def _reduce(self, parts):
+        fam = self.spec.family
+        if fam in AFFINE_FAMILIES:
+            return _affine_reduce(parts, self.x, self.block_ids, self._n_blocks,
+                                  sqrt=self.spec.is_sqrt)
         if fam == "fisher_weighted":
             # studentized by S2 so the statistic is pivotal in sigma and
             # Monte-Carlo calibration under unit-variance nulls is valid
-            fisher = _fisher_batch(self.x, self.hyp, y_mat)
+            fisher = _fisher_batch(self.x, self.hyp, parts)
             out = np.zeros_like(fisher.lam0)
             np.divide(fisher.lam0, np.sqrt(fisher.s2), out=out,
                       where=~fisher.degenerate)
             return out, fisher.degenerate
         if fam == "lad_sign":
-            vals = _lad_batch(self._lad_x, y_mat, self._lad_center)
+            vals = _lad_batch(self._lad_x, parts, self._lad_center)
             return vals, np.zeros(vals.shape, dtype=bool)
-        return _glm_batch(self._glm_x, y_mat, self.spec.glm_family,
-                          self.block_ids, self._n_blocks)
+        return _glm_reduce(parts, self.block_ids, self._n_blocks)
+
+    def evaluate_batch(self, y_mat):
+        """Return (values, degenerate_mask) for an N x M response matrix."""
+        return self._reduce(self._parts(np.asarray(y_mat, dtype=float)))
 
     def evaluate(self, y):
         vals, degen = self.evaluate_batch(np.asarray(y, dtype=float)[:, None])
@@ -410,3 +460,23 @@ class Evaluator:
 def build_evaluator(spec, x, hyp=None, red=None):
     """Construct the bound evaluator for (spec, X, hypothesis)."""
     return Evaluator(spec, x, hyp=hyp, red=red)
+
+
+def evaluate_many(evaluators, y_mat):
+    """``[ev.evaluate_batch(y_mat) for ev in evaluators]``, with one batch
+    pass per set of evaluators that share their parts.
+
+    Affine evaluators share parts when they hold the same reduction and
+    design, GLM score evaluators when they hold the same design and family;
+    Fisher and lad_sign evaluators each make their own pass. A group's
+    parts come from a square-root member when it has one, so they carry
+    ||r||; the other members ignore it. Every value equals the evaluator's
+    own ``evaluate_batch`` bit for bit.
+    """
+    y_mat = np.asarray(y_mat, dtype=float)
+    groups = {}
+    for ev in evaluators:
+        groups.setdefault(ev._share_key, []).append(ev)
+    parts = {key: max(group, key=lambda ev: ev.spec.is_sqrt)._parts(y_mat)
+             for key, group in groups.items()}
+    return [ev._reduce(parts[ev._share_key]) for ev in evaluators]

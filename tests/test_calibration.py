@@ -20,7 +20,13 @@ from threshtest import (
     substream,
 )
 from threshtest import calibration
-from threshtest.calibration import _StateWords, _substreams, calibrate_many, order_stat_index
+from threshtest.calibration import (
+    _StateWords,
+    _simulate_batch,
+    _substreams,
+    calibrate_many,
+    order_stat_index,
+)
 from threshtest.simulate import _theta_key
 from threshtest.statistics import StatisticSpec
 from threshtest.exceptions import (
@@ -219,6 +225,82 @@ class TestSaveLoad:
         assert loaded.m_draws == cal.m_draws
         assert loaded.seed == cal.seed
         assert loaded.statistic_id == cal.statistic_id
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        draws=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                       max_size=40),
+        n_inf=st.integers(0, 3),
+        alpha=st.floats(1e-3, 0.999),
+        seed=st.integers(0, 2**64),
+        statistic_id=st.one_of(
+            st.sampled_from(["sqrt_affine_lasso",
+                             "glm_score_group|groups=0,1;2|family=bernoulli"]),
+            st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1,
+                    max_size=30)),
+    )
+    def test_roundtrip_is_identity(self, tmp_path_factory, draws, n_inf, alpha, seed,
+                                   statistic_id):
+        # degenerate null draws are stored as +inf and sort last
+        stats = np.array(sorted(draws) + [np.inf] * n_inf)
+        cal = CalibrationResult(sorted_null_stats=stats, lambda_alpha=float(stats[-1]),
+                                alpha=alpha, m_draws=stats.size, seed=seed,
+                                statistic_id=statistic_id)
+        path = tmp_path_factory.mktemp("cal") / "cal.txt"
+        cal.save(path)
+        loaded = CalibrationResult.load(path)
+        assert loaded.sorted_null_stats.tobytes() == cal.sorted_null_stats.tobytes()
+        for name in ("lambda_alpha", "alpha", "m_draws", "seed", "statistic_id"):
+            got, want = getattr(loaded, name), getattr(cal, name)
+            assert type(got) is type(want) and got == want, name
+        assert np.float64(loaded.lambda_alpha).tobytes() == np.float64(cal.lambda_alpha).tobytes()
+
+
+def _reference_draw(model, rng):
+    """One null draw, written out per model kind."""
+    n = model.design.n
+    if model.kind == "gaussian_pivotal":
+        return model.reduced.x_fit_c + rng.standard_normal(n)
+    if model.family.tag == "bernoulli":
+        return rng.binomial(1, model.null_mean, size=n).astype(float)
+    if model.family.tag == "poisson":
+        return rng.poisson(model.null_mean, size=n).astype(float)
+    return model.null_mean + rng.standard_normal(n)
+
+
+class TestSimulateBatch:
+    """The block-filled batch equals the per-key draws bit for bit."""
+
+    @pytest.fixture(params=["gaussian_pivotal", "bernoulli", "poisson", "gaussian"])
+    def model(self, request):
+        rng = np.random.default_rng(5)
+        n = 37
+        x = DesignMatrix(np.hstack([np.ones((n, 1)), rng.standard_normal((n, 3))]),
+                         intercept_column=0)
+        if request.param == "gaussian_pivotal":
+            # c != 0, so X beta_c is not zero
+            hyp = SubsetHypothesis(1, np.array([0.5, -1.0, 2.0])).expand(4)
+            return gaussian_pivotal_null(x, hyp, build_reduction(x, hyp))
+        y = {"bernoulli": (rng.random(n) < 0.3).astype(float),
+             "poisson": rng.poisson(1.7, n).astype(float),
+             "gaussian": rng.standard_normal(n) + 3.0}[request.param]
+        return glm_plugin_null(x, glm_family(request.param), y)
+
+    @pytest.mark.parametrize("m_draws", [1, 63, 64, 65, 199])
+    def test_equals_per_key_simulate_null(self, model, m_draws):
+        got = _simulate_batch(model, 2**33 + 7, m_draws, 3)
+        per_key = np.column_stack([simulate_null(model, substream(2**33 + 7, 3, m))
+                                   for m in range(m_draws)])
+        reference = np.column_stack([_reference_draw(model, substream(2**33 + 7, 3, m))
+                                     for m in range(m_draws)])
+        assert got.shape == (model.design.n, m_draws) and got.flags.c_contiguous
+        assert got.tobytes() == per_key.tobytes() == reference.tobytes()
+
+    def test_simulate_null_leaves_generator_as_reference_does(self, model):
+        rng, ref = substream(4, 0, 9), substream(4, 0, 9)
+        assert simulate_null(model, rng).tobytes() == _reference_draw(model, ref).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestSubstream:

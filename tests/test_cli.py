@@ -187,6 +187,39 @@ class TestStatisticNames:
         assert got == spec.fingerprint() == "glm_score_group|groups=0,1,2|family=gaussian"
 
 
+    @pytest.mark.parametrize("command", ["test", "calibrate"])
+    def test_unknown_stat_exit_2(self, dataset, tmp_path, capsys, command):
+        data, hyp = dataset
+        code = main([command, "--data", str(data), "--response", "y", "--intercept",
+                     "--hypothesis", str(hyp), "--stat", "nonsense", "--mc", "100",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "unknown statistic 'nonsense'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["nonsense", {"family": "nonsense"}])
+    def test_unknown_power_config_stat_exit_2(self, tmp_path, capsys, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 30, "p": 3, "m_calib": 100, "n_reps": 50,
+                                   "statistics": [entry], "seed": 1}))
+        code = main(["power", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "unknown statistic 'nonsense'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["test", "calibrate"])
+    def test_glm_group_refuses_file_groups(self, dataset, tmp_path, capsys, command):
+        data, _ = dataset
+        hyp = tmp_path / "grouped.json"
+        hyp.write_text(json.dumps({"subset": {"j0": 1, "c": [0.0, 0.0, 0.0]},
+                                   "groups": [[0, 1], [2]]}))
+        out = tmp_path / "o.csv"
+        code = main([command, "--data", str(data), "--response", "y", "--intercept",
+                     "--hypothesis", str(hyp), "--stat", "glm_score_group",
+                     "--family", "gaussian", "--mc", "100", "--out", str(out)])
+        assert code == 2
+        assert "groups do not apply to glm_score_group" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCmdRegion:
     def test_interval_contiguous(self, dataset, tmp_path):
         data, _ = dataset

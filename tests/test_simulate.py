@@ -22,9 +22,9 @@ from threshtest import (
     glm_family,
 )
 from threshtest import calibration, simulate
-from threshtest.calibration import substream
+from threshtest.calibration import calibrate_composite, calibrate_many, substream
 from threshtest.simulate import _Harness, fit_glm_irls
-from threshtest.statistics import StatisticSpec
+from threshtest.statistics import Evaluator, StatisticSpec
 from threshtest.exceptions import InvalidSpec, NotApplicable, OverflowGuard, RankDeficient
 
 
@@ -93,6 +93,19 @@ class TestGenBeta:
     def test_s_exceeds_p(self, rng):
         with pytest.raises(InvalidSpec):
             gen_beta(AlternativeSpec(6, 1.0), 5, rng)
+
+    def test_signs_draw_what_choice_draws(self):
+        # the signs index [-1, 1] by integers(0, 2): the values and the
+        # generator state after the call are those of rng.choice([-1, 1])
+        for seed in range(3000):
+            for s in (1, 2, 5, 20):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = gen_beta(AlternativeSpec(s, 0.7), 20, rng)
+                want = np.zeros(20)
+                positions = ref.permutation(20)[:s]
+                want[positions] = ref.choice([-1.0, 1.0], size=s) * 0.7
+                assert got.tobytes() == want.tobytes()
+                assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestGenResponse:
@@ -195,6 +208,51 @@ class TestPowerGrid:
         monkeypatch.setattr(simulate, "_substreams", per_key)
         reference = estimate_power(cfg)
         assert [r.as_csv_row() for r in batched] == [r.as_csv_row() for r in reference]
+
+    @pytest.mark.parametrize("family,beta0,stat", [
+        ("gaussian", -2.0, StatisticSpec("sqrt_affine_lasso")),
+        ("bernoulli", 0.0, StatisticSpec("glm_score_sup", glm_family="bernoulli")),
+    ])
+    def test_one_draw_and_one_pass_per_batch(self, monkeypatch, family, beta0, stat):
+        # the mc statistic and both composite components are calibrated on
+        # one batch-0 draw, and every cell makes one shared evaluation pass
+        cfg = self._cfg(family=family, beta0=beta0, statistics=(stat, "composite", "lrt"),
+                        theta_grid=(0.0, 0.5, 1.0), n_reps=50)
+        reference = estimate_power(cfg)
+        batches, passes = [], []
+        draw, parts = calibration._simulate_batch, Evaluator._parts
+
+        def counted_draw(model, seed, m_draws, batch):
+            batches.append(batch)
+            return draw(model, seed, m_draws, batch)
+
+        def counted_parts(self, y_mat):
+            passes.append(y_mat.shape[1])
+            return parts(self, y_mat)
+
+        monkeypatch.setattr(calibration, "_simulate_batch", counted_draw)
+        monkeypatch.setattr(Evaluator, "_parts", counted_parts)
+        rows = estimate_power(cfg)
+        assert sorted(batches) == [0, 1]
+        assert sorted(passes) == [50] * 3 + [200] * 2
+        assert [r.as_csv_row() for r in rows] == [r.as_csv_row() for r in reference]
+
+        # the rows of calibrating each entry on its own batch-0 draw
+        def separate(harness):
+            model = harness._null_model()
+            kind, ev, _ = harness.entries[0]
+            harness.entries[0] = (kind, ev, calibrate_many(
+                [ev], model, cfg.m_calib, cfg.alpha, cfg.seed)[0])
+            kind, (ev1, ev2), _ = harness.entries[1]
+            harness.entries[1] = (kind, (ev1, ev2), calibrate_composite(
+                ev1, ev2, model, cfg.m_calib, cfg.alpha, cfg.seed))
+
+        harness = _Harness(cfg)
+        separate(harness)
+        alone = [row for s in cfg.s_values for theta in cfg.theta_grid
+                 for row in harness.evaluate_cell(s, theta)]
+        alone.sort(key=lambda r: (r.statistic_id, r.s, r.theta))
+        assert [r.as_csv_row() for r in alone] == [r.as_csv_row() for r in reference]
 
     @pytest.mark.parametrize("family,beta0", [("gaussian", -2.0), ("bernoulli", 0.0)])
     def test_lrt_rejects_equal_per_replicate_baseline(self, family, beta0):

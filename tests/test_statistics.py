@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from threshtest import (
     DesignMatrix,
@@ -21,7 +22,12 @@ from threshtest import (
     zt_lad,
     zt_sqrt_variant,
 )
-from threshtest.statistics import StatisticSpec
+from threshtest.statistics import (
+    AFFINE_FAMILIES,
+    GLM_FAMILIES,
+    StatisticSpec,
+    evaluate_many,
+)
 from threshtest.exceptions import (
     DegenerateStatistic,
     DimensionMismatch,
@@ -363,3 +369,119 @@ class TestEvaluator:
     def test_glm_spec_needs_family(self):
         with pytest.raises(NotApplicable):
             StatisticSpec("glm_score_sup")
+
+
+def _random_blocks(rng, k):
+    """A random partition of range(k) into contiguous runs of a permutation."""
+    order = rng.permutation(k)
+    cuts = np.sort(rng.choice(np.arange(1, k), size=rng.integers(0, k), replace=False)) \
+        if k > 1 else np.array([], dtype=int)
+    return tuple(tuple(int(i) for i in block) for block in np.split(order, cuts))
+
+
+def _partitions(rng, k):
+    """No partition, singletons, one block and a random partition of k rows."""
+    return (None, tuple((i,) for i in range(k)), (tuple(range(k)),), _random_blocks(rng, k))
+
+
+@st.composite
+def shared_batches(draw):
+    """Evaluators of every family on one (X, hypothesis), plus one N x M batch.
+
+    The affine evaluators share one reduction, except one that builds its
+    own and one at another c; the GLM score evaluators share the family,
+    except one. Column ``degenerate_col`` of the batch lies in the null-model span
+    (affine and Fisher) or is constant (GLM score).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(6, 30))
+    p = draw(st.integers(2, min(6, n - 2)))
+    r = draw(st.integers(1, p))
+    intercept = draw(st.booleans())
+    m = draw(st.sampled_from([1, 2, 65]))
+    tag = draw(st.sampled_from(["gaussian", "bernoulli", "poisson"]))
+    values = rng.standard_normal((n, p))
+    if intercept:
+        values[:, 0] = 1.0
+    x = DesignMatrix(values, intercept_column=0 if intercept else None)
+    hyp = LinearHypothesis(rng.standard_normal((r, p)), rng.standard_normal(r),
+                           row_partition=_random_blocks(rng, r))
+    red = build_reduction(x, hyp)
+    evs = []
+    for fam in AFFINE_FAMILIES:
+        parts = _partitions(rng, r) if "group" in fam else (None,)
+        evs += [build_evaluator(StatisticSpec(fam, row_partition=part), x, hyp=hyp, red=red)
+                for part in parts]
+    evs.append(build_evaluator(StatisticSpec("sqrt_affine_lasso"), x, hyp=hyp))
+    other_c = LinearHypothesis(hyp.a_matrix, hyp.c_vector + 1.0)
+    evs.append(build_evaluator(StatisticSpec("sqrt_affine_lasso"), x, hyp=other_c))
+    evs.append(build_evaluator(StatisticSpec("fisher_weighted"), x, hyp=hyp))
+    evs.append(build_evaluator(StatisticSpec("lad_sign"), x))
+    k = x.tested_values().shape[1]
+    for fam in GLM_FAMILIES:
+        parts = _partitions(rng, k) if fam == "glm_score_group" else (None,)
+        evs += [build_evaluator(StatisticSpec(fam, row_partition=part, glm_family=tag), x)
+                for part in parts]
+    other_tag = "poisson" if tag == "gaussian" else "gaussian"
+    evs.append(build_evaluator(StatisticSpec("glm_score_sup", glm_family=other_tag), x))
+    evs = [evs[i] for i in rng.permutation(len(evs))]
+    if tag == "gaussian":
+        y = rng.standard_normal((n, m))
+    elif tag == "bernoulli":
+        y = (rng.random((n, m)) < 0.4).astype(float)
+    else:
+        y = rng.poisson(2.0, (n, m)).astype(float)
+    j = draw(st.integers(0, m - 1))
+    if draw(st.booleans()):
+        y[:, j] = red.x_fit_c + red.projector_factor @ rng.standard_normal(
+            red.projector_factor.shape[1])
+    else:
+        y[:, j] = y[0, j]
+    return evs, y
+
+
+class TestEvaluateMany:
+    @settings(max_examples=60, deadline=None)
+    @given(shared_batches())
+    def test_equals_each_evaluate_batch_bit_for_bit(self, case):
+        evs, y = case
+        got = evaluate_many(evs, y)
+        assert len(got) == len(evs)
+        for ev, (vals, degen) in zip(evs, got):
+            want_vals, want_degen = ev.evaluate_batch(y)
+            assert vals.tobytes() == want_vals.tobytes(), ev.statistic_id
+            assert np.array_equal(degen, want_degen), ev.statistic_id
+
+    def test_null_span_column_is_degenerate_in_both_paths(self, rng):
+        x, hyp, red = _random_problem(rng, n=12, p=4, r=2)
+        evs = [build_evaluator(StatisticSpec(fam), x, hyp=hyp, red=red)
+               for fam in ("affine_lasso", "sqrt_affine_lasso", "sqrt_affine_group_lasso")]
+        y = rng.standard_normal((12, 3))
+        y[:, 1] = red.x_fit_c + red.projector_factor @ rng.standard_normal(
+            red.projector_factor.shape[1])
+        for ev, (vals, degen) in zip(evs, evaluate_many(evs, y)):
+            want_vals, want_degen = ev.evaluate_batch(y)
+            assert vals.tobytes() == want_vals.tobytes()
+            assert np.array_equal(degen, want_degen)
+            assert list(degen) == ([False, True, False] if ev.spec.is_sqrt else [False] * 3)
+
+    def test_one_pass_per_shared_design(self, rng, monkeypatch):
+        from threshtest.statistics import Evaluator
+
+        x, hyp, red = _random_problem(rng, n=12, p=4, r=2)
+        calls = []
+        original = Evaluator._parts
+
+        def counted(self, y_mat):
+            calls.append(self.spec.family)
+            return original(self, y_mat)
+
+        monkeypatch.setattr(Evaluator, "_parts", counted)
+        evs = [build_evaluator(StatisticSpec(fam), x, hyp=hyp, red=red)
+               for fam in ("affine_lasso", "sqrt_affine_lasso", "sqrt_affine_group_lasso")]
+        evs += [build_evaluator(StatisticSpec(fam, glm_family="poisson"), x)
+                for fam in GLM_FAMILIES]
+        evs.append(build_evaluator(StatisticSpec("lad_sign"), x))
+        evaluate_many(evs, rng.standard_normal((12, 5)))
+        # one affine pass, from a square-root member so it carries ||r||
+        assert sorted(calls) == sorted(["sqrt_affine_lasso", "glm_score_sup", "lad_sign"])
