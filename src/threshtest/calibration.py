@@ -16,6 +16,14 @@ of a reused block, which is added to the null mean into its columns of the
 batch. ``simulate_null`` is its one-replicate case. Each batch is drawn
 once and evaluated by ``evaluate_many``, so statistics that share a
 reduction (or a GLM design and family) share one residual/score pass.
+
+The composite test takes max(lambda_0^(1)/lambda_alpha^(1),
+lambda_0^(2)/lambda_alpha^(2)) (``_composite_values``) of a component pair
+(``_composite_pair`` gives the default one). ``calibrate_composite``
+calibrates the components on batch 0 and kappa_alpha on the composite
+values of an independent batch 1. Both thresholds come from one
+sort/order-statistic step (``_order_stat``), and ``p_value`` counts the
+draws of either kind of calibration.
 """
 
 import math
@@ -34,7 +42,13 @@ from .exceptions import (
     InsufficientDraws,
     StatisticMismatch,
 )
-from .statistics import Evaluator, StatValue, build_evaluator, evaluate_many
+from .statistics import (
+    Evaluator,
+    StatisticSpec,
+    StatValue,
+    build_evaluator,
+    evaluate_many,
+)
 
 __all__ = [
     "NullModel",
@@ -339,11 +353,11 @@ def calibrate_many(stats, model, m_draws, alpha, seed, batch=0):
     y0 = _simulate_batch(model, seed, m_draws, batch)
     results = []
     for ev, (vals, degen) in zip(evaluators, evaluate_many(evaluators, y0)):
-        vals = np.where(degen, np.inf, vals)  # degenerate draws sort last
-        vals = np.sort(vals)
+        # degenerate draws sort last
+        draws, lambda_alpha = _order_stat(np.where(degen, np.inf, vals), k)
         results.append(CalibrationResult(
-            sorted_null_stats=vals,
-            lambda_alpha=float(vals[k - 1]),
+            sorted_null_stats=draws,
+            lambda_alpha=lambda_alpha,
             alpha=alpha,
             m_draws=m_draws,
             seed=seed,
@@ -352,21 +366,28 @@ def calibrate_many(stats, model, m_draws, alpha, seed, batch=0):
     return results
 
 
+def _order_stat(draws, k):
+    """The draws sorted ascending, and the k-th of them (1-based)."""
+    draws = np.sort(draws)
+    return draws, float(draws[k - 1])
+
+
 def p_value(observed, cal, statistic_id=None):
-    """Monte-Carlo p-value (1 + #{draws >= observed}) / (M + 1)."""
+    """Monte-Carlo p-value (1 + #{draws >= observed}) / (M + 1).
+
+    The draws are the null draws of a CalibrationResult, or the composite
+    values of a CompositeCalibration.
+    """
     if statistic_id is not None and statistic_id != cal.statistic_id:
         raise StatisticMismatch(
             f"observed statistic {statistic_id!r} vs calibration {cal.statistic_id!r}"
         )
     if isinstance(observed, StatValue):
         observed = observed.value
-    return _counting_p_value(observed, cal.sorted_null_stats, cal.m_draws)
-
-
-def _counting_p_value(observed, sorted_draws, m_draws):
-    """(1 + #{draws >= observed}) / (M + 1) over M ascending draws."""
-    count = m_draws - int(np.searchsorted(sorted_draws, observed, side="left"))
-    return (1 + count) / (m_draws + 1)
+    draws = (cal.sorted_composite_stats if isinstance(cal, CompositeCalibration)
+             else cal.sorted_null_stats)
+    count = cal.m_draws - int(np.searchsorted(draws, observed, side="left"))
+    return (1 + count) / (cal.m_draws + 1)
 
 
 def calibrate_composite(stat1, stat2, model, m_draws, alpha, seed):
@@ -387,18 +408,39 @@ def _calibrate_kappa(ev1, ev2, cal1, cal2, model, m_draws, alpha, seed):
     calibrates kappa_alpha."""
     k = order_stat_index(m_draws, alpha)
     y0 = _simulate_batch(model, seed, m_draws, batch=1)
-    (v1, d1), (v2, d2) = evaluate_many([ev1, ev2], y0)
-    comp = np.maximum(
-        np.where(d1, np.inf, v1) / cal1.lambda_alpha,
-        np.where(d2, np.inf, v2) / cal2.lambda_alpha,
-    )
-    comp = np.sort(comp)
+    comp, _ = _composite_values(evaluate_many([ev1, ev2], y0), cal1, cal2)
+    comp, kappa_alpha = _order_stat(comp, k)
     return CompositeCalibration(
         cal_1=cal1,
         cal_2=cal2,
-        kappa_alpha=float(comp[k - 1]),
+        kappa_alpha=kappa_alpha,
         alpha=alpha,
         m_draws=m_draws,
         seed=seed,
         sorted_composite_stats=comp,
     )
+
+
+def _composite_values(results, cal1, cal2):
+    """(values, degenerate mask) of the composite statistic
+    max(lambda_0^(1)/lambda_alpha^(1), lambda_0^(2)/lambda_alpha^(2)) from
+    the component results [(values, degenerate mask)] * 2. A column is
+    degenerate when either component is; a degenerate component counts as
+    +inf, so degenerate draws sort last."""
+    (v1, d1), (v2, d2) = results
+    values = np.maximum(np.where(d1, np.inf, v1) / cal1.lambda_alpha,
+                        np.where(d2, np.inf, v2) / cal2.lambda_alpha)
+    return values, d1 | d2
+
+
+def _composite_pair(n_rows, glm_family=None):
+    """The default components of the composite test: the sup statistic and
+    the group statistic over one block of all ``n_rows`` rows. They are the
+    square-root affine pair, or the GLM score pair of ``glm_family``."""
+    one_block = (tuple(range(n_rows)),)
+    if glm_family is None:
+        return (StatisticSpec("sqrt_affine_lasso"),
+                StatisticSpec("sqrt_affine_group_lasso", row_partition=one_block))
+    return (StatisticSpec("glm_score_sup", glm_family=glm_family),
+            StatisticSpec("glm_score_group", row_partition=one_block,
+                          glm_family=glm_family))

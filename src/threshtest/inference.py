@@ -2,7 +2,10 @@
 
 ``run_test`` wires hypothesis reduction, calibration (cached), statistic
 evaluation and the rejection rule together; ``run_composite`` does the
-same for the max-of-ratios composite test. Confidence regions invert the
+same for the max-of-ratios composite test, and ``fisher_weighted`` runs
+the exact F-test. All three decide through ``_decide``: a degenerate
+statistic gives p = 1, no rejection and a note; any other statistic
+rejects when it exceeds its threshold. Confidence regions invert the
 square-root (scale-pivotal) tests, so one calibration at c = 0 serves
 every candidate c, and one reduction factor of (X, A) does too: each
 candidate adds only ``beta_c``, ``X beta_c`` and one statistic evaluation.
@@ -20,7 +23,8 @@ from scipy import stats as sp_stats
 
 from .calibration import (
     CalibrationResult,
-    _counting_p_value,
+    _composite_pair,
+    _composite_values,
     calibrate,
     calibrate_composite,
     gaussian_pivotal_null,
@@ -199,6 +203,26 @@ def _coerce_inputs(y, x, hyp):
 
 
 _DEGENERATE_NOTE = "statistic denominator vanished; conservative no-reject"
+_COMPONENT_NOTE = "component statistic degenerate; conservative no-reject"
+
+
+def _decide(observed, lambda_alpha, p, alpha, statistic_id, mc=McConfig(m_draws=0),
+            note=_DEGENERATE_NOTE):
+    """The TestResult of ``observed`` against its threshold: p-value ``p``,
+    and a rejection when the statistic exceeds ``lambda_alpha``. A
+    degenerate statistic gives p = 1, no rejection and ``note``."""
+    degenerate = observed.degenerate
+    return TestResult(
+        observed=observed,
+        lambda_alpha=lambda_alpha,
+        p_value=1.0 if degenerate else p,
+        reject=not degenerate and bool(observed.value > lambda_alpha),
+        alpha=alpha,
+        statistic_id=statistic_id,
+        m_draws=mc.m_draws,
+        seed=mc.seed,
+        degenerate_note=note if degenerate else None,
+    )
 
 
 def _fisher_exact_test(y, x, hyp, stat, alpha):
@@ -209,29 +233,11 @@ def _fisher_exact_test(y, x, hyp, stat, alpha):
     step is needed.
     """
     fisher = _fisher_batch(x, hyp, y[:, None])
-    lam0 = float(fisher.lam0[0])
     f_crit = float(sp_stats.f.ppf(1.0 - alpha, fisher.df1, fisher.df2))
     lam_alpha = float(np.sqrt(f_crit * fisher.s2[0] * fisher.df1))
-    statistic_id = stat.fingerprint() + "|exact_f"
-    if fisher.degenerate[0]:
-        return TestResult(
-            observed=StatValue(lam0, degenerate=True),
-            lambda_alpha=lam_alpha,
-            p_value=1.0,
-            reject=False,
-            alpha=alpha,
-            statistic_id=statistic_id,
-            degenerate_note=_DEGENERATE_NOTE,
-        )
+    observed = StatValue(float(fisher.lam0[0]), degenerate=bool(fisher.degenerate[0]))
     p = float(sp_stats.f.sf(fisher.f[0], fisher.df1, fisher.df2))
-    return TestResult(
-        observed=StatValue(lam0),
-        lambda_alpha=lam_alpha,
-        p_value=p,
-        reject=bool(lam0 > lam_alpha),
-        alpha=alpha,
-        statistic_id=statistic_id,
-    )
+    return _decide(observed, lam_alpha, p, alpha, stat.fingerprint() + "|exact_f")
 
 
 def _bind(stats, y, x, hyp):
@@ -275,37 +281,8 @@ def run_test(y, x, hyp, stat, alpha=0.05, mc=McConfig(), cache=None):
     cal = cache.get_or_compute(
         key, lambda: calibrate(evaluator, model, mc.m_draws, alpha, mc.seed))
     observed = evaluator.evaluate(y)
-    if observed.degenerate:
-        return TestResult(
-            observed=observed,
-            lambda_alpha=cal.lambda_alpha,
-            p_value=1.0,
-            reject=False,
-            alpha=alpha,
-            statistic_id=cal.statistic_id,
-            m_draws=mc.m_draws,
-            seed=mc.seed,
-            degenerate_note=_DEGENERATE_NOTE,
-        )
-    p = mc_p_value(observed, cal)
-    return TestResult(
-        observed=observed,
-        lambda_alpha=cal.lambda_alpha,
-        p_value=p,
-        reject=bool(observed.value > cal.lambda_alpha),
-        alpha=alpha,
-        statistic_id=cal.statistic_id,
-        m_draws=mc.m_draws,
-        seed=mc.seed,
-    )
-
-
-def _default_composite_pair(hyp):
-    one_block = (tuple(range(hyp.r)),)
-    return (
-        StatisticSpec("sqrt_affine_lasso"),
-        StatisticSpec("sqrt_affine_group_lasso", row_partition=one_block),
-    )
+    return _decide(observed, cal.lambda_alpha, mc_p_value(observed, cal), alpha,
+                   cal.statistic_id, mc)
 
 
 def run_composite(y, x, hyp, stat1=None, stat2=None, alpha=0.05, mc=McConfig()):
@@ -313,41 +290,18 @@ def run_composite(y, x, hyp, stat1=None, stat2=None, alpha=0.05, mc=McConfig()):
     exceeds its own calibrated quantile.
 
     Defaults to the sqrt affine lasso (sup norm) paired with the sqrt
-    affine group lasso over a single block.
+    affine group lasso over a single block. A degenerate component gives
+    the observed value 0, p = 1 and no rejection.
     """
     y, x, hyp = _coerce_inputs(y, x, hyp)
-    if stat1 is None or stat2 is None:
-        d1, d2 = _default_composite_pair(hyp)
-        stat1 = stat1 or d1
-        stat2 = stat2 or d2
-    (ev1, ev2), model = _bind([stat1, stat2], y, x, hyp)
+    default1, default2 = _composite_pair(hyp.r)
+    (ev1, ev2), model = _bind([stat1 or default1, stat2 or default2], y, x, hyp)
     comp = calibrate_composite(ev1, ev2, model, mc.m_draws, alpha, mc.seed)
-    o1, o2 = (StatValue(float(vals[0]), degenerate=bool(degen[0]))
-              for vals, degen in evaluate_many([ev1, ev2], y[:, None]))
-    if o1.degenerate or o2.degenerate:
-        return TestResult(
-            observed=StatValue(0.0, degenerate=True),
-            lambda_alpha=comp.kappa_alpha,
-            p_value=1.0,
-            reject=False,
-            alpha=alpha,
-            statistic_id=comp.statistic_id,
-            m_draws=mc.m_draws,
-            seed=mc.seed,
-            degenerate_note="component statistic degenerate; conservative no-reject",
-        )
-    observed = max(o1.value / comp.cal_1.lambda_alpha,
-                   o2.value / comp.cal_2.lambda_alpha)
-    return TestResult(
-        observed=StatValue(observed),
-        lambda_alpha=comp.kappa_alpha,
-        p_value=_counting_p_value(observed, comp.sorted_composite_stats, comp.m_draws),
-        reject=bool(observed > comp.kappa_alpha),
-        alpha=alpha,
-        statistic_id=comp.statistic_id,
-        m_draws=mc.m_draws,
-        seed=mc.seed,
-    )
+    values, degen = _composite_values(evaluate_many([ev1, ev2], y[:, None]),
+                                      comp.cal_1, comp.cal_2)
+    observed = StatValue(0.0, degenerate=True) if degen[0] else StatValue(float(values[0]))
+    return _decide(observed, comp.kappa_alpha, mc_p_value(observed, comp), alpha,
+                   comp.statistic_id, mc, note=_COMPONENT_NOTE)
 
 
 def _require_pivotal(stat):

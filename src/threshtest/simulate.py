@@ -15,6 +15,7 @@ gaussian family), and ``fit_glm_irls`` is its one-column case. Every
 family requires an intercept design of full column rank with P < N.
 """
 
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -25,6 +26,8 @@ from scipy import stats as sp_stats
 from .calibration import (
     NullModel,
     _calibrate_kappa,
+    _composite_pair,
+    _composite_values,
     _substreams,
     calibrate_many,
     gaussian_pivotal_null,
@@ -227,44 +230,36 @@ class _Harness:
             return gaussian_pivotal_null(self.x_full, self.hyp, self.red)
         return _glm_true_null(self.x_cov, self.cfg.family, self.cfg.beta0)
 
+    def _bind(self, spec):
+        """``spec`` bound to the design: a GLM score statistic to the
+        covariates, any other statistic to the intercept design and H0."""
+        if spec.family in GLM_FAMILIES:
+            return build_evaluator(spec, self.x_cov)
+        return build_evaluator(spec, self.x_full, hyp=self.hyp, red=self.red)
+
     def _prepare_statistics(self):
         """Bind the statistics of the config and calibrate them. The mc
         statistics and the composite components are calibrated on one
         batch-0 draw; each composite then draws its own batch 1."""
         cfg = self.cfg
+        gaussian = cfg.family == "gaussian"
         self.entries = []
         self.evaluators = []  # every calibrated evaluator, in entry order
         for entry in cfg.statistics:
-            if isinstance(entry, StatisticSpec):
-                if entry.family in GLM_FAMILIES:
-                    ev = build_evaluator(entry, self.x_cov)
-                elif cfg.family != "gaussian":
-                    self.entries.append(("error", entry.fingerprint(),
-                                         "gaussian statistic with non-gaussian family"))
-                    continue
-                else:
-                    ev = build_evaluator(entry, self.x_full, hyp=self.hyp, red=self.red)
+            if entry == "composite":
+                pair = _composite_pair(cfg.p, None if gaussian else cfg.family)
+                evs = tuple(self._bind(spec) for spec in pair)
+                self.entries.append(["composite", evs, None])
+                self.evaluators.extend(evs)
+            elif isinstance(entry, str):
+                self.entries.append((entry, entry, None))  # fisher / lrt baselines
+            elif entry.family not in GLM_FAMILIES and not gaussian:
+                self.entries.append(("error", entry.fingerprint(),
+                                     "gaussian statistic with non-gaussian family"))
+            else:
+                ev = self._bind(entry)
                 self.entries.append(["mc", ev, None])
                 self.evaluators.append(ev)
-            elif entry == "composite":
-                if cfg.family == "gaussian":
-                    one_block = (tuple(range(self.hyp.r)),)
-                    ev1 = build_evaluator(StatisticSpec("sqrt_affine_lasso"),
-                                          self.x_full, hyp=self.hyp, red=self.red)
-                    ev2 = build_evaluator(
-                        StatisticSpec("sqrt_affine_group_lasso", row_partition=one_block),
-                        self.x_full, hyp=self.hyp, red=self.red)
-                else:
-                    one_block = (tuple(range(cfg.p)),)
-                    ev1 = build_evaluator(
-                        StatisticSpec("glm_score_sup", glm_family=cfg.family), self.x_cov)
-                    ev2 = build_evaluator(
-                        StatisticSpec("glm_score_group", row_partition=one_block,
-                                      glm_family=cfg.family), self.x_cov)
-                self.entries.append(["composite", (ev1, ev2), None])
-                self.evaluators.extend((ev1, ev2))
-            else:
-                self.entries.append((entry, entry, None))  # fisher / lrt baselines
         if not self.evaluators:
             return
         model = self._null_model()
@@ -299,17 +294,17 @@ class _Harness:
                                      cfg.n_reps, status=artifact))
                 continue
             try:
-                if kind in ("mc", "composite") and shared is None:
-                    shared = dict(zip(self.evaluators, evaluate_many(self.evaluators, y)))
-                if kind == "mc":
-                    vals, degen = shared[ev]
-                    rejects = (~degen) & (vals > artifact.lambda_alpha)
-                    sid = ev.statistic_id
-                elif kind == "composite":
-                    (v1, d1), (v2, d2) = shared[ev[0]], shared[ev[1]]
-                    ratio = np.maximum(v1 / artifact.cal_1.lambda_alpha,
-                                       v2 / artifact.cal_2.lambda_alpha)
-                    rejects = (~(d1 | d2)) & (ratio > artifact.kappa_alpha)
+                if kind in ("mc", "composite"):
+                    if shared is None:
+                        shared = dict(zip(self.evaluators,
+                                          evaluate_many(self.evaluators, y)))
+                    if kind == "mc":
+                        (vals, degen), threshold = shared[ev], artifact.lambda_alpha
+                    else:
+                        vals, degen = _composite_values([shared[e] for e in ev],
+                                                        artifact.cal_1, artifact.cal_2)
+                        threshold = artifact.kappa_alpha
+                    rejects = ~degen & (vals > threshold)
                     sid = artifact.statistic_id
                 elif kind == "fisher":
                     rejects = self._fisher_rejects(y)
@@ -355,11 +350,8 @@ def estimate_power(cfg, threads=1):
 
 def estimate_level(cfg, threads=1):
     """estimate_power restricted to theta = 0 (the null point of the H1 grid)."""
-    null_cfg = ExperimentConfig(
-        n=cfg.n, p=cfg.p, family=cfg.family, beta0=cfg.beta0, alpha=cfg.alpha,
-        m_calib=cfg.m_calib, n_reps=cfg.n_reps, theta_grid=(0.0,),
-        s_values=(min(cfg.s_values),) if cfg.s_values else (0,),
-        design_spec=cfg.design_spec, statistics=cfg.statistics, seed=cfg.seed)
+    null_cfg = dataclasses.replace(
+        cfg, theta_grid=(0.0,), s_values=(min(cfg.s_values),) if cfg.s_values else (0,))
     return estimate_power(null_cfg, threads=threads)
 
 

@@ -1,8 +1,10 @@
 """Zero-thresholding statistics evaluated in closed form.
 
 Each statistic is a pure function of the data; the affine family also
-needs the precomputed :class:`~threshtest.core.ReducedProblem`. Batch
-evaluators (N x M response matrices) back the Monte-Carlo calibration.
+needs the precomputed :class:`~threshtest.core.ReducedProblem`. An
+:class:`Evaluator` binds a :class:`StatisticSpec` to its design and
+evaluates N x M response batches for the Monte-Carlo calibration; the
+affine and GLM score functions below are its one-column case.
 
 A family's batch path is a pass over the batch (``_parts``) followed by a
 reduction of its result (``_reduce``). The affine parts are
@@ -21,6 +23,7 @@ from . import _kernels
 from .core import (
     DesignMatrix,
     GlmFamily,
+    _default_partition,
     build_reduction,
     glm_family,
     residual_parts,
@@ -134,39 +137,27 @@ def _partition_ids(partition, r):
 
 def zt_affine_lasso(red, x, y):
     """lambda_0(y) = || (A A^T)^{-1} A X^T r ||_inf (affine lasso closed form)."""
-    vals, _ = _affine_batch(red, x, np.asarray(y, dtype=float)[:, None],
-                            group_ids=None, n_blocks=None, sqrt=False)
-    return StatValue(float(vals[0]))
+    return Evaluator(StatisticSpec("affine_lasso"), x, red=red).evaluate(y)
 
 
 def zt_affine_group_lasso(red, x, y, partition=None):
-    """max over blocks of || [(A A^T)^{-1} A X^T r]^{H_l} ||_2."""
-    r_rows = red.pseudo_s.shape[0]
-    ids, n_blocks = _partition_ids(partition, r_rows)
-    vals, _ = _affine_batch(red, x, np.asarray(y, dtype=float)[:, None],
-                            group_ids=ids, n_blocks=n_blocks, sqrt=False)
-    return StatValue(float(vals[0]))
+    """max over blocks of || [(A A^T)^{-1} A X^T r]^{H_l} ||_2.
+
+    ``partition=None`` means singleton blocks.
+    """
+    spec = StatisticSpec("affine_group_lasso", row_partition=partition)
+    return Evaluator(spec, x, red=red).evaluate(y)
 
 
 def zt_sqrt_variant(red, x, y, base="lasso", partition=None):
-    """Square-root variant: the base statistic divided by ||r||_2 (scale pivotal)."""
-    if base not in ("lasso", "group"):
+    """Square-root variant: the base statistic divided by ||r||_2 (scale pivotal).
+
+    ``base="group"`` with ``partition=None`` means singleton blocks.
+    """
+    family = {"lasso": "sqrt_affine_lasso", "group": "sqrt_affine_group_lasso"}.get(base)
+    if family is None:
         raise NotApplicable(f"unknown base {base!r}")
-    if base == "group":
-        ids, n_blocks = _partition_ids(partition, red.pseudo_s.shape[0])
-    else:
-        ids, n_blocks = None, None
-    vals, degen = _affine_batch(red, x, np.asarray(y, dtype=float)[:, None],
-                                group_ids=ids, n_blocks=n_blocks, sqrt=True)
-    return StatValue(float(vals[0]), degenerate=bool(degen[0]))
-
-
-def _affine_batch(red, x, y_mat, group_ids, n_blocks, sqrt):
-    """Shared batch path for the affine family; y_mat is N x M."""
-    if not isinstance(x, DesignMatrix):
-        x = DesignMatrix(np.asarray(x, dtype=float))
-    parts = _affine_parts(red, x, y_mat, with_norm=sqrt)
-    return _affine_reduce(parts, x, group_ids, n_blocks, sqrt)
+    return Evaluator(StatisticSpec(family, row_partition=partition), x, red=red).evaluate(y)
 
 
 def _affine_parts(red, x, y_mat, with_norm):
@@ -302,10 +293,6 @@ def sign_test(u, v):
     return b, abs(2 * b - u.shape[0])
 
 
-def _glm_batch(x_mat, y_mat, family, group_ids, n_blocks):
-    return _glm_reduce(_glm_parts(x_mat, y_mat, family), group_ids, n_blocks)
-
-
 def _glm_parts(x_mat, y_mat, family):
     """(z, sqrt(N xi_hat), degenerate mask) for each column y of an N x M
     batch, with z = X^T (y - ybar 1) and xi_hat the family's null variance
@@ -343,24 +330,19 @@ def glm_score_stat(x, y, family, norm="sup", partition=None):
     ``xi_hat`` is the family's null variance estimate from ybar
     (gaussian: unbiased sample variance). Degenerate when xi_hat = 0, or for
     the gaussian family when it is rounding noise against the scale of y.
+    X holds the tested columns (a DesignMatrix drops its intercept column).
+    ``norm="group"`` with ``partition=None`` means singleton blocks, while
+    ``StatisticSpec("glm_score_group")`` without a partition means one block
+    over all tested columns.
     """
-    if isinstance(family, str):
-        family = glm_family(family)
-    if isinstance(x, DesignMatrix):
-        x_mat = x.tested_values()
-    else:
-        x_mat = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x_mat.shape[0] != y.shape[0]:
-        raise DimensionMismatch("X and y have different numbers of rows")
-    if norm == "sup":
-        ids, n_blocks = None, None
-    elif norm == "group":
-        ids, n_blocks = _partition_ids(partition, x_mat.shape[1])
-    else:
+    if norm not in ("sup", "group"):
         raise NotApplicable(f"unknown norm {norm!r}")
-    vals, degen = _glm_batch(x_mat, y[:, None], family, ids, n_blocks)
-    return StatValue(float(vals[0]), degenerate=bool(degen[0]))
+    if not isinstance(x, DesignMatrix):
+        x = DesignMatrix(np.asarray(x, dtype=float))
+    if norm == "group" and partition is None:
+        partition = _default_partition(x.tested_values().shape[1])
+    spec = StatisticSpec(f"glm_score_{norm}", row_partition=partition, glm_family=family)
+    return Evaluator(spec, x).evaluate(y)
 
 
 def link_identity_residual(family, x_grid):
@@ -449,12 +431,24 @@ class Evaluator:
         return _glm_reduce(parts, self.block_ids, self._n_blocks)
 
     def evaluate_batch(self, y_mat):
-        """Return (values, degenerate_mask) for an N x M response matrix."""
-        return self._reduce(self._parts(np.asarray(y_mat, dtype=float)))
+        """Return (values, degenerate_mask) for an N x M response matrix; a
+        batch of another shape raises DimensionMismatch."""
+        return self._reduce(self._parts(_response_batch([self], y_mat)))
 
     def evaluate(self, y):
         vals, degen = self.evaluate_batch(np.asarray(y, dtype=float)[:, None])
         return StatValue(float(vals[0]), degenerate=bool(degen[0]))
+
+
+def _response_batch(evaluators, y_mat):
+    """``y_mat`` as a float array; DimensionMismatch unless it is N x M for
+    the N of every evaluator's design."""
+    y_mat = np.asarray(y_mat, dtype=float)
+    for ev in evaluators:
+        if y_mat.ndim != 2 or y_mat.shape[0] != ev.x.n:
+            raise DimensionMismatch(
+                f"responses must be N x M with N = {ev.x.n}, got shape {y_mat.shape}")
+    return y_mat
 
 
 def build_evaluator(spec, x, hyp=None, red=None):
@@ -473,7 +467,7 @@ def evaluate_many(evaluators, y_mat):
     ||r||; the other members ignore it. Every value equals the evaluator's
     own ``evaluate_batch`` bit for bit.
     """
-    y_mat = np.asarray(y_mat, dtype=float)
+    y_mat = _response_batch(evaluators, y_mat)
     groups = {}
     for ev in evaluators:
         groups.setdefault(ev._share_key, []).append(ev)

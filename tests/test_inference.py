@@ -22,7 +22,7 @@ from threshtest import (
     run_composite,
     run_test,
 )
-from threshtest import core, inference, statistics
+from threshtest import calibration, core, inference, statistics
 from threshtest.inference import CalibrationCache
 from threshtest.statistics import StatisticSpec
 from threshtest.exceptions import (
@@ -347,7 +347,7 @@ class TestComposite:
         res = run_composite(y, x, hyp, mc=MC)
         red = build_reduction(x, hyp)
         evs = [build_evaluator(spec, x, hyp=hyp, red=red)
-               for spec in inference._default_composite_pair(hyp)]
+               for spec in calibration._composite_pair(hyp.r)]
         comp = calibrate_composite(*evs, gaussian_pivotal_null(x, hyp, red),
                                    MC.m_draws, 0.05, MC.seed)
         assert res.statistic_id == comp.statistic_id == (

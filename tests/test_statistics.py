@@ -24,8 +24,10 @@ from threshtest import (
 )
 from threshtest.statistics import (
     AFFINE_FAMILIES,
+    ALL_FAMILIES,
     GLM_FAMILIES,
     StatisticSpec,
+    StatValue,
     evaluate_many,
 )
 from threshtest.exceptions import (
@@ -370,6 +372,25 @@ class TestEvaluator:
         with pytest.raises(NotApplicable):
             StatisticSpec("glm_score_sup")
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_wrong_row_count_raises_dimension_mismatch(self, family, rng):
+        x, hyp, _ = _random_problem(rng, n=30, p=5, r=2)
+        tag = "gaussian" if family in GLM_FAMILIES else None
+        ev = build_evaluator(StatisticSpec(family, glm_family=tag), x, hyp=hyp)
+        for n in (29, 31):
+            with pytest.raises(DimensionMismatch):
+                ev.evaluate(rng.standard_normal(n))
+            with pytest.raises(DimensionMismatch):
+                ev.evaluate_batch(rng.standard_normal((n, 3)))
+            with pytest.raises(DimensionMismatch):
+                evaluate_many([ev], rng.standard_normal((n, 3)))
+        with pytest.raises(DimensionMismatch):
+            ev.evaluate_batch(rng.standard_normal(30))
+        if tag is not None:
+            with pytest.raises(DimensionMismatch):
+                glm_score_stat(x, rng.standard_normal(29), tag,
+                               norm="group" if ev.spec.is_group else "sup")
+
 
 def _random_blocks(rng, k):
     """A random partition of range(k) into contiguous runs of a permutation."""
@@ -485,3 +506,87 @@ class TestEvaluateMany:
         evaluate_many(evs, rng.standard_normal((12, 5)))
         # one affine pass, from a square-root member so it carries ||r||
         assert sorted(calls) == sorted(["sqrt_affine_lasso", "glm_score_sup", "lad_sign"])
+
+
+@st.composite
+def family_batches(draw):
+    """One evaluator of a drawn family on a random (X, hypothesis), an N x M
+    batch and the statistic's scalar function (None for fisher_weighted).
+
+    One column of the batch lies in the null-model span (affine and
+    Fisher) or is constant (GLM score), so degenerate flags are exercised.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(ALL_FAMILIES))
+    n = draw(st.integers(6, 30))
+    p = draw(st.integers(2, min(6, n - 2)))
+    r = draw(st.integers(1, p))
+    m = draw(st.sampled_from([1, 2, 9]))
+    intercept = draw(st.booleans())
+    tag = draw(st.sampled_from(["gaussian", "bernoulli", "poisson"]))
+    values = rng.standard_normal((n, p))
+    if intercept:
+        values[:, 0] = 1.0
+    x = DesignMatrix(values, intercept_column=0 if intercept else None)
+    hyp = LinearHypothesis(rng.standard_normal((r, p)), rng.standard_normal(r))
+    red = build_reduction(x, hyp)
+    k = x.tested_values().shape[1]
+    part = None
+    if family in GLM_FAMILIES:
+        if family == "glm_score_group":
+            part = _random_blocks(rng, k)
+        spec = StatisticSpec(family, row_partition=part, glm_family=tag)
+        norm = "group" if part is not None else "sup"
+        scalar = lambda y: glm_score_stat(x, y, tag, norm=norm, partition=part)
+    else:
+        if "group" in family:
+            part = _random_blocks(rng, r)
+        spec = StatisticSpec(family, row_partition=part)
+        scalar = {
+            "affine_lasso": lambda y: zt_affine_lasso(red, x, y),
+            "affine_group_lasso": lambda y: zt_affine_group_lasso(red, x, y, part),
+            "sqrt_affine_lasso": lambda y: zt_sqrt_variant(red, x, y),
+            "sqrt_affine_group_lasso": lambda y: zt_sqrt_variant(red, x, y, "group", part),
+            "fisher_weighted": None,
+            "lad_sign": lambda y: zt_lad(
+                x.tested_values(), y, center="median" if intercept else "none"),
+        }[family]
+    ev = build_evaluator(spec, x, hyp=hyp, red=red if family in AFFINE_FAMILIES else None)
+    if family in GLM_FAMILIES and tag == "bernoulli":
+        y = (rng.random((n, m)) < 0.4).astype(float)
+    elif family in GLM_FAMILIES and tag == "poisson":
+        y = rng.poisson(2.0, (n, m)).astype(float)
+    else:
+        y = rng.standard_normal((n, m))
+    j = draw(st.integers(0, m - 1))
+    if family in GLM_FAMILIES:
+        y[:, j] = y[0, j]
+    else:
+        y[:, j] = red.x_fit_c + red.projector_factor @ rng.standard_normal(
+            red.projector_factor.shape[1])
+    return ev, y, scalar
+
+
+class TestBatchEqualsScalar:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(family_batches())
+    def test_each_column_equals_its_scalar_evaluation(self, case):
+        """GEMM and GEMV may differ in the last bits, so values agree to a
+        relative 1e-12 of the batch's largest value; flags agree exactly."""
+        ev, y, scalar = case
+        vals, degen = ev.evaluate_batch(y)
+        atol = 1e-12 * np.max(np.abs(vals))
+        for m in range(y.shape[1]):
+            single = [ev.evaluate(y[:, m])]
+            if scalar is not None:
+                single.append(scalar(y[:, m]))
+            elif degen[m]:  # fisher_weighted: studentized lambda_0 = sqrt(F R)
+                with pytest.raises(DegenerateStatistic):
+                    fisher_F(ev.x, ev.hyp, y[:, m])
+            else:
+                f, df1, _ = fisher_F(ev.x, ev.hyp, y[:, m])
+                single.append(StatValue(float(np.sqrt(f * df1))))
+            for got in single:
+                assert got.degenerate == degen[m], ev.statistic_id
+                assert got.value == pytest.approx(vals[m], rel=1e-12, abs=atol), \
+                    ev.statistic_id
