@@ -426,11 +426,12 @@ def _composite_values(results, cal1, cal2):
     max(lambda_0^(1)/lambda_alpha^(1), lambda_0^(2)/lambda_alpha^(2)) from
     the component results [(values, degenerate mask)] * 2. A column is
     degenerate when either component is; a degenerate component counts as
-    +inf, so degenerate draws sort last."""
-    (v1, d1), (v2, d2) = results
-    values = np.maximum(np.where(d1, np.inf, v1) / cal1.lambda_alpha,
-                        np.where(d2, np.inf, v2) / cal2.lambda_alpha)
-    return values, d1 | d2
+    +inf, so degenerate draws sort last. Only the other draws are divided,
+    so a threshold of +inf takes them to 0, not a degenerate one to NaN."""
+    (_, d1), (_, d2) = results
+    ratio1, ratio2 = (np.divide(v, cal.lambda_alpha, out=np.full(v.shape, np.inf), where=~d)
+                      for (v, d), cal in zip(results, (cal1, cal2)))
+    return np.maximum(ratio1, ratio2), d1 | d2
 
 
 def _composite_pair(n_rows, glm_family=None):

@@ -151,7 +151,6 @@ def _write_record_csv(path, record):
 
 
 def _cmd_test(args):
-    started = time.time()
     x, y = _read_data(args.data, args.response, args.intercept)
     hyp = _read_hypothesis(args.hypothesis, x.p)
     mc = McConfig(m_draws=args.mc, seed=args.seed)
@@ -160,20 +159,15 @@ def _cmd_test(args):
     else:
         result = run_test(y, x, hyp, _data_stat(args, x, hyp), alpha=args.alpha, mc=mc)
     _write_record_csv(args.out, result.to_record())
-    _write_manifest(args.out, "test", _data_config(args), args.seed, time.time() - started)
-    return 0
+    return _data_config(args)
 
 
 def _cmd_calibrate(args):
-    started = time.time()
     x, y = _read_data(args.data, args.response, args.intercept)
     hyp = _read_hypothesis(args.hypothesis, x.p)
     (evaluator,), model = _bind([_data_stat(args, x, hyp)], y, x, hyp)
-    cal = calibrate(evaluator, model, args.mc, args.alpha, args.seed)
-    cal.save(args.out)
-    _write_manifest(args.out, "calibrate", _data_config(args), args.seed,
-                    time.time() - started)
-    return 0
+    calibrate(evaluator, model, args.mc, args.alpha, args.seed).save(args.out)
+    return _data_config(args)
 
 
 def _parse_axis(spec):
@@ -182,80 +176,79 @@ def _parse_axis(spec):
 
 
 def _cmd_region(args):
-    started = time.time()
     x, y = _read_data(args.data, args.response, args.intercept)
     hyp = _read_hypothesis(args.hypothesis, x.p)
-    a = hyp.a_matrix
-    r = a.shape[0]
-    if r > 2:
-        raise UnsupportedDimension(f"region grids support R <= 2, got R = {r}")
+    r = hyp.r
     if len(args.grid) != r:
         raise InvalidSpec(f"need {r} --grid axes for an R = {r} hypothesis")
-    region = confidence_region(y, x, a, stat=_data_stat(args, x, hyp), alpha=args.alpha,
-                               mc=McConfig(m_draws=args.mc, seed=args.seed))
+    region = confidence_region(y, x, hyp.a_matrix, stat=_data_stat(args, x, hyp),
+                               alpha=args.alpha, mc=McConfig(m_draws=args.mc, seed=args.seed))
     axes = [_parse_axis(g) for g in args.grid]
+    # every combination of the axis values, the last axis varying fastest
+    points, lam = region.scan(
+        np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, r))
+    member = lam <= region.lambda_alpha
     with open(args.out, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         if r == 1:
             writer.writerow(["c", "lambda_cr", "member"])
-            lam_vals = []
-            for c in axes[0]:
-                lam = region.lambda_cr(np.array([c]))
-                lam_vals.append(lam)
-                writer.writerow([repr(float(c)), repr(float(lam)),
-                                 int(lam <= region.lambda_alpha)])
+            writer.writerows([repr(float(c)), repr(float(v)), int(m)]
+                             for (c,), v, m in zip(points, lam, member))
         else:
             writer.writerow(["c1", "c2", "member"])
-            for c1 in axes[0]:
-                for c2 in axes[1]:
-                    lam = region.lambda_cr(np.array([c1, c2]))
-                    writer.writerow([repr(float(c1)), repr(float(c2)),
-                                     int(lam <= region.lambda_alpha)])
+            writer.writerows([repr(float(c1)), repr(float(c2)), int(m)]
+                             for (c1, c2), m in zip(points, member))
     if args.plot and r == 1:
         _svg.line_panels([{
             "title": f"lambda_CR(c), threshold {region.lambda_alpha:.4g}",
             "series": [
-                ("lambda_CR", list(axes[0]), lam_vals),
+                ("lambda_CR", list(axes[0]), lam.tolist()),
                 ("lambda_alpha", [axes[0][0], axes[0][-1]],
                  [region.lambda_alpha, region.lambda_alpha]),
             ],
         }], args.plot)
-    config = dict(_data_config(args), grid=args.grid)
-    _write_manifest(args.out, "region", config, args.seed, time.time() - started)
-    return 0
+    return dict(_data_config(args), grid=args.grid)
+
+
+# converters of the keys a study config may set; a key it leaves out takes
+# the default of ExperimentConfig or DesignSpec
+_CONFIG_KEYS = {
+    "family": lambda v: v,
+    "beta0": float,
+    "alpha": float,
+    "m_calib": int,
+    "n_reps": int,
+    "theta_grid": lambda v: tuple(float(t) for t in v),
+    "s_values": lambda v: tuple(int(s) for s in v),
+}
+_DESIGN_KEYS = {"kind": lambda v: v, "rho": float, "standardize": bool}
+
+
+def _given(doc, converters):
+    return {key: convert(doc[key]) for key, convert in converters.items() if key in doc}
 
 
 def _scenario_config(doc, seed_override):
-    design = doc.get("design", {})
+    cfg = ExperimentConfig(
+        n=int(doc["n"]),
+        p=int(doc["p"]),
+        design_spec=DesignSpec(**_given(doc.get("design", {}), _DESIGN_KEYS)),
+        seed=int(doc["seed"] if seed_override is None else seed_override),
+        **_given(doc, _CONFIG_KEYS),
+    )
     stats = []
     for entry in doc.get("statistics", []):
         if entry in ("composite", "fisher", "lrt"):
             stats.append(entry)
         elif isinstance(entry, str):
             # every statistic of a study tests all P covariates
-            stats.append(_resolve_stat(entry, doc.get("family", "gaussian"), int(doc["p"])))
+            stats.append(_resolve_stat(entry, cfg.family, cfg.p))
         else:
             stats.append(StatisticSpec(
                 _known_stat(entry["family"]),
                 row_partition=entry.get("groups"),
                 glm_family=entry.get("glm_family")))
-    return ExperimentConfig(
-        n=int(doc["n"]),
-        p=int(doc["p"]),
-        family=doc.get("family", "gaussian"),
-        beta0=float(doc.get("beta0", -2.0)),
-        alpha=float(doc.get("alpha", 0.05)),
-        m_calib=int(doc.get("m_calib", 2000)),
-        n_reps=int(doc.get("n_reps", 1000)),
-        theta_grid=tuple(float(t) for t in doc.get("theta_grid", [0.0])),
-        s_values=tuple(int(s) for s in doc.get("s_values", [1])),
-        design_spec=DesignSpec(
-            kind=design.get("kind", "ar1"),
-            rho=float(design.get("rho", 0.5)),
-            standardize=bool(design.get("standardize", True))),
-        statistics=tuple(stats),
-        seed=int(doc["seed"] if seed_override is None else seed_override),
-    )
+    return dataclasses.replace(cfg, statistics=tuple(stats))
 
 
 def _write_power_csv(path, rows):
@@ -285,7 +278,6 @@ def _plot_power(rows, path):
 
 def _cmd_power(args):
     """``power`` and ``level``: one CSV per scenario of the config."""
-    started = time.time()
     with open(args.config) as fh:
         doc = json.load(fh)
     scenarios = doc["scenarios"] if "scenarios" in doc else [doc]
@@ -298,8 +290,7 @@ def _cmd_power(args):
         _write_power_csv(path, rows)
     if args.plot:
         _plot_power(all_rows, args.plot)
-    _write_manifest(args.out, args.command, doc, args.seed, time.time() - started)
-    return 0
+    return doc
 
 
 def _add_data_command(sub, name, func):
@@ -344,9 +335,14 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command. Each command writes its outputs and returns the
+    config its manifest digests; the manifest is written here."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        started = time.time()
+        config = args.func(args)
+        _write_manifest(args.out, args.command, config, args.seed, time.time() - started)
+        return 0
     except _SKIP_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -7,8 +7,10 @@ the exact F-test. All three decide through ``_decide``: a degenerate
 statistic gives p = 1, no rejection and a note; any other statistic
 rejects when it exceeds its threshold. Confidence regions invert the
 square-root (scale-pivotal) tests, so one calibration at c = 0 serves
-every candidate c, and one reduction factor of (X, A) does too: each
-candidate adds only ``beta_c``, ``X beta_c`` and one statistic evaluation.
+every candidate c. A ``ConfidenceRegion`` is the one place lambda_CR(c) is
+evaluated: it keeps the reduction factor of (X, A) and the evaluator it
+calibrated at c = 0, and each candidate adds only ``beta_c``, ``X beta_c``
+and one residual pass of y - X beta_c through that evaluator.
 """
 
 import hashlib
@@ -42,6 +44,7 @@ from .exceptions import DimensionMismatch, NotApplicable, UnsupportedDimension
 from .statistics import (
     GLM_FAMILIES,
     SQRT_FAMILIES,
+    Evaluator,
     StatisticSpec,
     StatValue,
     _fisher_batch,
@@ -312,77 +315,85 @@ def _require_pivotal(stat):
         )
 
 
-def _region_inputs(y, x, a_matrix, stat):
-    """Checked (y, X) and the one reduction factor every candidate c shares."""
+def _region(y, x, a_matrix, stat, lambda_alpha, alpha=None, mc=None):
+    """The region of ``stat`` for (y, X, A) with threshold ``lambda_alpha``,
+    or, when that is None, the threshold calibrated at c = 0 with ``alpha``
+    and ``mc``."""
     _require_pivotal(stat)
     y, x, _ = _coerce_inputs(y, x, None)
-    return y, x, factor_reduction(x, np.atleast_2d(np.asarray(a_matrix, dtype=float)))
-
-
-def _lambda_cr(factor, c, y, x, stat):
-    val = build_evaluator(stat, x, red=factor.at(np.atleast_1d(c))).evaluate(y)
-    # a vanished r means y sits in the null fit space at c: lambda_0 = 0
-    return 0.0 if val.degenerate else val.value
+    a = np.atleast_2d(np.asarray(a_matrix, dtype=float))
+    factor = factor_reduction(x, a)
+    red0 = factor.at(np.zeros(factor.r))
+    evaluator = build_evaluator(stat, x, red=red0)
+    if lambda_alpha is None:
+        lambda_alpha = calibrate(evaluator, gaussian_pivotal_null(x, None, red0),
+                                 mc.m_draws, alpha, mc.seed).lambda_alpha
+    return ConfidenceRegion(a, lambda_alpha, factor, y, evaluator)
 
 
 def cr_member(c, y, x, a_matrix, stat, lambda_alpha):
     """Membership of c in the test-inversion region: lambda_CR(c; y) <= lambda_alpha."""
-    y, x, factor = _region_inputs(y, x, a_matrix, stat)
-    return _lambda_cr(factor, c, y, x, stat) <= lambda_alpha
+    return _region(y, x, a_matrix, stat, lambda_alpha).member(c)
 
 
 def cr_grid(y, x, a_matrix, stat, lambda_alpha, grid):
-    """Membership mask over a lattice of c candidates (R in {1, 2}).
+    """Membership mask over a lattice of c candidates (R in {1, 2}), all
+    evaluated by one region and so by one evaluator.
 
-    For R = 1 also returns the endpoints of the contiguous membership
-    interval (None when empty).
+    For R = 1 also returns the first and the last member (None when empty).
+    They are the endpoints of the member set to within the grid spacing, as
+    that set is one interval: lambda_CR(c) = |h^T r(c)| / ||r(c)|| <= ||h||
+    with h = (I - P) X A^+ and r(c) = r(0) - c h, so it is the whole line
+    or, below ||h||, the sublevel set of a convex quadratic in c.
     """
-    y, x, factor = _region_inputs(y, x, a_matrix, stat)
-    r = factor.r
-    if r > 2:
-        raise UnsupportedDimension(f"grids support R <= 2, got R = {r}")
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        return (np.zeros(0, dtype=bool), None) if r == 1 else np.zeros(0, dtype=bool)
-    if r == 1:
-        points = grid.reshape(-1, 1)
-    else:
-        if grid.ndim != 2 or grid.shape[1] != 2:
-            raise UnsupportedDimension("R = 2 grids must be (G, 2) arrays of points")
-        points = grid
-    mask = np.array([
-        _lambda_cr(factor, pt, y, x, stat) <= lambda_alpha for pt in points
-    ])
-    if r == 1:
-        members = np.flatnonzero(mask)
-        endpoints = None
-        if members.size:
-            endpoints = (float(points[members[0], 0]), float(points[members[-1], 0]))
-        return mask, endpoints
-    return mask
+    region = _region(y, x, a_matrix, stat, lambda_alpha)
+    points, values = region.scan(grid)
+    mask = values <= lambda_alpha
+    if region.factor.r == 2:
+        return mask
+    members = np.flatnonzero(mask)
+    if not members.size:
+        return mask, None
+    return mask, (float(points[members[0], 0]), float(points[members[-1], 0]))
 
 
 @dataclass(frozen=True)
 class ConfidenceRegion:
     """Test-inversion region {c : lambda_CR(c; y) <= lambda_alpha}.
 
-    Holds the data and the reduction factor of (X, A), so each candidate
-    c costs one cheap ``factor.at(c)`` and one statistic evaluation.
+    Binds one evaluator: the statistic on the reduction of (X, A) at
+    c = 0, the one its threshold was calibrated with. X beta_0 = 0, so
+    lambda_CR(c; y) is that evaluator's statistic of y - X beta_c, and each
+    candidate c costs ``factor.at(c)`` and one residual pass.
     """
 
     hypothesis_matrix: np.ndarray
     lambda_alpha: float
     factor: ReductionFactor
     y: np.ndarray
-    x: DesignMatrix
-    stat: StatisticSpec
+    evaluator: Evaluator
 
     def lambda_cr(self, c):
         """lambda_CR(c; y), the statistic of H0: A beta = c (0 when degenerate)."""
-        return _lambda_cr(self.factor, c, self.y, self.x, self.stat)
+        val = self.evaluator.evaluate(self.y - self.factor.at(np.atleast_1d(c)).x_fit_c)
+        # a vanished r means y sits in the null fit space at c: lambda_0 = 0
+        return 0.0 if val.degenerate else val.value
 
     def member(self, c):
         return self.lambda_cr(c) <= self.lambda_alpha
+
+    def scan(self, grid):
+        """(points, lambda_CR at each point) for a grid as :func:`cr_grid`
+        takes it; the points are a (G, R) array."""
+        r = self.factor.r
+        if r > 2:
+            raise UnsupportedDimension(f"grids support R <= 2, got R = {r}")
+        points = np.asarray(grid, dtype=float)
+        if r == 1 or points.size == 0:
+            points = points.reshape(-1, r)
+        elif points.ndim != 2 or points.shape[1] != 2:
+            raise UnsupportedDimension("R = 2 grids must be (G, 2) arrays of points")
+        return points, np.array([self.lambda_cr(c) for c in points])
 
 
 def confidence_region(y, x, a_matrix, stat=None, alpha=0.05, mc=McConfig()):
@@ -390,20 +401,7 @@ def confidence_region(y, x, a_matrix, stat=None, alpha=0.05, mc=McConfig()):
 
     Defaults to the square-root affine lasso statistic; its pivotality
     in (beta, sigma) means the single calibration at c = 0 is valid for
-    every candidate c, and the reduction factor of (X, A) serves them all.
+    every candidate c, and the evaluator it calibrates serves them all.
     """
-    if stat is None:
-        stat = StatisticSpec("sqrt_affine_lasso")
-    a = np.atleast_2d(np.asarray(a_matrix, dtype=float))
-    y, x, factor = _region_inputs(y, x, a, stat)
-    red0 = factor.at(np.zeros(factor.r))
-    ev0 = build_evaluator(stat, x, red=red0)
-    cal = calibrate(ev0, gaussian_pivotal_null(x, None, red0), mc.m_draws, alpha, mc.seed)
-    return ConfidenceRegion(
-        hypothesis_matrix=a,
-        lambda_alpha=cal.lambda_alpha,
-        factor=factor,
-        y=y,
-        x=x,
-        stat=stat,
-    )
+    return _region(y, x, a_matrix, stat or StatisticSpec("sqrt_affine_lasso"), None,
+                   alpha, mc)

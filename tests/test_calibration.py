@@ -211,6 +211,21 @@ class TestComposite:
         k = order_stat_index(99, 0.05)
         assert comp.kappa_alpha == comp.sorted_composite_stats[k - 1]
 
+    def test_infinite_component_thresholds_give_no_nan(self):
+        # one 1 in six bernoulli responses: about a third of the plug-in null
+        # draws are all zeros, so both component thresholds are +inf
+        x = DesignMatrix(np.random.default_rng(0).standard_normal((6, 2)))
+        y = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        model = glm_plugin_null(x, glm_family("bernoulli"), y)
+        comp = calibrate_composite(*calibration._composite_pair(2, "bernoulli"),
+                                   model, 199, 0.05, seed=0)
+        assert comp.cal_1.lambda_alpha == comp.cal_2.lambda_alpha == np.inf
+        draws = comp.sorted_composite_stats
+        assert not np.any(np.isnan(draws))
+        # a finite draw over an infinite threshold is 0, a degenerate one +inf
+        assert set(np.unique(draws)) == {0.0, np.inf}
+        assert comp.kappa_alpha == draws[order_stat_index(199, 0.05) - 1] == np.inf
+
 
 class TestSaveLoad:
     def test_roundtrip(self, gaussian_model, tmp_path):

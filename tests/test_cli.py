@@ -2,12 +2,16 @@
 
 import argparse
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from threshtest import (DesignMatrix, DesignSpec, ExperimentConfig, McConfig,
+                        confidence_region, cr_grid)
 from threshtest.cli import _scenario_config, build_parser, main
+from threshtest.statistics import StatisticSpec
 
 
 @pytest.fixture
@@ -238,6 +242,37 @@ class TestCmdRegion:
         assert members == list(range(members[0], members[-1] + 1))
         assert svg.read_text().startswith("<svg")
 
+    def test_r2_rows_are_the_cr_grid_mask(self, dataset, tmp_path):
+        data, _ = dataset
+        a = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        hyp = tmp_path / "h2.json"
+        hyp.write_text(json.dumps({"A": a, "c": [0.0, 0.0]}))
+        out = tmp_path / "region2.csv"
+        assert main(["region", "--data", str(data), "--response", "y",
+                     "--hypothesis", str(hyp), "--grid=-1:3:5", "--grid=-2:2:4",
+                     "--mc", "200", "--seed", "4", "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        points = np.array([[float(r["c1"]), float(r["c2"])] for r in rows])
+        # the first axis varies slowest
+        assert points.tolist() == [[c1, c2] for c1 in np.linspace(-1.0, 3.0, 5)
+                                   for c2 in np.linspace(-2.0, 2.0, 4)]
+        values = np.loadtxt(data, delimiter=",", skiprows=1)
+        y, x = values[:, 0], DesignMatrix(values[:, 1:])
+        region = confidence_region(y, x, np.array(a), mc=McConfig(m_draws=200, seed=4))
+        mask = cr_grid(y, x, np.array(a), StatisticSpec("sqrt_affine_lasso"),
+                       region.lambda_alpha, points)
+        assert [r["member"] == "1" for r in rows] == mask.tolist()
+        assert 0 < mask.sum() < mask.size
+
+    def test_r3_hypothesis_exit_2(self, dataset, tmp_path, capsys):
+        data, hyp = dataset
+        code = main(["region", "--data", str(data), "--response", "y", "--intercept",
+                     "--hypothesis", str(hyp), "--grid=-1:1:3", "--grid=-1:1:3",
+                     "--grid=-1:1:3", "--mc", "100", "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "grids support R <= 2, got R = 3" in capsys.readouterr().err
+
     def test_wrong_grid_count_exit_2(self, dataset, tmp_path):
         data, _ = dataset
         hyp = tmp_path / "h1.json"
@@ -273,6 +308,26 @@ class TestManifestDigest:
             manifest = json.loads((tmp_path / f"run{i}.out.manifest.json").read_text())
             digests.append(manifest["config_digest"])
         assert digests[0] != digests[1]
+
+
+class TestScenarioConfig:
+    def test_left_out_keys_take_the_dataclass_defaults(self):
+        assert _scenario_config({"n": 30, "p": 3, "seed": 5}, None) == \
+            ExperimentConfig(n=30, p=3, seed=5)
+
+    def test_given_keys_are_converted(self):
+        doc = {"n": "30", "p": 3, "seed": 5, "family": "poisson", "beta0": 1,
+               "alpha": "0.1", "m_calib": 99.0, "n_reps": "40", "theta_grid": [0, "1.5"],
+               "s_values": [1.0, 2], "design": {"kind": "identity", "rho": "0", "standardize": 0},
+               "statistics": ["glm_score_sup", "lrt"]}
+        cfg = _scenario_config(doc, 8)
+        # a GlmFamily holds functions, so the statistics compare by fingerprint
+        glm, lrt = cfg.statistics
+        assert (glm.fingerprint(), lrt) == ("glm_score_sup|family=poisson", "lrt")
+        assert dataclasses.replace(cfg, statistics=()) == ExperimentConfig(
+            n=30, p=3, family="poisson", beta0=1.0, alpha=0.1, m_calib=99, n_reps=40,
+            theta_grid=(0.0, 1.5), s_values=(1, 2),
+            design_spec=DesignSpec(kind="identity", rho=0.0, standardize=False), seed=8)
 
 
 class TestCmdPower:

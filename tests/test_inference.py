@@ -506,6 +506,32 @@ class TestRegionSharesOneReduction:
         cr_grid(y, x, a, stat, region.lambda_alpha, grid)
         assert calls == {"factor": 2, "build": 0, "svd": 4}
 
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("g", [1, 9, 40])
+    def test_one_evaluator_per_region(self, monkeypatch, rng, r, g):
+        x = DesignMatrix(rng.standard_normal((30, 4)))
+        a = rng.standard_normal((r, 4))
+        y = x.values @ np.array([0.5, 0.1, -0.2, 0.3]) + rng.standard_normal(30)
+        built = []
+        init = statistics.Evaluator.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(statistics.Evaluator, "__init__", counting)
+        stat = StatisticSpec("sqrt_affine_lasso")
+        points = np.linspace(-2.0, 2.0, g * r).reshape(g, r)
+        region = confidence_region(y, x, a, stat=stat, mc=MC)
+        for c in points:
+            region.lambda_cr(c)
+            region.member(c)
+        assert len(built) == 1
+        cr_grid(y, x, a, stat, region.lambda_alpha, points)
+        assert len(built) == 2
+        cr_member(points[0], y, x, a, stat, region.lambda_alpha)
+        assert len(built) == 3
+
     def test_one_svd_of_a_per_run_test(self, monkeypatch, rng):
         x = DesignMatrix(rng.standard_normal((50, 6)))
         y = rng.standard_normal(50)
@@ -520,3 +546,43 @@ class TestRegionSharesOneReduction:
         run_test(y, x, SubsetHypothesis(2, np.zeros(4)), StatisticSpec("sqrt_affine_lasso"),
                  mc=MC, cache=CalibrationCache(directory=False))
         assert calls == [(4, 6), (50, 2)]  # A, when the hypothesis is expanded, and X K_A
+
+
+@st.composite
+def interval_problems(draw):
+    p = draw(st.integers(2, 6))
+    n = draw(st.integers(p + 1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = DesignMatrix(rng.standard_normal((n, p)))
+    a = rng.standard_normal((1, p))
+    noise = draw(st.sampled_from([0.01, 1.0, 10.0]))
+    y = x.values @ rng.standard_normal(p) + noise * rng.standard_normal(n)
+    c_hat = float(a[0] @ np.linalg.lstsq(x.values, y, rcond=None)[0])
+    width = draw(st.sampled_from([0.1, 1.0, 10.0, 100.0]))
+    grid = c_hat + width * np.linspace(-1.0, 1.0, draw(st.integers(2, 60)))
+    stat = StatisticSpec(draw(st.sampled_from(["sqrt_affine_lasso",
+                                               "sqrt_affine_group_lasso"])))
+    return y, x, a, stat, grid, draw(st.floats(0.05, 1.2))
+
+
+class TestRegionIsOneInterval:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(interval_problems())
+    def test_r1_mask_is_contiguous(self, problem):
+        # lambda_CR(c) = |h^T r(c)| / ||r(c)|| <= ||h||, h = (I - P) X A^+
+        y, x, a, stat, grid, share = problem
+        k_a = core.kernel_basis(a)
+        q, _ = np.linalg.qr(x.values @ k_a)
+        xa = x.values @ np.linalg.pinv(a)[:, 0]
+        h_norm = np.linalg.norm(xa - q @ (q.T @ xa))
+        region = inference._region(y, x, a, stat, share * h_norm)
+        points, values = region.scan(grid)
+        assert np.all(values <= h_norm * (1.0 + 1e-10))
+        mask, endpoints = cr_grid(y, x, a, stat, share * h_norm, grid)
+        assert np.array_equal(mask, values <= share * h_norm)
+        members = np.flatnonzero(mask)
+        if members.size:
+            assert np.array_equal(members, np.arange(members[0], members[-1] + 1))
+            assert endpoints == (grid[members[0]], grid[members[-1]])
+        else:
+            assert endpoints is None

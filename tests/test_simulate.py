@@ -292,6 +292,38 @@ class TestPowerGrid:
         assert not rejects[in_span].any() and 0 < rejects.sum()
 
 
+@st.composite
+def small_studies(draw):
+    """A small random ExperimentConfig with several (s, theta) cells."""
+    family = draw(st.sampled_from(["gaussian", "bernoulli", "poisson"]))
+    p = draw(st.integers(2, 4))
+    if family == "gaussian":
+        stats = (StatisticSpec("sqrt_affine_lasso"), "composite", "fisher", "lrt")
+    else:
+        stats = (StatisticSpec("glm_score_sup", glm_family=family), "composite", "lrt")
+    return ExperimentConfig(
+        n=draw(st.integers(12, 30)), p=p, family=family,
+        beta0={"gaussian": -2.0, "bernoulli": 0.0, "poisson": 0.5}[family],
+        m_calib=draw(st.integers(19, 60)), n_reps=draw(st.integers(5, 30)),
+        theta_grid=tuple(draw(st.lists(st.sampled_from([0.0, 0.3, 1.0]), min_size=1,
+                                       max_size=3, unique=True))),
+        s_values=tuple(draw(st.lists(st.integers(0, p), min_size=1, max_size=2,
+                                     unique=True))),
+        design_spec=DesignSpec(kind=draw(st.sampled_from(["ar1", "identity"]))),
+        statistics=draw(st.lists(st.sampled_from(stats), min_size=1, max_size=len(stats),
+                                 unique=True).map(tuple)),
+        seed=draw(st.integers(0, 2**32 - 1)))
+
+
+class TestThreadInvariance:
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(small_studies())
+    def test_rows_equal_at_1_2_and_4_threads(self, cfg):
+        serial = [r.as_csv_row() for r in estimate_power(cfg, threads=1)]
+        for threads in (2, 4):
+            assert [r.as_csv_row() for r in estimate_power(cfg, threads=threads)] == serial
+
+
 class TestBaselines:
     def test_f_test_response_in_span_is_degenerate(self):
         # y = X[:, :2] b: the F numerator and the RSS are both rounding noise

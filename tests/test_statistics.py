@@ -590,3 +590,39 @@ class TestBatchEqualsScalar:
                 assert got.degenerate == degen[m], ev.statistic_id
                 assert got.value == pytest.approx(vals[m], rel=1e-12, abs=atol), \
                     ev.statistic_id
+
+
+@st.composite
+def affine_problems(draw):
+    """An affine evaluator on a random (X, hypothesis), a response y, a
+    shift X K_A u along the directions H0 leaves free, and a scale s > 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(AFFINE_FAMILIES))
+    p = draw(st.integers(1, 6))
+    n = draw(st.integers(p + 1, 30))
+    r = draw(st.integers(1, p))
+    x = DesignMatrix(rng.standard_normal((n, p)))
+    hyp = LinearHypothesis(rng.standard_normal((r, p)), rng.standard_normal(r))
+    part = _random_blocks(rng, r) if "group" in family else None
+    ev = build_evaluator(StatisticSpec(family, row_partition=part), x, hyp=hyp)
+    size = draw(st.sampled_from([0.01, 1.0, 100.0]))
+    y = size * rng.standard_normal(n)
+    u = size * draw(st.sampled_from([0.0, 1.0, 10.0])) * rng.standard_normal(p - r)
+    shift = x.values @ (kernel_basis(hyp.a_matrix) @ u)
+    return ev, y, shift, draw(st.floats(0.01, 100.0))
+
+
+class TestPivotality:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(affine_problems())
+    def test_nuisance_shift_and_scale(self, case):
+        """lambda(y + X K_A u) = lambda(y), and scaling y - X beta_c by s
+        scales the affine statistics by s and leaves the square-root ones."""
+        ev, y, shift, s = case
+        base = ev.evaluate(y)
+        assert not base.degenerate and base.value > 0.0
+        assert ev.evaluate(y + shift).value == pytest.approx(base.value, rel=1e-10)
+        fit = ev.red.x_fit_c
+        scaled = ev.evaluate(fit + s * (y - fit)).value
+        want = base.value if ev.spec.is_sqrt else s * base.value
+        assert scaled == pytest.approx(want, rel=1e-10)
