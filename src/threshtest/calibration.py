@@ -159,6 +159,12 @@ def gaussian_pivotal_null(design, hyp, reduced):
     return NullModel(kind="gaussian_pivotal", design=design, hyp=hyp, reduced=reduced)
 
 
+def _check_bernoulli(family, y):
+    """DomainError when a bernoulli response holds a value other than 0 or 1."""
+    if family.tag == "bernoulli" and not np.all((y == 0.0) | (y == 1.0)):
+        raise DomainError("bernoulli responses must be 0 or 1")
+
+
 def glm_plugin_null(design, family, y_observed):
     """Plug-in null model with mean ybar (bernoulli clipped off {0, 1})."""
     y_observed = np.asarray(y_observed, dtype=float)
@@ -167,8 +173,7 @@ def glm_plugin_null(design, family, y_observed):
         raise DimensionMismatch("response length does not match design")
     if not np.all(np.isfinite(y_observed)):
         raise DimensionMismatch("response contains non-finite entries")
-    if family.tag == "bernoulli" and not np.all((y_observed == 0.0) | (y_observed == 1.0)):
-        raise DomainError("bernoulli responses must be 0 or 1")
+    _check_bernoulli(family, y_observed)
     if family.tag == "poisson" and not np.all(
             (y_observed >= 0.0) & (y_observed == np.floor(y_observed))):
         raise DomainError("poisson responses must be non-negative integers")
@@ -250,18 +255,21 @@ class CalibrationResult:
     statistic_id: str
 
     def save(self, path):
-        """Write to a temporary file beside ``path``, then rename it into place,
-        so a reader sees the old file or the whole new one, never a part."""
+        """Write five ``#`` header lines, then one ``repr`` draw per line.
+
+        The text goes in one write to a temporary file beside ``path``,
+        which is then renamed into place, so a reader sees the old file or
+        the whole new one, never a part."""
+        lines = [f"# statistic_id={self.statistic_id}",
+                 f"# m_draws={self.m_draws}",
+                 f"# alpha={self.alpha!r}",
+                 f"# seed={self.seed}",
+                 f"# lambda_alpha={float(self.lambda_alpha)!r}"]
+        lines += map(repr, np.asarray(self.sorted_null_stats, dtype=float).tolist())
         tmp = f"{path}.{uuid.uuid4().hex}.tmp"
         try:
             with open(tmp, "x", newline="\n") as fh:
-                fh.write(f"# statistic_id={self.statistic_id}\n")
-                fh.write(f"# m_draws={self.m_draws}\n")
-                fh.write(f"# alpha={self.alpha!r}\n")
-                fh.write(f"# seed={self.seed}\n")
-                fh.write(f"# lambda_alpha={float(self.lambda_alpha)!r}\n")
-                for v in self.sorted_null_stats:
-                    fh.write(f"{float(v)!r}\n")
+                fh.write("\n".join(lines) + "\n")
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -270,20 +278,20 @@ class CalibrationResult:
 
     @classmethod
     def load(cls, path):
-        meta = {}
-        draws = []
+        """Read a file written by :meth:`save`: the leading ``#`` lines are
+        the header, and every later line must be one draw. A blank or ``#``
+        line among the draws raises ValueError."""
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, _, val = line[1:].strip().partition("=")
-                    meta[key] = val
-                else:
-                    draws.append(float(line))
+            lines = fh.read().split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        n_head = 0
+        while n_head < len(lines) and lines[n_head].startswith("#"):
+            n_head += 1
+        meta = dict(line[1:].strip().partition("=")[::2] for line in lines[:n_head])
         return cls(
-            sorted_null_stats=np.asarray(draws),
+            # numpy parses each string as float() does: correctly rounded
+            sorted_null_stats=np.array(lines[n_head:], dtype=float),
             lambda_alpha=float(meta["lambda_alpha"]),
             alpha=float(meta["alpha"]),
             m_draws=int(meta["m_draws"]),

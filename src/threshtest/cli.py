@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import sys
 import time
@@ -67,16 +68,26 @@ def _data_config(args):
             "intercept": args.intercept, "family": args.family}
 
 
-def _read_data(path, response, intercept):
+def _read_csv(path):
+    """The header and the N x K numbers of a CSV file: a header row, then at
+    least one row of numbers, with no comment lines. Blank lines are skipped."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader if row]
-    if response not in header:
-        raise InvalidSpec(f"response column {response!r} not in {header}")
-    data = np.asarray(rows, dtype=float)
+        header = next(csv.reader(fh), [])
+        body = fh.read()
+    if not body.strip():
+        raise InvalidSpec(f"{path} has no data rows")
+    # one correctly rounded parse of every cell, as float() gives
+    data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2,
+                      quotechar='"')
     if data.shape[1] != len(header):
         raise InvalidSpec("ragged CSV data")
+    return header, data
+
+
+def _read_data(path, response, intercept):
+    header, data = _read_csv(path)
+    if response not in header:
+        raise InvalidSpec(f"response column {response!r} not in {header}")
     y_idx = header.index(response)
     y = data[:, y_idx]
     x = np.delete(data, y_idx, axis=1)
@@ -210,6 +221,23 @@ def _cmd_region(args):
     return dict(_data_config(args), grid=args.grid)
 
 
+def _tuple_of(convert):
+    """A converter of a JSON list, item by item; any other value is refused."""
+    def converter(value):
+        if not isinstance(value, list):
+            raise InvalidSpec(f"expected a list, got {value!r}")
+        return tuple(convert(v) for v in value)
+    return converter
+
+
+def _flag(value):
+    """A JSON boolean (or 0 or 1); ``bool`` would read the string "false"
+    as True."""
+    if value not in (0, 1):
+        raise InvalidSpec(f"expected true or false, got {value!r}")
+    return bool(value)
+
+
 # converters of the keys a study config may set; a key it leaves out takes
 # the default of ExperimentConfig or DesignSpec
 _CONFIG_KEYS = {
@@ -218,14 +246,21 @@ _CONFIG_KEYS = {
     "alpha": float,
     "m_calib": int,
     "n_reps": int,
-    "theta_grid": lambda v: tuple(float(t) for t in v),
-    "s_values": lambda v: tuple(int(s) for s in v),
+    "theta_grid": _tuple_of(float),
+    "s_values": _tuple_of(int),
 }
-_DESIGN_KEYS = {"kind": lambda v: v, "rho": float, "standardize": bool}
+_DESIGN_KEYS = {"kind": lambda v: v, "rho": float, "standardize": _flag}
 
 
 def _given(doc, converters):
-    return {key: convert(doc[key]) for key, convert in converters.items() if key in doc}
+    given = {}
+    for key, convert in converters.items():
+        if key in doc:
+            try:
+                given[key] = convert(doc[key])
+            except (TypeError, ValueError, InvalidSpec) as exc:
+                raise InvalidSpec(f"config key {key!r}: {exc}") from None
+    return given
 
 
 def _scenario_config(doc, seed_override):

@@ -26,6 +26,7 @@ from scipy import stats as sp_stats
 from .calibration import (
     NullModel,
     _calibrate_kappa,
+    _check_bernoulli,
     _composite_pair,
     _composite_values,
     _substreams,
@@ -381,14 +382,14 @@ def baseline_f_test(y, x, hyp, alpha=0.05):
 
 
 def _deviance(y, mu, tag):
-    """Deviance of each column of y at means mu."""
+    """Deviance of each column of y at means mu; a bernoulli y is 0 or 1."""
     if tag == "gaussian":  # sigma = 1 known: deviance reduces to RSS
         return np.sum((y - mu) ** 2, axis=0)
     if tag == "bernoulli":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = np.where(y > 0, y * np.log(y / mu), 0.0)
-            t2 = np.where(y < 1, (1 - y) * np.log((1 - y) / (1 - mu)), 0.0)
-        return 2.0 * np.sum(t1 + t2, axis=0)
+        # y log(y/mu) + (1-y) log((1-y)/(1-mu)) is log(1/mu) at y = 1 and
+        # log(1/(1-mu)) at y = 0, bit for bit
+        with np.errstate(divide="ignore"):
+            return 2.0 * np.sum(np.log(1.0 / np.where(y > 0, mu, 1 - mu)), axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(y > 0, y * np.log(y / mu), 0.0)
     return 2.0 * np.sum(t - (y - mu), axis=0)
@@ -435,21 +436,23 @@ def _irls_batch(x, y, family, tol=1e-8, max_iter=100):
     step = max(1, _IRLS_BLOCK_BYTES // (8 * (n + p * p)))
     for start in range(0, m, step):
         active = np.arange(start, min(start + step, m))
+        ya = y[:, active]
         eta = np.clip(x @ beta[:, active], -_ETA_MAX, _ETA_MAX)
+        mu = family.canonical_inverse_link(eta)
         for _ in range(max_iter):
-            ya = y[:, active]
-            mu = family.canonical_inverse_link(eta)
             w = np.maximum(family.variance(mu), 1e-10)  # canonical: dmu/deta = V(mu)
             z = eta + (ya - mu) / w
             gram = (w.T @ xx).reshape(-1, p, p)
             rhs = (x.T @ (w * z)).T[:, :, None]
             new_beta = np.linalg.solve(gram, rhs)[:, :, 0].T
             eta = np.clip(x @ new_beta, -_ETA_MAX, _ETA_MAX)
-            new_dev = _deviance(ya, family.canonical_inverse_link(eta), family.tag)
+            mu = family.canonical_inverse_link(eta)
+            new_dev = _deviance(ya, mu, family.tag)
             done = np.abs(dev[active] - new_dev) <= tol * (np.abs(new_dev) + 0.1)
             beta[:, active] = new_beta
             dev[active] = new_dev
-            active, eta = active[~done], eta[:, ~done]
+            keep = ~done
+            active, ya, eta, mu = active[keep], ya[:, keep], eta[:, keep], mu[:, keep]
             if not active.size:
                 break
     return beta, dev
@@ -461,12 +464,13 @@ def fit_glm_irls(x, y, family, tol=1e-8, max_iter=100):
     Returns (coefficients, deviance). This is the one-column case of the
     column-batched fit that the LRT baseline runs. Every family requires
     P < N and a design of full column rank: a rank-deficient x raises
-    RankDeficient.
+    RankDeficient, and a bernoulli y outside {0, 1} raises DomainError.
     """
     if isinstance(family, str):
         family = glm_family(family)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    _check_bernoulli(family, y)
     beta, dev = _irls_batch(x, y[:, None], family, tol, max_iter)
     return beta[:, 0], float(dev[0])
 
@@ -496,6 +500,7 @@ def baseline_lrt(y, x, family, alpha=0.05):
     y = np.asarray(y, dtype=float)
     if isinstance(family, str):
         family = glm_family(family)
+    _check_bernoulli(family, y)
     n, p = x.shape
     if p >= n:
         raise NotApplicable("LRT baseline requires P < N")

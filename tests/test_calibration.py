@@ -272,6 +272,91 @@ class TestSaveLoad:
         assert np.float64(loaded.lambda_alpha).tobytes() == np.float64(cal.lambda_alpha).tobytes()
 
 
+def _write_line_by_line(cal, path):
+    """The cache-file writer that one bulk write replaced: one write per line."""
+    with open(path, "x", newline="\n") as fh:
+        fh.write(f"# statistic_id={cal.statistic_id}\n")
+        fh.write(f"# m_draws={cal.m_draws}\n")
+        fh.write(f"# alpha={cal.alpha!r}\n")
+        fh.write(f"# seed={cal.seed}\n")
+        fh.write(f"# lambda_alpha={float(cal.lambda_alpha)!r}\n")
+        for v in cal.sorted_null_stats:
+            fh.write(f"{float(v)!r}\n")
+
+
+def _parse_line_by_line(path):
+    """The cache-file parser that one bulk conversion replaced: float() per
+    line, blank lines skipped, a ``#`` line anywhere read as a header."""
+    meta, draws = {}, []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                key, _, val = line[1:].strip().partition("=")
+                meta[key] = val
+            else:
+                draws.append(float(line))
+    return meta, np.asarray(draws)
+
+
+# finite floats of every magnitude (subnormals included), values that need
+# all 17 significant digits, and the +inf a degenerate draw is stored as
+_draw_values = st.one_of(
+    st.floats(allow_nan=False),
+    st.floats(min_value=-1e-307, max_value=1e-307, allow_nan=False),
+    st.integers(1, 2**52 - 1).map(lambda k: 1.0 + k * 2.0**-52),
+    st.sampled_from([np.inf, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3,
+                     1.7976931348623157e308, -0.0]),
+)
+
+
+class TestBulkFileIo:
+    """One write and one numpy conversion per cache file, with the bytes and
+    values of the line-by-line code they replaced."""
+
+    @staticmethod
+    def _cal(draws, alpha=0.05, seed=3, statistic_id="sqrt_affine_lasso"):
+        stats = np.sort(np.array(draws, dtype=float))
+        return CalibrationResult(sorted_null_stats=stats, lambda_alpha=float(stats[-1]),
+                                 alpha=alpha, m_draws=stats.size, seed=seed,
+                                 statistic_id=statistic_id)
+
+    @settings(max_examples=60, deadline=None)
+    @given(draws=st.lists(_draw_values, min_size=1, max_size=60),
+           alpha=st.floats(1e-3, 0.999), seed=st.integers(0, 2**64))
+    def test_save_bytes_equal_line_by_line_writer(self, tmp_path_factory, draws, alpha,
+                                                  seed):
+        cal = self._cal(draws, alpha, seed)
+        tmp = tmp_path_factory.mktemp("cal")
+        cal.save(tmp / "bulk.txt")
+        _write_line_by_line(cal, tmp / "lines.txt")
+        assert (tmp / "bulk.txt").read_bytes() == (tmp / "lines.txt").read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(draws=st.lists(_draw_values, min_size=1, max_size=60))
+    def test_load_equals_line_by_line_parser(self, tmp_path_factory, draws):
+        path = tmp_path_factory.mktemp("cal") / "cal.txt"
+        _write_line_by_line(self._cal(draws), path)
+        meta, want = _parse_line_by_line(path)
+        got = CalibrationResult.load(path)
+        assert got.sorted_null_stats.dtype == want.dtype
+        assert got.sorted_null_stats.tobytes() == want.tobytes()
+        assert np.float64(got.lambda_alpha).tobytes() == \
+            np.float64(float(meta["lambda_alpha"])).tobytes()
+        assert (got.m_draws, got.seed, got.statistic_id) == \
+            (int(meta["m_draws"]), int(meta["seed"]), meta["statistic_id"])
+
+    def test_crlf_file_loads(self, tmp_path):
+        cal = self._cal([0.5, 1.5, 2.5])
+        path = tmp_path / "cal.txt"
+        cal.save(path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert CalibrationResult.load(path).sorted_null_stats.tobytes() == \
+            cal.sorted_null_stats.tobytes()
+
+
 def _reference_draw(model, rng):
     """One null draw, written out per model kind."""
     n = model.design.n

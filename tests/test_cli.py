@@ -7,10 +7,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from threshtest import (DesignMatrix, DesignSpec, ExperimentConfig, McConfig,
                         confidence_region, cr_grid)
-from threshtest.cli import _scenario_config, build_parser, main
+from threshtest.cli import _read_csv, _scenario_config, build_parser, main
+from threshtest.exceptions import InvalidSpec
 from threshtest.statistics import StatisticSpec
 
 
@@ -154,6 +156,76 @@ class TestCmdTest:
                      "--hypothesis", str(hyp), "--mc", "100",
                      "--out", str(tmp_path / "o.csv")])
         assert code == 3
+
+
+def _rows_with_csv(path):
+    """The data reader that one loadtxt call replaced: float() per cell."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [[float(v) for v in row] for row in reader if row]
+    return header, np.asarray(rows, dtype=float)
+
+
+class TestReadData:
+    """``_read_csv`` gives the arrays a csv.reader loop gives, bit for bit."""
+
+    @staticmethod
+    def _assert_parity(path):
+        want_header, want = _rows_with_csv(path)
+        header, data = _read_csv(str(path))
+        assert header == want_header
+        assert data.shape == want.shape and data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        b"y,x1\r\n1.5,2\r\n-3,4.25\r\n",
+        b'"y","x1"\n"1.5",2\n-3,"4.25"\n',
+        b"y,x1\n 1.5 , 2\n-3 ,4.25 \n",
+        b"y,x1\n\n1.5,2\n\n-3,4.25\n\n",
+        b"y,x1\n1.5,2\n-3,4.25",
+        b"y,x1\nnan,inf\n-inf,NaN\nInfinity,2\n",
+        b"y,x1\n1e-300,2.5E+10\n5e-324,1.7976931348623157e308\n-2.2250738585072014e-308,1E3\n",
+    ], ids=["crlf", "quoted", "spaces", "blank_lines", "no_final_newline", "nan_inf",
+            "scientific"])
+    def test_equals_csv_loop(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text)
+        self._assert_parity(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(st.lists(st.floats(allow_nan=False), min_size=3, max_size=3),
+                         min_size=1, max_size=20),
+           fmt=st.sampled_from(["{!r}", "{:.17g}", "{:.6e}", "{:.3f}"]))
+    def test_random_values_equal_csv_loop(self, tmp_path_factory, rows, fmt):
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_text("x1,y,x2\n" + "".join(",".join(fmt.format(v) for v in row) + "\n"
+                                             for row in rows))
+        self._assert_parity(path)
+
+    @pytest.mark.parametrize("text", ["", "y,x1\n", "y,x1", "y,x1\n\n\n"],
+                             ids=["empty_file", "header_only", "header_no_newline",
+                                  "blank_lines_only"])
+    def test_no_data_rows_is_invalid(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidSpec):
+            _read_csv(str(path))
+
+    @pytest.mark.parametrize("text", [
+        "y,x1,x2\n",
+        "y,x1,x2\n1,2,oops\n",
+        "y,x1,x2\n1,2,3\n4,5\n",
+        "y,x1,x2\n1,2\n",
+        "y,x1,x2\n1,2,3\n# note\n",
+    ], ids=["header_only", "non_numeric", "ragged", "short_first_row", "comment_line"])
+    def test_bad_data_exit_2(self, dataset, tmp_path, capsys, text):
+        _, hyp = dataset
+        data = tmp_path / "bad.csv"
+        data.write_text(text)
+        code = main(["test", "--data", str(data), "--response", "y",
+                     "--hypothesis", str(hyp), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "internal error" not in capsys.readouterr().err
 
 
 class TestCmdCalibrate:
@@ -328,6 +400,36 @@ class TestScenarioConfig:
             n=30, p=3, family="poisson", beta0=1.0, alpha=0.1, m_calib=99, n_reps=40,
             theta_grid=(0.0, 1.5), s_values=(1, 2),
             design_spec=DesignSpec(kind="identity", rho=0.0, standardize=False), seed=8)
+
+
+    @pytest.mark.parametrize("doc", [
+        {"design": {"standardize": "false"}},
+        {"design": {"standardize": "true"}},
+        {"design": {"standardize": 2}},
+        {"s_values": 1},
+        {"theta_grid": 0.5},
+        {"theta_grid": "05"},
+        {"beta0": [1.0]},
+    ], ids=["standardize_false_string", "standardize_true_string", "standardize_2",
+            "scalar_s_values", "scalar_theta_grid", "string_theta_grid", "list_beta0"])
+    def test_wrong_type_is_invalid(self, doc):
+        with pytest.raises(InvalidSpec):
+            _scenario_config({"n": 20, "p": 3, "seed": 0, **doc}, None)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_standardize_takes_json_booleans(self, value):
+        cfg = _scenario_config({"n": 20, "p": 3, "seed": 0,
+                                "design": {"standardize": value}}, None)
+        assert cfg.design_spec.standardize is value
+
+    @pytest.mark.parametrize("doc", [{"s_values": 1}, {"design": {"standardize": "false"}}],
+                             ids=["scalar_s_values", "standardize_string"])
+    def test_wrong_type_exit_2(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 20, "p": 3, "seed": 0,
+                                   "statistics": ["sqrt_affine_lasso"], **doc}))
+        assert main(["power", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        assert "internal error" not in capsys.readouterr().err
 
 
 class TestCmdPower:

@@ -202,6 +202,24 @@ class TestRunTest:
         assert path.read_text() == good  # rewritten whole
         assert list(tmp_path.iterdir()) == [path]  # no temporary file left
 
+    @pytest.mark.parametrize("extra", ["\n", "# note=1\n"], ids=["blank", "comment"])
+    def test_blank_or_comment_line_among_draws_recomputed(self, dataset, rng, tmp_path,
+                                                          extra):
+        # save writes neither, so the file was altered after it was written
+        x, hyp = dataset
+        y = rng.standard_normal(x.n)
+        spec = StatisticSpec("sqrt_affine_lasso")
+        fresh = run_test(y, x, hyp, spec, mc=MC,
+                         cache=CalibrationCache(directory=str(tmp_path)))
+        (path,) = tmp_path.glob("cal_*.txt")
+        good = path.read_text()
+        lines = good.splitlines(keepends=True)
+        path.write_text("".join(lines[:50] + [extra] + lines[50:]))
+        again = run_test(y, x, hyp, spec, mc=MC,
+                         cache=CalibrationCache(directory=str(tmp_path)))
+        assert again == fresh
+        assert path.read_text() == good
+
     def test_response_in_null_span_is_degenerate(self):
         # y = X[:, :2] b lies in the null fit space of H0: beta_3..5 = 0, so
         # the residual is rounding noise and the sqrt statistic is 0/0

@@ -25,7 +25,13 @@ from threshtest import calibration, simulate
 from threshtest.calibration import calibrate_composite, calibrate_many, substream
 from threshtest.simulate import _Harness, fit_glm_irls
 from threshtest.statistics import Evaluator, StatisticSpec
-from threshtest.exceptions import InvalidSpec, NotApplicable, OverflowGuard, RankDeficient
+from threshtest.exceptions import (
+    DomainError,
+    InvalidSpec,
+    NotApplicable,
+    OverflowGuard,
+    RankDeficient,
+)
 
 
 @pytest.fixture
@@ -529,3 +535,28 @@ class TestBatchedIrls:
             fit_glm_irls(dup, y[:, 0], family)
         with pytest.raises(RankDeficient):
             baseline_lrt(y[:, 0], dup[:, 1:], family)
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan])
+    def test_bernoulli_response_outside_0_1_raises(self, bad):
+        x1, y = _lrt_cell("bernoulli", 0.0, 1, 0.5, 5, 1)
+        y = y[:, 0].copy()
+        y[3] = bad
+        with pytest.raises(DomainError, match="bernoulli responses must be 0 or 1"):
+            fit_glm_irls(x1, y, "bernoulli")
+        with pytest.raises(DomainError, match="bernoulli responses must be 0 or 1"):
+            baseline_lrt(y, x1[:, 1:], "bernoulli")
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), m=st.integers(1, 9),
+           per_column=st.booleans())
+    def test_bernoulli_deviance_equals_two_term_formula(self, seed, n, m, per_column):
+        # one log per entry gives the bits of y log(y/mu) + (1-y) log((1-y)/(1-mu))
+        rng = np.random.default_rng(seed)
+        y = (rng.random((n, m)) < 0.4).astype(float)
+        eta = rng.uniform(-30.0, 30.0, m if per_column else (n, m))
+        mu = glm_family("bernoulli").canonical_inverse_link(eta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = np.where(y > 0, y * np.log(y / mu), 0.0)
+            t2 = np.where(y < 1, (1 - y) * np.log((1 - y) / (1 - mu)), 0.0)
+        two_term = 2.0 * np.sum(t1 + t2, axis=0)
+        assert simulate._deviance(y, mu, "bernoulli").tobytes() == two_term.tobytes()
