@@ -21,9 +21,12 @@ The composite test takes max(lambda_0^(1)/lambda_alpha^(1),
 lambda_0^(2)/lambda_alpha^(2)) (``_composite_values``) of a component pair
 (``_composite_pair`` gives the default one). ``calibrate_composite``
 calibrates the components on batch 0 and kappa_alpha on the composite
-values of an independent batch 1. Both thresholds come from one
-sort/order-statistic step (``_order_stat``), and ``p_value`` counts the
-draws of either kind of calibration.
+values of an independent batch 1 (``_calibrate_kappa``). All three are
+``CalibrationResult``s from one sort/order-statistic step
+(``_order_stat``); the composite one has the statistic id
+``composite(id1,id2)``. A ``CompositeCalibration`` holds the three, and
+``p_value`` counts the draws of a ``CalibrationResult`` or the composite
+values of a ``CompositeCalibration`` alike.
 """
 
 import math
@@ -312,21 +315,28 @@ class CalibrationResult:
         return bool(draws[k - 1] == self.lambda_alpha)
 
 
+def _of_kappa(name):
+    return property(lambda self: getattr(self.cal_kappa, name))
+
+
 @dataclass(frozen=True)
 class CompositeCalibration:
-    """Component calibrations plus the composite threshold kappa_alpha."""
+    """The three calibrations of a composite test: its components' on
+    batch 0 and ``cal_kappa``, the sorted composite values of batch 1,
+    whose threshold is kappa_alpha."""
 
     cal_1: CalibrationResult
     cal_2: CalibrationResult
-    kappa_alpha: float
-    alpha: float
-    m_draws: int
-    seed: int
-    sorted_composite_stats: Optional[np.ndarray] = None
+    cal_kappa: CalibrationResult
 
-    @property
-    def statistic_id(self):
-        return f"composite({self.cal_1.statistic_id},{self.cal_2.statistic_id})"
+    kappa_alpha = _of_kappa("lambda_alpha")
+    sorted_composite_stats = _of_kappa("sorted_null_stats")
+    # the draws p_value counts, as for a CalibrationResult
+    sorted_null_stats = sorted_composite_stats
+    statistic_id = _of_kappa("statistic_id")
+    alpha = _of_kappa("alpha")
+    m_draws = _of_kappa("m_draws")
+    seed = _of_kappa("seed")
 
 
 def order_stat_index(m_draws, alpha):
@@ -383,8 +393,8 @@ def _order_stat(draws, k):
 def p_value(observed, cal, statistic_id=None):
     """Monte-Carlo p-value (1 + #{draws >= observed}) / (M + 1).
 
-    The draws are the null draws of a CalibrationResult, or the composite
-    values of a CompositeCalibration.
+    The draws are the sorted null draws of a CalibrationResult; for a
+    CompositeCalibration they are its composite values.
     """
     if statistic_id is not None and statistic_id != cal.statistic_id:
         raise StatisticMismatch(
@@ -392,9 +402,7 @@ def p_value(observed, cal, statistic_id=None):
         )
     if isinstance(observed, StatValue):
         observed = observed.value
-    draws = (cal.sorted_composite_stats if isinstance(cal, CompositeCalibration)
-             else cal.sorted_null_stats)
-    count = cal.m_draws - int(np.searchsorted(draws, observed, side="left"))
+    count = cal.m_draws - int(np.searchsorted(cal.sorted_null_stats, observed, side="left"))
     return (1 + count) / (cal.m_draws + 1)
 
 
@@ -407,25 +415,30 @@ def calibrate_composite(stat1, stat2, model, m_draws, alpha, seed):
     """
     ev1, ev2 = (_resolve_evaluator(s, model) for s in (stat1, stat2))
     cal1, cal2 = calibrate_many([ev1, ev2], model, m_draws, alpha, seed, batch=0)
-    return _calibrate_kappa(ev1, ev2, cal1, cal2, model, m_draws, alpha, seed)
+    return CompositeCalibration(
+        cal1, cal2, _calibrate_kappa(ev1, ev2, cal1, cal2, model, m_draws, alpha, seed))
+
+
+def _composite_id(id1, id2):
+    """The statistic id of the composite of statistics ``id1`` and ``id2``."""
+    return f"composite({id1},{id2})"
 
 
 def _calibrate_kappa(ev1, ev2, cal1, cal2, model, m_draws, alpha, seed):
-    """The composite calibration of ``calibrate_composite`` from component
-    calibrations ``cal1`` and ``cal2`` already taken on batch 0: batch 1
-    calibrates kappa_alpha."""
+    """The calibration of the composite values of batch 1, given component
+    calibrations ``cal1`` and ``cal2`` taken on batch 0: its threshold is
+    kappa_alpha."""
     k = order_stat_index(m_draws, alpha)
     y0 = _simulate_batch(model, seed, m_draws, batch=1)
     comp, _ = _composite_values(evaluate_many([ev1, ev2], y0), cal1, cal2)
     comp, kappa_alpha = _order_stat(comp, k)
-    return CompositeCalibration(
-        cal_1=cal1,
-        cal_2=cal2,
-        kappa_alpha=kappa_alpha,
+    return CalibrationResult(
+        sorted_null_stats=comp,
+        lambda_alpha=kappa_alpha,
         alpha=alpha,
         m_draws=m_draws,
         seed=seed,
-        sorted_composite_stats=comp,
+        statistic_id=_composite_id(ev1.statistic_id, ev2.statistic_id),
     )
 
 

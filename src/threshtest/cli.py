@@ -238,9 +238,20 @@ def _flag(value):
     return bool(value)
 
 
+def _object(value):
+    """A JSON object; any other value is refused."""
+    if not isinstance(value, dict):
+        raise InvalidSpec(f"expected an object, got {value!r}")
+    return value
+
+
 # converters of the keys a study config may set; a key it leaves out takes
-# the default of ExperimentConfig or DesignSpec
+# the default of ExperimentConfig or DesignSpec, except n, p and seed,
+# which it must set
 _CONFIG_KEYS = {
+    "n": int,
+    "p": int,
+    "seed": int,
     "family": lambda v: v,
     "beta0": float,
     "alpha": float,
@@ -263,27 +274,31 @@ def _given(doc, converters):
     return given
 
 
+def _study_stat(entry, cfg):
+    """One ``statistics`` entry of a study config: a baseline tag, a
+    statistic name, which tests all P covariates, or an object with a
+    ``family`` and optional ``groups`` and ``glm_family``."""
+    if entry in ("composite", "fisher", "lrt"):
+        return entry
+    if isinstance(entry, str):
+        return _resolve_stat(entry, cfg.family, cfg.p)
+    entry = _object(entry)
+    return StatisticSpec(_known_stat(entry["family"]), row_partition=entry.get("groups"),
+                         glm_family=entry.get("glm_family"))
+
+
 def _scenario_config(doc, seed_override):
-    cfg = ExperimentConfig(
-        n=int(doc["n"]),
-        p=int(doc["p"]),
-        design_spec=DesignSpec(**_given(doc.get("design", {}), _DESIGN_KEYS)),
-        seed=int(doc["seed"] if seed_override is None else seed_override),
-        **_given(doc, _CONFIG_KEYS),
-    )
-    stats = []
-    for entry in doc.get("statistics", []):
-        if entry in ("composite", "fisher", "lrt"):
-            stats.append(entry)
-        elif isinstance(entry, str):
-            # every statistic of a study tests all P covariates
-            stats.append(_resolve_stat(entry, cfg.family, cfg.p))
-        else:
-            stats.append(StatisticSpec(
-                _known_stat(entry["family"]),
-                row_partition=entry.get("groups"),
-                glm_family=entry.get("glm_family")))
-    return dataclasses.replace(cfg, statistics=tuple(stats))
+    doc = _object(doc)
+    if seed_override is not None:
+        doc = dict(doc, seed=seed_override)
+    missing = [key for key in ("n", "p", "seed") if key not in doc]
+    if missing:
+        raise InvalidSpec(f"config lacks {', '.join(missing)}")
+    design = _given(doc, {"design": _object}).get("design", {})
+    cfg = ExperimentConfig(design_spec=DesignSpec(**_given(design, _DESIGN_KEYS)),
+                           **_given(doc, _CONFIG_KEYS))
+    stats = _given(doc, {"statistics": _tuple_of(lambda entry: _study_stat(entry, cfg))})
+    return dataclasses.replace(cfg, **stats)
 
 
 def _write_power_csv(path, rows):

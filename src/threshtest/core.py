@@ -368,13 +368,11 @@ class GlmFamily:
 
     tag: str
     variance: Callable[[np.ndarray], np.ndarray]
-    dispersion_known: bool
     canonical_inverse_link: Callable[[np.ndarray], np.ndarray]
     canonical_link: Callable[[np.ndarray], np.ndarray]
     pivotal_inverse_link: Callable[[np.ndarray], np.ndarray]
     pivotal_derivative: Callable[[np.ndarray], np.ndarray]
     pivotal_domain: tuple
-    null_variance_estimate: Callable[[np.ndarray], float]
 
     def check_pivotal_domain(self, x_grid):
         x_grid = np.asarray(x_grid, dtype=float)
@@ -390,13 +388,11 @@ def _gaussian_family():
     return GlmFamily(
         tag="gaussian",
         variance=lambda mu: np.ones_like(np.asarray(mu, dtype=float)),
-        dispersion_known=False,
         canonical_inverse_link=lambda x: np.asarray(x, dtype=float),
         canonical_link=lambda mu: np.asarray(mu, dtype=float),
         pivotal_inverse_link=lambda x: np.asarray(x, dtype=float),
         pivotal_derivative=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         pivotal_domain=(-np.inf, np.inf),
-        null_variance_estimate=lambda y: float(np.var(y, ddof=1)),
     )
 
 
@@ -404,13 +400,11 @@ def _bernoulli_family():
     return GlmFamily(
         tag="bernoulli",
         variance=lambda mu: np.asarray(mu) * (1.0 - np.asarray(mu)),
-        dispersion_known=True,
         canonical_inverse_link=lambda x: 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float))),
         canonical_link=lambda mu: np.log(np.asarray(mu) / (1.0 - np.asarray(mu))),
         pivotal_inverse_link=lambda x: (np.sin(np.asarray(x, dtype=float)) + 1.0) / 2.0,
         pivotal_derivative=lambda x: np.cos(np.asarray(x, dtype=float)) / 2.0,
         pivotal_domain=(-np.pi / 2.0, np.pi / 2.0),
-        null_variance_estimate=lambda y: float(np.mean(y) * (1.0 - np.mean(y))),
     )
 
 
@@ -418,13 +412,11 @@ def _poisson_family():
     return GlmFamily(
         tag="poisson",
         variance=lambda mu: np.asarray(mu, dtype=float),
-        dispersion_known=True,
         canonical_inverse_link=lambda x: np.exp(np.asarray(x, dtype=float)),
         canonical_link=lambda mu: np.log(np.asarray(mu, dtype=float)),
         pivotal_inverse_link=lambda x: np.asarray(x, dtype=float) ** 2 / 4.0,
         pivotal_derivative=lambda x: np.asarray(x, dtype=float) / 2.0,
         pivotal_domain=(0.0, np.inf),
-        null_variance_estimate=lambda y: float(np.mean(y)),
     )
 
 

@@ -11,6 +11,15 @@ every candidate c. A ``ConfidenceRegion`` is the one place lambda_CR(c) is
 evaluated: it keeps the reduction factor of (X, A) and the evaluator it
 calibrated at c = 0, and each candidate adds only ``beta_c``, ``X beta_c``
 and one residual pass of y - X beta_c through that evaluator.
+
+Every Monte-Carlo calibration goes through one ``CalibrationCache`` under
+one key function, ``_calibration_keys``. ``run_test`` (unless given a
+cache), ``run_composite`` and ``confidence_region`` use the process cache:
+up to 32 calibrations in memory, and one file each under
+THRESHTEST_CACHE_DIR when that is set. A region's calibration is the one
+of the test of H0: A beta = 0, and a composite stores three: its
+components under the keys ``run_test`` gives them, and its composite
+values.
 """
 
 import hashlib
@@ -25,10 +34,12 @@ from scipy import stats as sp_stats
 
 from .calibration import (
     CalibrationResult,
+    CompositeCalibration,
+    _calibrate_kappa,
+    _composite_id,
     _composite_pair,
     _composite_values,
-    calibrate,
-    calibrate_composite,
+    calibrate_many,
     gaussian_pivotal_null,
     glm_plugin_null,
     p_value as mc_p_value,
@@ -100,87 +111,111 @@ class TestResult:
         }
 
 
-def _digest(*parts):
-    h = hashlib.sha256()
+def _update(hasher, *parts):
+    """Feed ``parts`` to ``hasher``: an array as its float64 bytes, anything
+    else as its repr, each followed by ``|``."""
     for part in parts:
         if isinstance(part, np.ndarray):
-            h.update(np.ascontiguousarray(part, dtype=float).tobytes())
+            hasher.update(np.ascontiguousarray(part, dtype=float).tobytes())
         else:
-            h.update(repr(part).encode())
-        h.update(b"|")
-    return h.hexdigest()
+            hasher.update(repr(part).encode())
+        hasher.update(b"|")
 
 
-def _load_consistent(path):
-    """The calibration stored at ``path``, or None when it does not parse or
-    fails :meth:`CalibrationResult.is_consistent` (say, a truncated file)."""
+def _identity(evaluator):
+    """What keys an evaluator's calibration besides the data: its statistic
+    id, and the block ids, which change a group statistic but not its id."""
+    return evaluator.statistic_id, evaluator.block_ids
+
+
+def _calibration_keys(x, a_matrix, c_vector, model, mc, alpha, statistics):
+    """The cache key of each calibration on design ``x`` under H0: A beta = c
+    with null model ``model``; ``statistics`` holds one :func:`_identity`
+    (or, for a composite, its id and both components' block ids) per key.
+
+    The intercept column changes lad_sign's centering without changing its
+    id, so it is keyed too. (X, its intercept column, A, c) is hashed once
+    and the hasher copied for each key, so a composite makes one pass over X.
+    """
+    prefix = hashlib.sha256()
+    _update(prefix, x.values, x.intercept_column, a_matrix, c_vector)
+    keys = []
+    for statistic in statistics:
+        hasher = prefix.copy()
+        _update(hasher, *statistic, mc.m_draws, alpha, mc.seed, model.kind, model.null_mean)
+        keys.append(hasher.hexdigest())
+    return keys
+
+
+def _load_consistent(path, header):
+    """The calibration stored at ``path``, or None when it does not parse,
+    fails :meth:`CalibrationResult.is_consistent` (say, a truncated file),
+    or, when ``header`` is not None, does not carry that
+    (statistic_id, m_draws, alpha, seed)."""
     try:
         cal = CalibrationResult.load(path)
     except (OSError, ValueError, KeyError):
+        return None
+    if header is not None and header != (cal.statistic_id, cal.m_draws, cal.alpha, cal.seed):
         return None
     return cal if cal.is_consistent() else None
 
 
 class CalibrationCache:
-    """Read-mostly calibration cache, optionally backed by a directory.
+    """Calibration cache in memory, optionally backed by a directory.
 
     The directory defaults to THRESHTEST_CACHE_DIR when set; pass
-    ``directory=False`` for a memory-only cache. Entries are installed
-    once and never mutated; a file on disk is used only when it is
+    ``directory=False`` for a memory-only cache. ``max_entries`` bounds the
+    entries kept in memory, the least recently used going first; None keeps
+    them all. Files on disk are neither bounded nor removed. Entries are
+    installed once and never mutated; a file on disk is used only when it is
     consistent, and is otherwise recomputed and rewritten.
     """
 
-    def __init__(self, directory=None):
+    def __init__(self, directory=None, max_entries=None):
         if directory is None:
             directory = os.environ.get("THRESHTEST_CACHE_DIR") or None
         elif directory is False:
             directory = None
         self.directory = directory
-        self._memory = {}
+        self.max_entries = max_entries
+        self._memory = OrderedDict()
+        self._lock = threading.Lock()
 
     def get_or_compute(self, key, compute):
-        cal = self._memory.get(key)
-        if cal is not None:
-            return cal
+        """The calibration stored under ``key``; on a miss ``compute()``
+        gives it, and it is stored."""
+        return self._get(key, compute, None)
+
+    def _get(self, key, compute, header):
+        """:meth:`get_or_compute`, where a file must also carry ``header``,
+        the (statistic_id, m_draws, alpha, seed) asked for, unless that is
+        None; a file that does not is recomputed and rewritten."""
+        with self._lock:
+            cal = self._memory.get(key)
+            if cal is not None:
+                self._memory.move_to_end(key)
+                return cal
+        path = None
         if self.directory is not None:
             path = os.path.join(self.directory, f"cal_{key}.txt")
-            if os.path.exists(path):
-                cal = _load_consistent(path)
-                if cal is not None:
-                    self._memory[key] = cal
-                    return cal
-        cal = compute()
-        self._memory[key] = cal
-        if self.directory is not None:
-            os.makedirs(self.directory, exist_ok=True)
-            cal.save(os.path.join(self.directory, f"cal_{key}.txt"))
+            cal = _load_consistent(path, header)
+        if cal is None:
+            cal = compute()
+            if path is not None:
+                os.makedirs(self.directory, exist_ok=True)
+                cal.save(path)
+        with self._lock:
+            self._memory[key] = cal
+            self._memory.move_to_end(key)
+            while self.max_entries is not None and len(self._memory) > self.max_entries:
+                self._memory.popitem(last=False)
         return cal
 
 
 # calibrations the process-wide default cache keeps in memory (about 16 KB
-# each at M = 2000); the least recently used one goes first
+# each at M = 2000)
 _DEFAULT_CACHE_ENTRIES = 32
-
-
-class _BoundedCalibrationCache(CalibrationCache):
-    """A CalibrationCache that keeps only the most recently used entries in
-    memory. Files on disk are neither bounded nor removed."""
-
-    def __init__(self, max_entries):
-        super().__init__()
-        self._memory = OrderedDict()
-        self._max_entries = max_entries
-        self._lock = threading.Lock()
-
-    def get_or_compute(self, key, compute):
-        cal = super().get_or_compute(key, compute)
-        with self._lock:
-            if key in self._memory:
-                self._memory.move_to_end(key)
-            while len(self._memory) > self._max_entries:
-                self._memory.popitem(last=False)
-        return cal
-
 
 _default_cache = None
 
@@ -188,8 +223,25 @@ _default_cache = None
 def _get_default_cache():
     global _default_cache
     if _default_cache is None:
-        _default_cache = _BoundedCalibrationCache(_DEFAULT_CACHE_ENTRIES)
+        _default_cache = CalibrationCache(max_entries=_DEFAULT_CACHE_ENTRIES)
     return _default_cache
+
+
+def _calibrated(cache, keys, evaluators, model, mc, alpha):
+    """The batch-0 calibration of each evaluator, stored in ``cache`` under
+    its key. The first miss computes them all in one ``calibrate_many``
+    call; by ``evaluate_many``'s contract each equals the evaluator's own
+    calibration bit for bit."""
+    batch = []
+
+    def compute(i):
+        if not batch:
+            batch.extend(calibrate_many(evaluators, model, mc.m_draws, alpha, mc.seed))
+        return batch[i]
+
+    return [cache._get(key, lambda i=i: compute(i),
+                       (ev.statistic_id, mc.m_draws, alpha, mc.seed))
+            for i, (key, ev) in enumerate(zip(keys, evaluators))]
 
 
 def _coerce_inputs(y, x, hyp):
@@ -276,13 +328,9 @@ def run_test(y, x, hyp, stat, alpha=0.05, mc=McConfig(), cache=None):
     (evaluator,), model = _bind([stat], y, x, hyp)
     if cache is None:
         cache = _get_default_cache()
-    # the block ids and the intercept column change the statistic without
-    # changing its id, so they are keyed too
-    key = _digest(x.values, x.intercept_column, hyp.a_matrix, hyp.c_vector,
-                  evaluator.statistic_id, evaluator.block_ids, mc.m_draws, alpha,
-                  mc.seed, model.kind, model.null_mean)
-    cal = cache.get_or_compute(
-        key, lambda: calibrate(evaluator, model, mc.m_draws, alpha, mc.seed))
+    keys = _calibration_keys(x, hyp.a_matrix, hyp.c_vector, model, mc, alpha,
+                             [_identity(evaluator)])
+    (cal,) = _calibrated(cache, keys, [evaluator], model, mc, alpha)
     observed = evaluator.evaluate(y)
     return _decide(observed, cal.lambda_alpha, mc_p_value(observed, cal), alpha,
                    cal.statistic_id, mc)
@@ -294,14 +342,25 @@ def run_composite(y, x, hyp, stat1=None, stat2=None, alpha=0.05, mc=McConfig()):
 
     Defaults to the sqrt affine lasso (sup norm) paired with the sqrt
     affine group lasso over a single block. A degenerate component gives
-    the observed value 0, p = 1 and no rejection.
+    the observed value 0, p = 1 and no rejection. The three calibrations
+    go through the process cache: the components under the keys
+    ``run_test`` gives them, and the composite values under their own.
     """
     y, x, hyp = _coerce_inputs(y, x, hyp)
     default1, default2 = _composite_pair(hyp.r)
-    (ev1, ev2), model = _bind([stat1 or default1, stat2 or default2], y, x, hyp)
-    comp = calibrate_composite(ev1, ev2, model, mc.m_draws, alpha, mc.seed)
-    values, degen = _composite_values(evaluate_many([ev1, ev2], y[:, None]),
-                                      comp.cal_1, comp.cal_2)
+    evaluators, model = _bind([stat1 or default1, stat2 or default2], y, x, hyp)
+    ev1, ev2 = evaluators
+    composite_id = _composite_id(ev1.statistic_id, ev2.statistic_id)
+    cache = _get_default_cache()
+    *keys, kappa_key = _calibration_keys(
+        x, hyp.a_matrix, hyp.c_vector, model, mc, alpha,
+        [_identity(ev1), _identity(ev2), (composite_id, ev1.block_ids, ev2.block_ids)])
+    cal1, cal2 = _calibrated(cache, keys, evaluators, model, mc, alpha)
+    comp = CompositeCalibration(cal1, cal2, cache._get(
+        kappa_key,
+        lambda: _calibrate_kappa(ev1, ev2, cal1, cal2, model, mc.m_draws, alpha, mc.seed),
+        (composite_id, mc.m_draws, alpha, mc.seed)))
+    values, degen = _composite_values(evaluate_many(evaluators, y[:, None]), cal1, cal2)
     observed = StatValue(0.0, degenerate=True) if degen[0] else StatValue(float(values[0]))
     return _decide(observed, comp.kappa_alpha, mc_p_value(observed, comp), alpha,
                    comp.statistic_id, mc, note=_COMPONENT_NOTE)
@@ -326,8 +385,13 @@ def _region(y, x, a_matrix, stat, lambda_alpha, alpha=None, mc=None):
     red0 = factor.at(np.zeros(factor.r))
     evaluator = build_evaluator(stat, x, red=red0)
     if lambda_alpha is None:
-        lambda_alpha = calibrate(evaluator, gaussian_pivotal_null(x, None, red0),
-                                 mc.m_draws, alpha, mc.seed).lambda_alpha
+        # the test of H0: A beta = 0 has this evaluator, null model and draws
+        # (X beta_0 = 0), so the region shares its cache entry
+        model = gaussian_pivotal_null(x, None, red0)
+        keys = _calibration_keys(x, a, np.zeros(factor.r), model, mc, alpha,
+                                 [_identity(evaluator)])
+        (cal,) = _calibrated(_get_default_cache(), keys, [evaluator], model, mc, alpha)
+        lambda_alpha = cal.lambda_alpha
     return ConfidenceRegion(a, lambda_alpha, factor, y, evaluator)
 
 
@@ -402,6 +466,8 @@ def confidence_region(y, x, a_matrix, stat=None, alpha=0.05, mc=McConfig()):
     Defaults to the square-root affine lasso statistic; its pivotality
     in (beta, sigma) means the single calibration at c = 0 is valid for
     every candidate c, and the evaluator it calibrates serves them all.
+    That calibration is read from, or stored in, the process cache under
+    the key ``run_test`` gives the test of H0: A beta = 0.
     """
     return _region(y, x, a_matrix, stat or StatisticSpec("sqrt_affine_lasso"), None,
                    alpha, mc)

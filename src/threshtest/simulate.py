@@ -24,6 +24,7 @@ import numpy as np
 from scipy import stats as sp_stats
 
 from .calibration import (
+    CompositeCalibration,
     NullModel,
     _calibrate_kappa,
     _check_bernoulli,
@@ -271,8 +272,8 @@ class _Harness:
                 entry[2] = cals[entry[1]]
             elif entry[0] == "composite":
                 ev1, ev2 = entry[1]
-                entry[2] = _calibrate_kappa(ev1, ev2, cals[ev1], cals[ev2], model,
-                                            cfg.m_calib, cfg.alpha, cfg.seed)
+                entry[2] = CompositeCalibration(cals[ev1], cals[ev2], _calibrate_kappa(
+                    ev1, ev2, cals[ev1], cals[ev2], model, cfg.m_calib, cfg.alpha, cfg.seed))
 
     def simulate_cell(self, s, theta):
         cfg = self.cfg

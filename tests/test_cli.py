@@ -4,11 +4,15 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import threshtest
 from threshtest import (DesignMatrix, DesignSpec, ExperimentConfig, McConfig,
                         confidence_region, cr_grid)
 from threshtest.cli import _read_csv, _scenario_config, build_parser, main
@@ -355,6 +359,37 @@ class TestCmdRegion:
         assert code == 2
 
 
+class TestCacheDirectory:
+    def test_region_rerun_reads_the_cache(self, dataset, tmp_path):
+        # separate processes share calibrations only through the directory
+        data, _ = dataset
+        hyp = tmp_path / "h1.json"
+        hyp.write_text(json.dumps({"A": [[0.0, 1.0, -1.0, 0.0]], "c": [0.0]}))
+        cache = tmp_path / "cache"
+        env = {k: v for k, v in os.environ.items() if k != "THRESHTEST_CACHE_DIR"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(threshtest.__file__))]
+            + [p for p in [env.get("PYTHONPATH")] if p])
+
+        def region(name, cache_dir=None):
+            out = tmp_path / f"{name}.csv"
+            svg = tmp_path / f"{name}.svg"
+            run_env = dict(env, THRESHTEST_CACHE_DIR=str(cache_dir)) if cache_dir else env
+            subprocess.run([sys.executable, "-m", "threshtest.cli", "region", "--data",
+                            str(data), "--response", "y", "--intercept", "--hypothesis",
+                            str(hyp), "--grid=-3:3:41", "--mc", "300", "--seed", "7",
+                            "--out", str(out), "--plot", str(svg)],
+                           env=run_env, check=True, timeout=120)
+            return out.read_bytes(), svg.read_bytes()
+
+        plain = region("plain")
+        assert region("cold", cache) == plain
+        files = {p.name: p.read_bytes() for p in cache.iterdir()}
+        assert len(files) == 1
+        assert region("warm", cache) == plain
+        assert {p.name: p.read_bytes() for p in cache.iterdir()} == files
+
+
 class TestManifestDigest:
     # --intercept is in the digest too, but it changes P, so no hypothesis
     # file serves a pair of runs that differ in it alone
@@ -410,8 +445,14 @@ class TestScenarioConfig:
         {"theta_grid": 0.5},
         {"theta_grid": "05"},
         {"beta0": [1.0]},
+        {"n": [20]},
+        {"p": [3]},
+        {"seed": [0]},
+        {"statistics": [5]},
+        {"design": [1]},
     ], ids=["standardize_false_string", "standardize_true_string", "standardize_2",
-            "scalar_s_values", "scalar_theta_grid", "string_theta_grid", "list_beta0"])
+            "scalar_s_values", "scalar_theta_grid", "string_theta_grid", "list_beta0",
+            "list_n", "list_p", "list_seed", "number_statistic", "list_design"])
     def test_wrong_type_is_invalid(self, doc):
         with pytest.raises(InvalidSpec):
             _scenario_config({"n": 20, "p": 3, "seed": 0, **doc}, None)
@@ -422,8 +463,11 @@ class TestScenarioConfig:
                                 "design": {"standardize": value}}, None)
         assert cfg.design_spec.standardize is value
 
-    @pytest.mark.parametrize("doc", [{"s_values": 1}, {"design": {"standardize": "false"}}],
-                             ids=["scalar_s_values", "standardize_string"])
+    @pytest.mark.parametrize("doc", [
+        {"s_values": 1}, {"design": {"standardize": "false"}}, {"n": [20]},
+        {"statistics": [5]}, {"design": [1]}, {"scenarios": [5]},
+    ], ids=["scalar_s_values", "standardize_string", "list_n", "number_statistic",
+            "list_design", "number_scenario"])
     def test_wrong_type_exit_2(self, tmp_path, capsys, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 20, "p": 3, "seed": 0,

@@ -282,10 +282,3 @@ class TestGlmFamilies:
         h = fam.pivotal_inverse_link(grid)
         resid = fam.pivotal_derivative(grid) ** 2 - fam.variance(h)
         np.testing.assert_allclose(resid, 0.0, atol=1e-12)
-
-    def test_null_variance_estimators(self):
-        y = np.array([0.0, 1.0, 1.0, 0.0])
-        assert glm_family("bernoulli").null_variance_estimate(y) == 0.25
-        assert glm_family("poisson").null_variance_estimate(np.array([1.0, 3.0])) == 2.0
-        g = glm_family("gaussian").null_variance_estimate(np.array([0.0, 2.0]))
-        assert g == pytest.approx(2.0)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from threshtest import (
+    CalibrationResult,
     DesignMatrix,
     LinearHypothesis,
     McConfig,
@@ -220,6 +221,35 @@ class TestRunTest:
         assert again == fresh
         assert path.read_text() == good
 
+    @pytest.mark.parametrize("other", [
+        dict(stat=StatisticSpec("sqrt_affine_group_lasso")),
+        dict(mc=McConfig(m_draws=401, seed=0)),
+        dict(alpha=0.1),
+        dict(mc=McConfig(m_draws=400, seed=1)),
+    ], ids=["statistic_id", "m_draws", "alpha", "seed"])
+    def test_file_of_another_calibration_recomputed(self, dataset, rng, tmp_path, other):
+        # a consistent file that differs from the one asked for in one
+        # header field
+        x, hyp = dataset
+        y = x.values @ np.array([0.0, 0.3, 0.0, 0.0, 0.0]) + rng.standard_normal(x.n)
+        asked = dict(stat=StatisticSpec("sqrt_affine_lasso"), alpha=0.05, mc=MC)
+
+        def run(cache, **args):
+            args = dict(asked, **args)
+            return run_test(y, x, hyp, args.pop("stat"), cache=cache, **args)
+
+        run(CalibrationCache(directory=str(tmp_path)), **other)
+        (wrong,) = tmp_path.glob("cal_*.txt")
+        fresh = run(CalibrationCache(directory=False))
+        run(CalibrationCache(directory=str(tmp_path)))
+        (path,) = set(tmp_path.glob("cal_*.txt")) - {wrong}
+        good = path.read_bytes()
+        path.write_bytes(wrong.read_bytes())
+        again = run(CalibrationCache(directory=str(tmp_path)))
+        assert again == fresh
+        assert again != run(CalibrationCache(directory=False), **other)
+        assert path.read_bytes() == good  # rewritten
+
     def test_response_in_null_span_is_degenerate(self):
         # y = X[:, :2] b lies in the null fit space of H0: beta_3..5 = 0, so
         # the residual is rounding noise and the sqrt statistic is 0/0
@@ -248,7 +278,7 @@ class TestRunTest:
 
 class TestDefaultCache:
     def test_keeps_most_recent_entries(self):
-        cache = inference._BoundedCalibrationCache(3)
+        cache = CalibrationCache(directory=False, max_entries=3)
         for key in "abc":
             cache.get_or_compute(key, lambda k=key: k)
         assert cache.get_or_compute("a", lambda: "again") == "a"  # a is now newest
@@ -267,7 +297,7 @@ class TestDefaultCache:
             inference._DEFAULT_CACHE_ENTRIES
 
     def test_concurrent_use_stays_bounded(self):
-        cache = inference._BoundedCalibrationCache(4)
+        cache = CalibrationCache(directory=False, max_entries=4)
         old_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -285,6 +315,135 @@ class TestDefaultCache:
         for key in range(inference._DEFAULT_CACHE_ENTRIES + 5):
             cache.get_or_compute(key, lambda k=key: k)
         assert len(cache._memory) == inference._DEFAULT_CACHE_ENTRIES + 5
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+def _same_calibration(cal, other):
+    return (cal.sorted_null_stats.tobytes() == other.sorted_null_stats.tobytes()
+            and _bits(cal.lambda_alpha) == _bits(other.lambda_alpha)
+            and (cal.statistic_id, cal.m_draws, cal.alpha, cal.seed)
+            == (other.statistic_id, other.m_draws, other.alpha, other.seed))
+
+
+@pytest.fixture
+def process_cache(monkeypatch):
+    """Installs a new process cache, as a new process would make it, in
+    memory (``directory=False``) or in a directory; returns it."""
+    def install(directory=False):
+        cache = CalibrationCache(directory=directory,
+                                 max_entries=inference._DEFAULT_CACHE_ENTRIES)
+        monkeypatch.setattr(inference, "_default_cache", cache)
+        return cache
+    return install
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """The batch index of every null batch drawn, in order."""
+    drawn = []
+    simulate = calibration._simulate_batch
+
+    def counted(model, seed, m_draws, batch):
+        drawn.append(batch)
+        return simulate(model, seed, m_draws, batch)
+
+    monkeypatch.setattr(calibration, "_simulate_batch", counted)
+    return drawn
+
+
+class TestOneCalibrationCache:
+    """Regions and composites take their calibrations through the cache
+    run_test uses, under the keys run_test gives them."""
+
+    @pytest.mark.parametrize("r, family", [
+        (1, "sqrt_affine_lasso"), (2, "sqrt_affine_lasso"), (2, "sqrt_affine_group_lasso")])
+    def test_region_after_run_test_draws_nothing(self, process_cache, batches, rng, r,
+                                                 family):
+        x = DesignMatrix(np.hstack([np.ones((30, 1)), rng.standard_normal((30, 3))]),
+                         intercept_column=0)
+        a = rng.standard_normal((r, 4))
+        y = x.values @ np.array([0.5, 0.3, -0.2, 0.1]) + rng.standard_normal(30)
+        spec = StatisticSpec(family)
+        process_cache()
+        cold = confidence_region(y, x, a, stat=spec, mc=MC)
+        process_cache()
+        tested = run_test(y, x, LinearHypothesis(a, np.zeros(r)), spec, mc=MC)
+        assert len(batches) == 2
+        region = confidence_region(y, x, a, stat=spec, mc=MC)
+        assert len(batches) == 2
+        assert _bits(region.lambda_alpha) == _bits(tested.lambda_alpha) == \
+            _bits(cold.lambda_alpha)
+
+    @pytest.mark.parametrize("where", ["memory", "disk"])
+    def test_warm_equals_cold(self, process_cache, batches, dataset, rng, tmp_path, where):
+        x, hyp = dataset
+        y = x.values @ np.array([0.0, 0.4, 0.0, -0.3, 0.0]) + rng.standard_normal(x.n)
+        a = hyp.a_matrix[:1]
+        spec = StatisticSpec("sqrt_affine_lasso")
+        grid = np.linspace(-2.0, 2.0, 41)
+        directory = str(tmp_path) if where == "disk" else False
+
+        def run():
+            region = confidence_region(y, x, a, stat=spec, mc=MC)
+            mask, ends = cr_grid(y, x, a, spec, region.lambda_alpha, grid)
+            comp = run_composite(y, x, hyp, mc=MC)
+            return ([_bits(region.lambda_cr(c)) for c in (-1.0, 0.0, 1.0)], mask.tolist(),
+                    ends, _bits(region.lambda_alpha), _bits(comp.lambda_alpha),
+                    _bits(comp.p_value), _bits(comp.observed.value), comp)
+
+        cache = process_cache(directory)
+        cold = run()
+        assert batches == [0, 0, 1]  # the region's batch, the composite's two
+        cold_entries = dict(cache._memory)
+        if where == "disk":
+            cache = process_cache(directory)
+        assert run() == cold
+        assert batches == [0, 0, 1]
+        assert cache._memory.keys() == cold_entries.keys()
+        assert all(_same_calibration(cal, cold_entries[key])
+                   for key, cal in cache._memory.items())
+        # the composite's three entries are calibrate_composite's calibrations
+        red = build_reduction(x, hyp)
+        ref = calibrate_composite(*[build_evaluator(s, x, hyp=hyp, red=red)
+                                    for s in calibration._composite_pair(hyp.r)],
+                                  gaussian_pivotal_null(x, hyp, red), MC.m_draws, 0.05,
+                                  MC.seed)
+        for cal in (ref.cal_1, ref.cal_2, ref.cal_kappa):
+            assert any(_same_calibration(cal, entry) for entry in cache._memory.values())
+        assert cold[-1].p_value == calibration.p_value(cold[-1].observed, ref)
+
+    def test_composite_components_are_run_test_files(self, process_cache, dataset, rng,
+                                                      tmp_path):
+        x, hyp = dataset
+        y = rng.standard_normal(x.n)
+        process_cache(str(tmp_path / "composite"))
+        run_composite(y, x, hyp, mc=MC)
+        for spec in calibration._composite_pair(hyp.r):
+            run_test(y, x, hyp, spec, mc=MC,
+                     cache=CalibrationCache(directory=str(tmp_path / "tests")))
+        composite = {p.name: p.read_bytes() for p in (tmp_path / "composite").iterdir()}
+        tested = {p.name: p.read_bytes() for p in (tmp_path / "tests").iterdir()}
+        assert len(composite) == 3 and len(tested) == 2
+        assert all(composite[name] == data for name, data in tested.items())
+        (kappa,) = composite.keys() - tested.keys()
+        cal = CalibrationResult.load(str(tmp_path / "composite" / kappa))
+        assert cal.statistic_id == run_composite(y, x, hyp, mc=MC).statistic_id
+
+    def test_composite_after_its_components_draws_batch_1(self, process_cache, batches,
+                                                          dataset, rng):
+        x, hyp = dataset
+        y = rng.standard_normal(x.n)
+        process_cache()
+        for spec in calibration._composite_pair(hyp.r):
+            run_test(y, x, hyp, spec, mc=MC)
+        assert batches == [0, 0]
+        run_composite(y, x, hyp, mc=MC)
+        assert batches == [0, 0, 1]
+        run_composite(y, x, hyp, mc=MC)
+        assert batches == [0, 0, 1]
 
 
 class TestInvalidResponse:
