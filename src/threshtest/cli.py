@@ -230,6 +230,16 @@ def _tuple_of(convert):
     return converter
 
 
+def _integer(value):
+    """A JSON integer, or a number with no fractional part; ``int`` would
+    truncate 20.7 to 20 and read true as 1 and "20" as 20."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise InvalidSpec(f"expected an integer, got {value!r}")
+
+
 def _flag(value):
     """A JSON boolean (or 0 or 1); ``bool`` would read the string "false"
     as True."""
@@ -249,16 +259,16 @@ def _object(value):
 # the default of ExperimentConfig or DesignSpec, except n, p and seed,
 # which it must set
 _CONFIG_KEYS = {
-    "n": int,
-    "p": int,
-    "seed": int,
+    "n": _integer,
+    "p": _integer,
+    "seed": _integer,
     "family": lambda v: v,
     "beta0": float,
     "alpha": float,
-    "m_calib": int,
-    "n_reps": int,
+    "m_calib": _integer,
+    "n_reps": _integer,
     "theta_grid": _tuple_of(float),
-    "s_values": _tuple_of(int),
+    "s_values": _tuple_of(_integer),
 }
 _DESIGN_KEYS = {"kind": lambda v: v, "rho": float, "standardize": _flag}
 

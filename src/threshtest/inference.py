@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .calibration import (
     CalibrationResult,
@@ -58,6 +57,8 @@ from .statistics import (
     Evaluator,
     StatisticSpec,
     StatValue,
+    _f_ppf,
+    _f_sf,
     _fisher_batch,
     build_evaluator,
     evaluate_many,
@@ -288,10 +289,10 @@ def _fisher_exact_test(y, x, hyp, stat, alpha):
     step is needed.
     """
     fisher = _fisher_batch(x, hyp, y[:, None])
-    f_crit = float(sp_stats.f.ppf(1.0 - alpha, fisher.df1, fisher.df2))
+    f_crit = float(_f_ppf(1.0 - alpha, fisher.df1, fisher.df2))
     lam_alpha = float(np.sqrt(f_crit * fisher.s2[0] * fisher.df1))
     observed = StatValue(float(fisher.lam0[0]), degenerate=bool(fisher.degenerate[0]))
-    p = float(sp_stats.f.sf(fisher.f[0], fisher.df1, fisher.df2))
+    p = float(_f_sf(fisher.f[0], fisher.df1, fisher.df2))
     return _decide(observed, lam_alpha, p, alpha, stat.fingerprint() + "|exact_f")
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .calibration import (
     CompositeCalibration,
@@ -42,6 +41,10 @@ from .statistics import (
     GLM_FAMILIES,
     StatValue,
     StatisticSpec,
+    _chi2_ppf,
+    _chi2_sf,
+    _f_ppf,
+    _f_sf,
     _fisher_batch,
     build_evaluator,
     evaluate_many,
@@ -71,8 +74,8 @@ class AlternativeSpec:
     theta: float
 
     def __post_init__(self):
-        if self.s < 0 or self.theta < 0:
-            raise InvalidSpec("need s >= 0 and theta >= 0")
+        if self.s < 0 or not 0 <= self.theta < np.inf:
+            raise InvalidSpec("need s >= 0 and a finite theta >= 0")
 
 
 @dataclass(frozen=True)
@@ -108,6 +111,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.family not in ("gaussian", "bernoulli", "poisson"):
             raise InvalidSpec(f"unknown family {self.family!r}")
+        if not np.isfinite([self.beta0, *self.theta_grid]).all():
+            raise InvalidSpec("beta0 and every theta must be finite")
         for s in self.s_values:
             if not 0 <= s <= self.p:
                 raise InvalidSpec(f"s = {s} outside [0, {self.p}]")
@@ -327,11 +332,11 @@ class _Harness:
         """F-test rejections; a degenerate replicate never rejects."""
         fisher = _fisher_batch(self.x_full, self.hyp, y)
         return ~fisher.degenerate & (
-            sp_stats.f.sf(fisher.f, fisher.df1, fisher.df2) <= self.cfg.alpha)
+            _f_sf(fisher.f, fisher.df1, fisher.df2) <= self.cfg.alpha)
 
     def _lrt_rejects(self, y):
         stats = _lrt_statistics(y, self.x_full.values, self.family)
-        return sp_stats.chi2.sf(stats, self.cfg.p) <= self.cfg.alpha
+        return _chi2_sf(stats, self.cfg.p) <= self.cfg.alpha
 
 
 def estimate_power(cfg, threads=1):
@@ -370,10 +375,10 @@ def baseline_f_test(y, x, hyp, alpha=0.05):
     y = np.asarray(y, dtype=float)
     fisher = _fisher_batch(x, hyp, y[:, None])
     degenerate = bool(fisher.degenerate[0])
-    p = float(sp_stats.f.sf(fisher.f[0], fisher.df1, fisher.df2))  # 1 at F = 0
+    p = float(_f_sf(fisher.f[0], fisher.df1, fisher.df2))  # 1 at F = 0
     return TestResult(
         observed=StatValue(float(fisher.f[0]), degenerate=degenerate),
-        lambda_alpha=float(sp_stats.f.ppf(1.0 - alpha, fisher.df1, fisher.df2)),
+        lambda_alpha=float(_f_ppf(1.0 - alpha, fisher.df1, fisher.df2)),
         p_value=p,
         reject=p <= alpha,
         alpha=alpha,
@@ -507,10 +512,10 @@ def baseline_lrt(y, x, family, alpha=0.05):
         raise NotApplicable("LRT baseline requires P < N")
     x1 = np.hstack([np.ones((n, 1)), x])
     stat = float(_lrt_statistics(y[:, None], x1, family)[0])
-    p_val = float(sp_stats.chi2.sf(stat, p))
+    p_val = float(_chi2_sf(stat, p))
     return TestResult(
         observed=StatValue(stat),
-        lambda_alpha=float(sp_stats.chi2.ppf(1.0 - alpha, p)),
+        lambda_alpha=float(_chi2_ppf(1.0 - alpha, p)),
         p_value=p_val,
         reject=p_val <= alpha,
         alpha=alpha,

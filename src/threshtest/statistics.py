@@ -238,6 +238,43 @@ def _fisher_batch(x, hyp, y_mat):
     return _Fisher(lam0, s2, f, hyp.r, df2, degen)
 
 
+# The F and chi-squared tails of the classical baselines. Each calls the
+# scipy.special function that scipy.stats' f or chi2 calls, so its values are
+# bit-identical to scipy.stats'. scipy.special is imported at the first call:
+# importing threshtest loads no scipy module, and scipy.stats costs seconds.
+
+def _f_sf(x, df1, df2):
+    """P(F > x) for F ~ F(df1, df2), as ``scipy.stats.f.sf``: 1 at x = 0.
+
+    A negative x gives NaN where scipy.stats gives 1; no caller passes one,
+    since F is 0 where degenerate.
+    """
+    from scipy import special
+    return special.fdtrc(df1, df2, x)
+
+
+def _f_ppf(q, df1, df2):
+    """The q-quantile of F(df1, df2), as ``scipy.stats.f.ppf``."""
+    from scipy import special
+    return special.fdtri(df1, df2, q)
+
+
+def _chi2_sf(x, df):
+    """P(X > x) for X ~ chi-squared(df), as ``scipy.stats.chi2.sf``: 1 at x = 0.
+
+    A negative x gives NaN where scipy.stats gives 1; no caller passes one,
+    since the likelihood-ratio statistic is clipped at 0.
+    """
+    from scipy import special
+    return special.chdtrc(df, x)
+
+
+def _chi2_ppf(q, df):
+    """The q-quantile of chi-squared(df), as ``scipy.stats.chi2.ppf``."""
+    from scipy import special
+    return 2 * special.gammaincinv(df / 2, q)
+
+
 def zt_fisher_weighted(x, hyp, y):
     """Fisher-weighted statistic: lambda_0^2 = RSS_{H0} - RSS."""
     fisher = _fisher_batch(x, hyp, np.asarray(y, dtype=float)[:, None])

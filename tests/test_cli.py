@@ -423,8 +423,8 @@ class TestScenarioConfig:
             ExperimentConfig(n=30, p=3, seed=5)
 
     def test_given_keys_are_converted(self):
-        doc = {"n": "30", "p": 3, "seed": 5, "family": "poisson", "beta0": 1,
-               "alpha": "0.1", "m_calib": 99.0, "n_reps": "40", "theta_grid": [0, "1.5"],
+        doc = {"n": 30.0, "p": 3, "seed": 5, "family": "poisson", "beta0": 1,
+               "alpha": "0.1", "m_calib": 99.0, "n_reps": 40, "theta_grid": [0, "1.5"],
                "s_values": [1.0, 2], "design": {"kind": "identity", "rho": "0", "standardize": 0},
                "statistics": ["glm_score_sup", "lrt"]}
         cfg = _scenario_config(doc, 8)
@@ -435,6 +435,7 @@ class TestScenarioConfig:
             n=30, p=3, family="poisson", beta0=1.0, alpha=0.1, m_calib=99, n_reps=40,
             theta_grid=(0.0, 1.5), s_values=(1, 2),
             design_spec=DesignSpec(kind="identity", rho=0.0, standardize=False), seed=8)
+        assert all(type(v) is int for v in (cfg.n, cfg.m_calib, *cfg.s_values))
 
 
     @pytest.mark.parametrize("doc", [
@@ -450,9 +451,15 @@ class TestScenarioConfig:
         {"seed": [0]},
         {"statistics": [5]},
         {"design": [1]},
+        {"n": 20.7}, {"p": 3.9}, {"seed": 1.5}, {"m_calib": 199.9}, {"n_reps": 10.5},
+        {"s_values": [1.8]}, {"n": float("inf")}, {"seed": float("nan")},
+        {"n": True}, {"s_values": [True]}, {"n": "20"}, {"m_calib": "199"},
     ], ids=["standardize_false_string", "standardize_true_string", "standardize_2",
             "scalar_s_values", "scalar_theta_grid", "string_theta_grid", "list_beta0",
-            "list_n", "list_p", "list_seed", "number_statistic", "list_design"])
+            "list_n", "list_p", "list_seed", "number_statistic", "list_design",
+            "fractional_n", "fractional_p", "fractional_seed", "fractional_m_calib",
+            "fractional_n_reps", "fractional_s", "infinite_n", "nan_seed", "boolean_n",
+            "boolean_s", "string_n", "string_m_calib"])
     def test_wrong_type_is_invalid(self, doc):
         with pytest.raises(InvalidSpec):
             _scenario_config({"n": 20, "p": 3, "seed": 0, **doc}, None)
@@ -466,8 +473,11 @@ class TestScenarioConfig:
     @pytest.mark.parametrize("doc", [
         {"s_values": 1}, {"design": {"standardize": "false"}}, {"n": [20]},
         {"statistics": [5]}, {"design": [1]}, {"scenarios": [5]},
+        {"n": 20.7}, {"seed": True}, {"m_calib": "199"},
+        {"theta_grid": [float("nan"), float("inf")]}, {"beta0": float("nan")},
     ], ids=["scalar_s_values", "standardize_string", "list_n", "number_statistic",
-            "list_design", "number_scenario"])
+            "list_design", "number_scenario", "fractional_n", "boolean_seed",
+            "string_m_calib", "non_finite_theta", "nan_beta0"])
     def test_wrong_type_exit_2(self, tmp_path, capsys, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 20, "p": 3, "seed": 0,

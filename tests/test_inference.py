@@ -104,7 +104,7 @@ class TestRunTest:
         res = run_test(y, x, hyp, StatisticSpec("fisher_weighted"), alpha=0.05)
         from threshtest import fisher_F
         f, df1, df2 = fisher_F(x, hyp, y)
-        assert res.p_value == pytest.approx(float(sp_stats.f.sf(f, df1, df2)))
+        assert res.p_value == float(sp_stats.f.sf(f, df1, df2))
         assert res.statistic_id.endswith("|exact_f")
 
     def test_glm_degenerate_no_reject(self):

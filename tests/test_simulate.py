@@ -100,6 +100,11 @@ class TestGenBeta:
         with pytest.raises(InvalidSpec):
             gen_beta(AlternativeSpec(6, 1.0), 5, rng)
 
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -1.0])
+    def test_theta_must_be_finite_and_non_negative(self, theta):
+        with pytest.raises(InvalidSpec):
+            AlternativeSpec(1, theta)
+
     def test_signs_draw_what_choice_draws(self):
         # the signs index [-1, 1] by integers(0, 2): the values and the
         # generator state after the call are those of rng.choice([-1, 1])
@@ -273,6 +278,14 @@ class TestPowerGrid:
         # one vectorised chi2.sf call gives the scalar calls' p-values bit for bit
         stats = np.array([res.observed.value for res in results])
         assert sp_stats.chi2.sf(stats, cfg.p).tolist() == [res.p_value for res in results]
+
+    @pytest.mark.parametrize("kw", [
+        {"theta_grid": (0.0, np.nan)}, {"theta_grid": (np.inf,)},
+        {"beta0": np.nan}, {"beta0": -np.inf},
+    ], ids=["nan_theta", "infinite_theta", "nan_beta0", "infinite_beta0"])
+    def test_non_finite_theta_or_beta0_is_invalid(self, kw):
+        with pytest.raises(InvalidSpec):
+            ExperimentConfig(n=20, p=3, **kw)
 
     def test_baseline_requires_p_less_than_n(self):
         with pytest.raises(InvalidSpec):
