@@ -38,13 +38,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DesignMatrix, GlmFamily, LinearHypothesis, ReducedProblem
-from .exceptions import (
-    DimensionMismatch,
-    DomainError,
-    InsufficientDraws,
-    StatisticMismatch,
-)
+from .core import DesignMatrix, GlmFamily, LinearHypothesis, ReducedProblem, _as_response
+from .exceptions import DomainError, InsufficientDraws, StatisticMismatch
 from .statistics import (
     Evaluator,
     StatisticSpec,
@@ -168,29 +163,26 @@ def _check_bernoulli(family, y):
         raise DomainError("bernoulli responses must be 0 or 1")
 
 
+def _plugin_null(design, family, mean):
+    """The glm_plugin NullModel at null mean ``mean``; a bernoulli mean is
+    clipped to [1/(2N), 1 - 1/(2N)], off {0, 1}."""
+    n = design.n
+    if family.tag == "bernoulli":
+        mean = min(max(mean, 1.0 / (2 * n)), 1.0 - 1.0 / (2 * n))
+    with np.errstate(divide="ignore"):  # a poisson mean of 0 has link -inf
+        beta0_hat = float(family.canonical_link(mean))
+    return NullModel(kind="glm_plugin", design=design, family=family,
+                     null_mean=mean, beta0_hat=beta0_hat)
+
+
 def glm_plugin_null(design, family, y_observed):
     """Plug-in null model with mean ybar (bernoulli clipped off {0, 1})."""
-    y_observed = np.asarray(y_observed, dtype=float)
-    n = design.n
-    if y_observed.shape != (n,):
-        raise DimensionMismatch("response length does not match design")
-    if not np.all(np.isfinite(y_observed)):
-        raise DimensionMismatch("response contains non-finite entries")
+    y_observed = _as_response(y_observed, design.n)
     _check_bernoulli(family, y_observed)
     if family.tag == "poisson" and not np.all(
             (y_observed >= 0.0) & (y_observed == np.floor(y_observed))):
         raise DomainError("poisson responses must be non-negative integers")
-    mean = float(np.mean(y_observed))
-    if family.tag == "bernoulli":
-        mean = min(max(mean, 1.0 / (2 * n)), 1.0 - 1.0 / (2 * n))
-    if family.tag == "gaussian":
-        beta0_hat = mean
-    elif family.tag == "poisson" and mean <= 0.0:
-        beta0_hat = -math.inf
-    else:
-        beta0_hat = float(family.canonical_link(mean))
-    return NullModel(kind="glm_plugin", design=design, family=family,
-                     null_mean=mean, beta0_hat=beta0_hat)
+    return _plugin_null(design, family, float(np.mean(y_observed)))
 
 
 # replicates drawn into one row block before it is added into its columns

@@ -3,7 +3,8 @@
 Inputs are CSV data files with a header (response column picked by
 --response) and JSON hypothesis files; every output file is accompanied
 by a ``<out>.manifest.json`` run manifest. Exit codes: 0 completed
-inference, 2 parse/validation error, 3 untestable/not-applicable,
+inference, the ``exit_code`` of a library error (2 invalid input,
+3 untestable/not-applicable), 2 for an unreadable or malformed file,
 4 internal error.
 """
 
@@ -21,26 +22,10 @@ import numpy as np
 from . import __version__, _svg
 from .calibration import calibrate
 from .core import DesignMatrix, LinearHypothesis, SubsetHypothesis
-from .exceptions import (
-    DimensionMismatch,
-    DomainError,
-    InsufficientDraws,
-    InvalidSpec,
-    NotApplicable,
-    OverflowGuard,
-    RankDeficient,
-    StatisticMismatch,
-    UnsupportedDimension,
-    Untestable,
-)
+from .exceptions import InvalidSpec, ThreshTestError
 from .inference import McConfig, _bind, confidence_region, run_composite, run_test
 from .simulate import DesignSpec, ExperimentConfig, PowerRow, estimate_level, estimate_power
 from .statistics import ALL_FAMILIES, GLM_FAMILIES, StatisticSpec
-
-_PARSE_ERRORS = (InvalidSpec, InsufficientDraws, DimensionMismatch, RankDeficient,
-                 StatisticMismatch, DomainError, OverflowGuard, UnsupportedDimension,
-                 ValueError, KeyError, OSError, json.JSONDecodeError)
-_SKIP_ERRORS = (Untestable, NotApplicable)
 
 
 def _canonical_digest(obj):
@@ -91,24 +76,25 @@ def _read_data(path, response, intercept):
     y_idx = header.index(response)
     y = data[:, y_idx]
     x = np.delete(data, y_idx, axis=1)
-    names = [h for i, h in enumerate(header) if i != y_idx]
     if intercept:
-        x = np.hstack([np.ones((x.shape[0], 1)), x])
-        names = ["(intercept)"] + names
-        return DesignMatrix(x, column_names=names, intercept_column=0), y
-    return DesignMatrix(x, column_names=names), y
+        return DesignMatrix(np.hstack([np.ones((x.shape[0], 1)), x]), intercept_column=0), y
+    return DesignMatrix(x), y
+
+
+def _floats(value):
+    return np.asarray(value, dtype=float)
 
 
 def _read_hypothesis(path, p):
+    """The hypothesis of a JSON file: an object with ``A`` and ``c``, or with
+    a ``subset`` object of ``j0`` and ``c``, and optional ``groups``."""
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = _object(json.load(fh))
     if "subset" in doc:
-        sub = doc["subset"]
-        return SubsetHypothesis(int(sub["j0"]), np.asarray(sub["c"], dtype=float)).expand(
-            p, row_partition=doc.get("groups"))
-    a = np.asarray(doc["A"], dtype=float)
-    c = np.asarray(doc["c"], dtype=float)
-    return LinearHypothesis(a, c, row_partition=doc.get("groups"))
+        sub = _given(_object(doc["subset"]), {"j0": _integer, "c": _floats})
+        return SubsetHypothesis(sub["j0"], sub["c"]).expand(p, row_partition=doc.get("groups"))
+    given = _given(doc, {"A": _floats, "c": _floats})
+    return LinearHypothesis(given["A"], given["c"], row_partition=doc.get("groups"))
 
 
 def _known_stat(name):
@@ -182,8 +168,16 @@ def _cmd_calibrate(args):
 
 
 def _parse_axis(spec):
-    lo, hi, num = spec.split(":")
-    return np.linspace(float(lo), float(hi), int(num))
+    """One ``--grid`` axis ``lo:hi:count``: finite ends and an integer count
+    of at least 1."""
+    try:
+        lo, hi, num = (float(part) for part in spec.split(":"))
+        num = _integer(num)
+    except (ValueError, InvalidSpec):
+        raise InvalidSpec(f"--grid {spec!r} is not lo:hi:count with an integer count") from None
+    if num < 1 or not np.isfinite([lo, hi]).all():
+        raise InvalidSpec(f"--grid {spec!r} needs finite ends and a count of at least 1")
+    return np.linspace(lo, hi, num)
 
 
 def _cmd_region(args):
@@ -192,9 +186,9 @@ def _cmd_region(args):
     r = hyp.r
     if len(args.grid) != r:
         raise InvalidSpec(f"need {r} --grid axes for an R = {r} hypothesis")
+    axes = [_parse_axis(g) for g in args.grid]
     region = confidence_region(y, x, hyp.a_matrix, stat=_data_stat(args, x, hyp),
                                alpha=args.alpha, mc=McConfig(m_draws=args.mc, seed=args.seed))
-    axes = [_parse_axis(g) for g in args.grid]
     # every combination of the axis values, the last axis varying fastest
     points, lam = region.scan(
         np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, r))
@@ -280,7 +274,7 @@ def _given(doc, converters):
             try:
                 given[key] = convert(doc[key])
             except (TypeError, ValueError, InvalidSpec) as exc:
-                raise InvalidSpec(f"config key {key!r}: {exc}") from None
+                raise InvalidSpec(f"key {key!r}: {exc}") from None
     return given
 
 
@@ -403,10 +397,10 @@ def main(argv=None):
         config = args.func(args)
         _write_manifest(args.out, args.command, config, args.seed, time.time() - started)
         return 0
-    except _SKIP_ERRORS as exc:
+    except ThreshTestError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _PARSE_ERRORS as exc:
+        return exc.exit_code
+    except (ValueError, KeyError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

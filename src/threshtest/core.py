@@ -61,7 +61,6 @@ class DesignMatrix:
     """Dense N x P covariate matrix, optionally with an all-ones intercept column."""
 
     values: np.ndarray
-    column_names: Optional[Sequence[str]] = None
     intercept_column: Optional[int] = None
 
     def __post_init__(self):
@@ -70,8 +69,6 @@ class DesignMatrix:
         n, p = values.shape
         if n < 2 or p < 1:
             raise DimensionMismatch(f"need N >= 2 and P >= 1, got N={n}, P={p}")
-        if self.column_names is not None and len(self.column_names) != p:
-            raise DimensionMismatch("column_names length does not match P")
         if self.intercept_column is not None:
             j = self.intercept_column
             if not 0 <= j < p:
@@ -95,26 +92,56 @@ class DesignMatrix:
         return self.values[:, keep]
 
 
+def _as_design(x):
+    """``x`` as a DesignMatrix: itself when it is one, else its values."""
+    return x if isinstance(x, DesignMatrix) else DesignMatrix(x)
+
+
+def _as_response(y, n):
+    """``y`` as a float N-vector; DimensionMismatch unless it has length N
+    and finite entries."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (n,):
+        raise DimensionMismatch(f"y must be 1-d of length N = {n}, got shape {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise DimensionMismatch("y contains non-finite entries")
+    return y
+
+
 def _default_partition(r):
     return tuple((i,) for i in range(r))
 
 
-def _validate_partition(partition, r):
-    seen = np.zeros(r, dtype=bool)
-    blocks = []
-    for block in partition:
-        idx = np.asarray(block, dtype=int)
-        if idx.size == 0:
+def _partition_blocks(partition):
+    """``partition`` as a tuple of non-empty tuples of row indices.
+
+    An index must be an integer (a numpy integer too, but not a bool):
+    ``int`` would read 0.7 as row 0 and True as row 1.
+    """
+    try:
+        blocks = tuple(tuple(block) for block in partition)
+    except TypeError:
+        raise DimensionMismatch(f"partition {partition!r} is not a list of blocks") from None
+    for block in blocks:
+        if not block:
             raise DimensionMismatch("empty partition block")
-        if np.any(idx < 0) or np.any(idx >= r):
-            raise DimensionMismatch("partition index out of range")
-        if np.any(seen[idx]):
-            raise DimensionMismatch("partition blocks overlap")
-        seen[idx] = True
-        blocks.append(tuple(int(i) for i in idx))
-    if not np.all(seen):
+        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in block):
+            raise DimensionMismatch(f"partition block {block!r} holds a non-integer index")
+    return tuple(tuple(int(i) for i in block) for block in blocks)
+
+
+def _validate_partition(partition, r):
+    """:func:`_partition_blocks` of a partition of the rows 0..r-1: the
+    blocks must be disjoint and cover every row."""
+    blocks = _partition_blocks(partition)
+    rows = [i for block in blocks for i in block]
+    if not all(0 <= i < r for i in rows):
+        raise DimensionMismatch("partition index out of range")
+    if len(set(rows)) < len(rows):
+        raise DimensionMismatch("partition blocks overlap")
+    if len(rows) < r:
         raise DimensionMismatch("partition does not cover all rows")
-    return tuple(blocks)
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -196,7 +223,6 @@ class ReductionFactor:
 
     kernel_basis: np.ndarray
     projector_factor: np.ndarray
-    rank_xka: int
     pseudo_u: np.ndarray
     pseudo_s: np.ndarray
     pseudo_vt: np.ndarray
@@ -291,8 +317,7 @@ def factor_reduction(x, a_matrix):
 def _factor(x, a, a_svd):
     """:func:`factor_reduction` of (X, A), taking the SVD of A from ``a_svd``
     when it is not None."""
-    if not isinstance(x, DesignMatrix):
-        x = DesignMatrix(np.asarray(x, dtype=float))
+    x = _as_design(x)
     if a.shape[1] != x.p:
         raise DimensionMismatch(f"A has {a.shape[1]} columns, X has P = {x.p}")
     r = a.shape[0]
@@ -315,7 +340,6 @@ def _factor(x, a, a_svd):
     return ReductionFactor(
         kernel_basis=k_a,
         projector_factor=q,
-        rank_xka=rank_xka,
         pseudo_u=u,
         pseudo_s=s[:r],
         pseudo_vt=vh[:r],
@@ -336,8 +360,7 @@ def residual_parts(red, x, y):
     gives the size of v per column without another pass over it. r is
     formed in v's place, so a batch holds one N x M temporary besides r.
     """
-    if not isinstance(x, DesignMatrix):
-        x = DesignMatrix(np.asarray(x, dtype=float))
+    x = _as_design(x)
     y = np.asarray(y, dtype=float)
     if y.shape[0] != x.n:
         raise DimensionMismatch(f"y has length {y.shape[0]}, expected N = {x.n}")

@@ -2,7 +2,13 @@
 
 
 class ThreshTestError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    ``exit_code`` is the CLI's exit status for the error: 2 for input that
+    is invalid, 3 for a request that is untestable or not applicable.
+    """
+
+    exit_code = 2
 
 
 class DimensionMismatch(ThreshTestError):
@@ -16,9 +22,13 @@ class RankDeficient(ThreshTestError):
 class Untestable(ThreshTestError):
     """rank(X K_A) = N: the zero-thresholding statistic is identically 0."""
 
+    exit_code = 3
+
 
 class NotApplicable(ThreshTestError):
     """The requested statistic or baseline does not apply (e.g. P >= N)."""
+
+    exit_code = 3
 
 
 class DegenerateStatistic(ThreshTestError):

@@ -44,13 +44,14 @@ from .calibration import (
     p_value as mc_p_value,
 )
 from .core import (
-    DesignMatrix,
     ReductionFactor,
     SubsetHypothesis,
+    _as_design,
+    _as_response,
     build_reduction,
     factor_reduction,
 )
-from .exceptions import DimensionMismatch, NotApplicable, UnsupportedDimension
+from .exceptions import NotApplicable, UnsupportedDimension
 from .statistics import (
     GLM_FAMILIES,
     SQRT_FAMILIES,
@@ -246,16 +247,12 @@ def _calibrated(cache, keys, evaluators, model, mc, alpha):
 
 
 def _coerce_inputs(y, x, hyp):
-    if not isinstance(x, DesignMatrix):
-        x = DesignMatrix(np.asarray(x, dtype=float))
+    """(y, X, hypothesis) checked: X as a DesignMatrix, a SubsetHypothesis
+    expanded to its P, and y a finite N-vector."""
+    x = _as_design(x)
     if isinstance(hyp, SubsetHypothesis):
         hyp = hyp.expand(x.p)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (x.n,):
-        raise DimensionMismatch(f"y must be 1-d of length N = {x.n}, got shape {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise DimensionMismatch("y contains non-finite entries")
-    return y, x, hyp
+    return _as_response(y, x.n), x, hyp
 
 
 _DEGENERATE_NOTE = "statistic denominator vanished; conservative no-reject"
@@ -393,7 +390,7 @@ def _region(y, x, a_matrix, stat, lambda_alpha, alpha=None, mc=None):
                                  [_identity(evaluator)])
         (cal,) = _calibrated(_get_default_cache(), keys, [evaluator], model, mc, alpha)
         lambda_alpha = cal.lambda_alpha
-    return ConfidenceRegion(a, lambda_alpha, factor, y, evaluator)
+    return ConfidenceRegion(lambda_alpha, factor, y, evaluator)
 
 
 def cr_member(c, y, x, a_matrix, stat, lambda_alpha):
@@ -432,7 +429,6 @@ class ConfidenceRegion:
     candidate c costs ``factor.at(c)`` and one residual pass.
     """
 
-    hypothesis_matrix: np.ndarray
     lambda_alpha: float
     factor: ReductionFactor
     y: np.ndarray

@@ -24,19 +24,19 @@ import numpy as np
 
 from .calibration import (
     CompositeCalibration,
-    NullModel,
     _calibrate_kappa,
     _check_bernoulli,
     _composite_pair,
     _composite_values,
+    _plugin_null,
     _substreams,
     calibrate_many,
     gaussian_pivotal_null,
     substream,
 )
-from .core import DesignMatrix, SubsetHypothesis, build_reduction, glm_family
+from .core import DesignMatrix, SubsetHypothesis, _as_response, build_reduction, glm_family
 from .exceptions import InvalidSpec, NotApplicable, OverflowGuard, RankDeficient
-from .inference import _DEGENERATE_NOTE, TestResult
+from .inference import _DEGENERATE_NOTE, TestResult, _coerce_inputs
 from .statistics import (
     GLM_FAMILIES,
     StatValue,
@@ -208,12 +208,7 @@ def _theta_key(theta):
 def _glm_true_null(design, family_tag, beta0):
     """Plug-in null model at the configured intercept (harness-side oracle)."""
     fam = glm_family(family_tag)
-    mean = float(fam.canonical_inverse_link(beta0))
-    n = design.n
-    if family_tag == "bernoulli":
-        mean = min(max(mean, 1.0 / (2 * n)), 1.0 - 1.0 / (2 * n))
-    return NullModel(kind="glm_plugin", design=design, family=fam,
-                     null_mean=mean, beta0_hat=beta0)
+    return _plugin_null(design, fam, float(fam.canonical_inverse_link(beta0)))
 
 
 class _Harness:
@@ -366,13 +361,10 @@ def baseline_f_test(y, x, hyp, alpha=0.05):
     """Exact F-test of H0: A beta = c from two least-squares fits.
 
     A y in the column span of X leaves only rounding noise in the RSS; the
-    result is then degenerate with p = 1 and no rejection.
+    result is then degenerate with p = 1 and no rejection. A y that is not
+    a finite N-vector raises DimensionMismatch, as in ``run_test``.
     """
-    if not isinstance(x, DesignMatrix):
-        x = DesignMatrix(np.asarray(x, dtype=float))
-    if isinstance(hyp, SubsetHypothesis):
-        hyp = hyp.expand(x.p)
-    y = np.asarray(y, dtype=float)
+    y, x, hyp = _coerce_inputs(y, x, hyp)
     fisher = _fisher_batch(x, hyp, y[:, None])
     degenerate = bool(fisher.degenerate[0])
     p = float(_f_sf(fisher.f[0], fisher.df1, fisher.df2))  # 1 at F = 0
@@ -499,14 +491,17 @@ def _lrt_statistics(y, x1, family):
 
 def baseline_lrt(y, x, family, alpha=0.05):
     """Likelihood-ratio (deviance) test of H0: beta = 0 with a free intercept,
-    against the chi-squared reference with P degrees of freedom."""
+    against the chi-squared reference with P degrees of freedom. A y that is
+    not a finite N-vector raises DimensionMismatch (a bernoulli y outside
+    {0, 1}, NaN included, DomainError)."""
     if isinstance(x, DesignMatrix):
         x = x.tested_values()
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     if isinstance(family, str):
         family = glm_family(family)
-    _check_bernoulli(family, y)
+    # first, so that a bernoulli NaN is a value outside {0, 1}
+    _check_bernoulli(family, np.asarray(y, dtype=float))
+    y = _as_response(y, x.shape[0])
     n, p = x.shape
     if p >= n:
         raise NotApplicable("LRT baseline requires P < N")

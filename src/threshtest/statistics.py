@@ -23,7 +23,10 @@ from . import _kernels
 from .core import (
     DesignMatrix,
     GlmFamily,
+    _as_design,
     _default_partition,
+    _partition_blocks,
+    _validate_partition,
     build_reduction,
     glm_family,
     residual_parts,
@@ -95,11 +98,7 @@ class StatisticSpec:
         if self.family in GLM_FAMILIES and self.glm_family is None:
             raise NotApplicable(f"{self.family} requires a glm_family")
         if self.row_partition is not None:
-            object.__setattr__(
-                self,
-                "row_partition",
-                tuple(tuple(int(i) for i in block) for block in self.row_partition),
-            )
+            object.__setattr__(self, "row_partition", _partition_blocks(self.row_partition))
 
     @property
     def is_group(self):
@@ -121,18 +120,14 @@ class StatisticSpec:
 
 
 def _partition_ids(partition, r):
-    """Map a block partition to (row -> block id, n_blocks)."""
+    """Map a block partition of r rows to (row -> block id, n_blocks)."""
     if partition is None:
         return np.arange(r, dtype=np.int64), r
-    ids = np.full(r, -1, dtype=np.int64)
-    for l, block in enumerate(partition):
-        for i in block:
-            if not 0 <= i < r or ids[i] != -1:
-                raise DimensionMismatch("invalid partition over statistic rows")
-            ids[i] = l
-    if np.any(ids < 0):
-        raise DimensionMismatch("partition does not cover all rows")
-    return ids, len(partition)
+    blocks = _validate_partition(partition, r)
+    ids = np.empty(r, dtype=np.int64)
+    for l, block in enumerate(blocks):
+        ids[list(block)] = l
+    return ids, len(blocks)
 
 
 def zt_affine_lasso(red, x, y):
@@ -189,8 +184,7 @@ def _affine_reduce(parts, x, group_ids, n_blocks, sqrt):
 
 def _full_rank_ls(x, hyp):
     """Pieces for the Fisher-weighted statistic; requires rank(X) = P < N."""
-    if not isinstance(x, DesignMatrix):
-        x = DesignMatrix(np.asarray(x, dtype=float))
+    x = _as_design(x)
     n, p = x.n, x.p
     if p >= n:
         raise NotApplicable(f"fisher statistic needs P < N, got P={p}, N={n}")
@@ -374,8 +368,7 @@ def glm_score_stat(x, y, family, norm="sup", partition=None):
     """
     if norm not in ("sup", "group"):
         raise NotApplicable(f"unknown norm {norm!r}")
-    if not isinstance(x, DesignMatrix):
-        x = DesignMatrix(np.asarray(x, dtype=float))
+    x = _as_design(x)
     if norm == "group" and partition is None:
         partition = _default_partition(x.tested_values().shape[1])
     spec = StatisticSpec(f"glm_score_{norm}", row_partition=partition, glm_family=family)
@@ -400,8 +393,7 @@ class Evaluator:
     """
 
     def __init__(self, spec, x, hyp=None, red=None):
-        if not isinstance(x, DesignMatrix):
-            x = DesignMatrix(np.asarray(x, dtype=float))
+        x = _as_design(x)
         self.spec = spec
         self.x = x
         self.hyp = hyp
@@ -470,22 +462,11 @@ class Evaluator:
     def evaluate_batch(self, y_mat):
         """Return (values, degenerate_mask) for an N x M response matrix; a
         batch of another shape raises DimensionMismatch."""
-        return self._reduce(self._parts(_response_batch([self], y_mat)))
+        return evaluate_many([self], y_mat)[0]
 
     def evaluate(self, y):
         vals, degen = self.evaluate_batch(np.asarray(y, dtype=float)[:, None])
         return StatValue(float(vals[0]), degenerate=bool(degen[0]))
-
-
-def _response_batch(evaluators, y_mat):
-    """``y_mat`` as a float array; DimensionMismatch unless it is N x M for
-    the N of every evaluator's design."""
-    y_mat = np.asarray(y_mat, dtype=float)
-    for ev in evaluators:
-        if y_mat.ndim != 2 or y_mat.shape[0] != ev.x.n:
-            raise DimensionMismatch(
-                f"responses must be N x M with N = {ev.x.n}, got shape {y_mat.shape}")
-    return y_mat
 
 
 def build_evaluator(spec, x, hyp=None, red=None):
@@ -502,9 +483,14 @@ def evaluate_many(evaluators, y_mat):
     Fisher and lad_sign evaluators each make their own pass. A group's
     parts come from a square-root member when it has one, so they carry
     ||r||; the other members ignore it. Every value equals the evaluator's
-    own ``evaluate_batch`` bit for bit.
+    own ``evaluate_batch`` bit for bit. A batch that is not N x M for the N
+    of every evaluator's design raises DimensionMismatch.
     """
-    y_mat = _response_batch(evaluators, y_mat)
+    y_mat = np.asarray(y_mat, dtype=float)
+    for ev in evaluators:
+        if y_mat.ndim != 2 or y_mat.shape[0] != ev.x.n:
+            raise DimensionMismatch(
+                f"responses must be N x M with N = {ev.x.n}, got shape {y_mat.shape}")
     groups = {}
     for ev in evaluators:
         groups.setdefault(ev._share_key, []).append(ev)

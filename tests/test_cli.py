@@ -16,7 +16,8 @@ import threshtest
 from threshtest import (DesignMatrix, DesignSpec, ExperimentConfig, McConfig,
                         confidence_region, cr_grid)
 from threshtest.cli import _read_csv, _scenario_config, build_parser, main
-from threshtest.exceptions import InvalidSpec
+from threshtest import exceptions
+from threshtest.exceptions import InvalidSpec, ThreshTestError
 from threshtest.statistics import StatisticSpec
 
 
@@ -160,6 +161,97 @@ class TestCmdTest:
                      "--hypothesis", str(hyp), "--mc", "100",
                      "--out", str(tmp_path / "o.csv")])
         assert code == 3
+
+
+# the CLI exit status of each library error type
+_EXIT_CODES = {
+    "ThreshTestError": 2, "DimensionMismatch": 2, "RankDeficient": 2, "Untestable": 3,
+    "NotApplicable": 3, "DegenerateStatistic": 2, "InsufficientDraws": 2,
+    "StatisticMismatch": 2, "InvalidSpec": 2, "NoConvergence": 2, "SingularSystem": 2,
+    "UnsupportedDimension": 2, "DomainError": 2, "OverflowGuard": 2,
+}
+
+_R1 = {"A": [[1.0, 0.0, 0.0]], "c": [0.0]}
+
+
+class TestExitCodes:
+    def test_each_error_type_carries_its_exit_code(self):
+        types = {name: cls for name, cls in vars(exceptions).items()
+                 if isinstance(cls, type) and issubclass(cls, ThreshTestError)}
+        assert set(types) == set(_EXIT_CODES)
+        for name, cls in types.items():
+            assert cls.exit_code == cls("message").exit_code == _EXIT_CODES[name], name
+
+    # one run per error type a command can raise; Untestable is
+    # TestCmdTest::test_untestable_exit_3, and StatisticMismatch is not reachable
+    @pytest.mark.parametrize("error, command, hypothesis, flags, message", [
+        ("InvalidSpec", "test", None, ["--response", "nope"], "response column 'nope'"),
+        ("DimensionMismatch", "test", {"subset": {"j0": 1, "c": [0.0]}}, [],
+         "c has length 1, expected 3"),
+        ("RankDeficient", "test", {"A": [[0.0, 1.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]],
+                                   "c": [0.0, 0.0]}, [], "numerical row rank 1 < R = 2"),
+        ("InsufficientDraws", "test", None, ["--mc", "5"], "M = 5 < ceil(1/alpha) - 1"),
+        ("DomainError", "test", None, ["--stat", "glm_score_sup", "--family", "bernoulli"],
+         "bernoulli responses must be 0 or 1"),
+        ("UnsupportedDimension", "region", None, ["--grid=-1:1:3"] * 3,
+         "grids support R <= 2"),
+        ("NotApplicable", "region", {"A": [[0.0, 1.0, 0.0, 0.0]], "c": [0.0]},
+         ["--grid=-1:1:3", "--stat", "affine_lasso"],
+         "confidence regions need a statistic pivotal"),
+        ("OverflowGuard", "power", None, [], "exceeds the exp(30) guard"),
+    ])
+    def test_main_returns_the_exit_code_of_the_error(self, dataset, tmp_path, capsys, error,
+                                                    command, hypothesis, flags, message):
+        data, hyp = dataset
+        if hypothesis is not None:
+            hyp.write_text(json.dumps(hypothesis))
+        if command == "power":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"n": 20, "p": 3, "seed": 0, "family": "poisson",
+                                       "beta0": 31.0, "statistics": ["lrt"]}))
+            argv = ["power", "--config", str(cfg)]
+        else:
+            argv = [command, "--data", str(data), "--response", "y", "--intercept",
+                    "--hypothesis", str(hyp), "--mc", "100", *flags]
+        out = tmp_path / "o.csv"
+        assert main(argv + ["--out", str(out)]) == _EXIT_CODES[error]
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestReadHypothesis:
+    @pytest.mark.parametrize("doc", [
+        {"subset": {"j0": 2.7, "c": [0.0]}},
+        {"subset": {"j0": True, "c": [0.0, 0.0]}},
+        {"subset": {"j0": "2", "c": [0.0]}},
+        [{"subset": {"j0": 1, "c": [0.0, 0.0]}}],
+        {"subset": [1, [0.0, 0.0]]},
+        {"subset": 1},
+        {"A": {"row": [1.0, 0.0, 0.0]}, "c": [0.0]},
+        {"A": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "c": [0.0, 0.0], "groups": [[0.5, 1]]},
+        {"A": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "c": [0.0, 0.0], "groups": [[0], [True]]},
+        {"A": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "c": [0.0, 0.0], "groups": 1},
+    ], ids=["fractional_j0", "boolean_j0", "string_j0", "top_level_list", "list_subset",
+            "number_subset", "object_a", "fractional_group", "boolean_group", "number_groups"])
+    def test_malformed_file_exit_2(self, dataset, tmp_path, capsys, doc):
+        data, hyp = dataset
+        hyp.write_text(json.dumps(doc))
+        out = tmp_path / "o.csv"
+        assert main(["test", "--data", str(data), "--response", "y", "--hypothesis", str(hyp),
+                     "--stat", "sqrt_affine_group_lasso", "--mc", "100",
+                     "--out", str(out)]) == 2
+        assert "internal error" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_j0_reads_as_its_integer(self, dataset, tmp_path):
+        data, hyp = dataset
+        outs = []
+        for j0 in (1, 1.0):
+            hyp.write_text(json.dumps({"subset": {"j0": j0, "c": [0.0, 0.0]}}))
+            outs.append(tmp_path / f"o{len(outs)}.csv")
+            assert main(["test", "--data", str(data), "--response", "y",
+                         "--hypothesis", str(hyp), "--mc", "100", "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def _rows_with_csv(path):
@@ -348,6 +440,19 @@ class TestCmdRegion:
                      "--grid=-1:1:3", "--mc", "100", "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "grids support R <= 2, got R = 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["-1:1:0", "-1:1:-1", "-1:1:2.5", "-1:1:nan",
+                                      "nan:1:3", "-1:inf:3", "-1:1", "-1:1:3:4", "a:1:3"])
+    def test_bad_grid_axis_exit_2(self, dataset, tmp_path, capsys, grid):
+        data, _ = dataset
+        hyp = tmp_path / "h1.json"
+        hyp.write_text(json.dumps(_R1))
+        out = tmp_path / "o.csv"
+        assert main(["region", "--data", str(data), "--response", "y", "--hypothesis", str(hyp),
+                     f"--grid={grid}", "--mc", "100", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--grid '{grid}'" in err and "Warning" not in err
+        assert not out.exists()
 
     def test_wrong_grid_count_exit_2(self, dataset, tmp_path):
         data, _ = dataset

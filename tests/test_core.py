@@ -265,6 +265,21 @@ class TestValidation:
         with pytest.raises(DimensionMismatch):
             LinearHypothesis(a, np.zeros(3), row_partition=[(0, 1), (1, 2)])
 
+    @pytest.mark.parametrize("partition", [
+        [[0.7], [True], [2]], [[0, 1.9], [2]], [[0], [1], [2.0]], [[0], [np.bool_(1)], [2]],
+        [[0, 1, 2], []], [[0, 0, 1], [2]], 5, [[0, 1], 2], [["0"], [1], [2]],
+    ], ids=["fraction_and_bool", "fraction", "integral_float", "numpy_bool", "empty_block",
+            "repeated_row", "not_a_list", "bare_index", "string_index"])
+    def test_partition_takes_integer_blocks_only(self, partition):
+        with pytest.raises(DimensionMismatch):
+            LinearHypothesis(np.eye(3), np.zeros(3), row_partition=partition)
+
+    def test_partition_takes_numpy_integers(self):
+        hyp = LinearHypothesis(np.eye(3), np.zeros(3),
+                               row_partition=[np.array([2, 0]), (np.uint8(1),)])
+        assert hyp.row_partition == ((2, 0), (1,))
+        assert all(type(i) is int for block in hyp.row_partition for i in block)
+
     def test_subset_expansion_exact(self):
         hyp = SubsetHypothesis(2, np.array([1.0, 2.0])).expand(4)
         np.testing.assert_array_equal(

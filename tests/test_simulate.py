@@ -26,6 +26,7 @@ from threshtest.calibration import calibrate_composite, calibrate_many, substrea
 from threshtest.simulate import _Harness, fit_glm_irls
 from threshtest.statistics import Evaluator, StatisticSpec
 from threshtest.exceptions import (
+    DimensionMismatch,
     DomainError,
     InvalidSpec,
     NotApplicable,
@@ -344,6 +345,20 @@ class TestThreadInvariance:
 
 
 class TestBaselines:
+    @pytest.mark.parametrize("baseline", ["f_test", "lrt_gaussian", "lrt_poisson"])
+    def test_response_is_a_finite_n_vector(self, baseline, rng):
+        x = DesignMatrix(rng.standard_normal((20, 3)))
+        y = np.round(np.exp(rng.standard_normal(20)))
+        if baseline == "f_test":
+            run = lambda y: baseline_f_test(y, x, SubsetHypothesis(1, np.zeros(2)))
+        else:
+            run = lambda y: baseline_lrt(y, x, baseline.split("_")[1])
+        assert np.isfinite(run(y).p_value)
+        for bad in (np.where(np.arange(20) == 3, np.nan, y), y[:-1], np.append(y, 1.0),
+                    y[:, None]):
+            with pytest.raises(DimensionMismatch):
+                run(bad)
+
     def test_f_test_response_in_span_is_degenerate(self):
         # y = X[:, :2] b: the F numerator and the RSS are both rounding noise
         rng = np.random.default_rng(0)

@@ -372,6 +372,19 @@ class TestEvaluator:
         with pytest.raises(NotApplicable):
             StatisticSpec("glm_score_sup")
 
+    @pytest.mark.parametrize("partition", [[[0.5, 1.9]], [[0], [True]], [[0, 1], []]],
+                             ids=["fraction", "bool", "empty_block"])
+    def test_spec_partition_takes_integer_blocks_only(self, partition):
+        with pytest.raises(DimensionMismatch):
+            StatisticSpec("sqrt_affine_group_lasso", row_partition=partition)
+
+    def test_spec_partition_is_checked_against_the_rows(self, rng):
+        x, hyp, red = _random_problem(rng, n=10, p=4, r=2)
+        for partition in ([(0,)], [(0, 1), (1,)], [(0, 2), (1,)]):
+            spec = StatisticSpec("sqrt_affine_group_lasso", row_partition=partition)
+            with pytest.raises(DimensionMismatch):
+                build_evaluator(spec, x, hyp=hyp, red=red)
+
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_wrong_row_count_raises_dimension_mismatch(self, family, rng):
         x, hyp, _ = _random_problem(rng, n=30, p=5, r=2)
