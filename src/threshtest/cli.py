@@ -305,6 +305,14 @@ def _scenario_config(doc, seed_override):
     return dataclasses.replace(cfg, **stats)
 
 
+def _scenarios(value):
+    """A config's ``scenarios``: a non-empty list of objects."""
+    scenarios = _tuple_of(_object)(value)
+    if not scenarios:
+        raise InvalidSpec("expected at least one scenario, got []")
+    return scenarios
+
+
 def _write_power_csv(path, rows):
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -333,8 +341,8 @@ def _plot_power(rows, path):
 def _cmd_power(args):
     """``power`` and ``level``: one CSV per scenario of the config."""
     with open(args.config) as fh:
-        doc = json.load(fh)
-    scenarios = doc["scenarios"] if "scenarios" in doc else [doc]
+        doc = _object(json.load(fh))
+    scenarios = _given(doc, {"scenarios": _scenarios}).get("scenarios", [doc])
     runner = estimate_level if args.command == "level" else estimate_power
     all_rows = []
     for i, scenario in enumerate(scenarios):

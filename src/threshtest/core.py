@@ -112,12 +112,15 @@ def _default_partition(r):
     return tuple((i,) for i in range(r))
 
 
-def _partition_blocks(partition):
-    """``partition`` as a tuple of non-empty tuples of row indices.
+def _is_index(value):
+    """True for an integer, a numpy integer too, but not a bool: ``int``
+    would read 0.7 as 0 and True as 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
-    An index must be an integer (a numpy integer too, but not a bool):
-    ``int`` would read 0.7 as row 0 and True as row 1.
-    """
+
+def _partition_blocks(partition):
+    """``partition`` as a tuple of non-empty tuples of row indices, each an
+    integer by :func:`_is_index`."""
     try:
         blocks = tuple(tuple(block) for block in partition)
     except TypeError:
@@ -125,7 +128,7 @@ def _partition_blocks(partition):
     for block in blocks:
         if not block:
             raise DimensionMismatch("empty partition block")
-        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in block):
+        if not all(_is_index(i) for i in block):
             raise DimensionMismatch(f"partition block {block!r} holds a non-integer index")
     return tuple(tuple(int(i) for i in block) for block in blocks)
 
@@ -195,6 +198,8 @@ class SubsetHypothesis:
 
     def __post_init__(self):
         object.__setattr__(self, "c_vector", _as_1d(self.c_vector, "c"))
+        if not _is_index(self.j0):
+            raise DimensionMismatch(f"j0 must be an integer, got {self.j0!r}")
         if self.j0 < 0:
             raise DimensionMismatch("j0 must be nonnegative")
 

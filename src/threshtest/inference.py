@@ -13,13 +13,14 @@ calibrated at c = 0, and each candidate adds only ``beta_c``, ``X beta_c``
 and one residual pass of y - X beta_c through that evaluator.
 
 Every Monte-Carlo calibration goes through one ``CalibrationCache`` under
-one key function, ``_calibration_keys``. ``run_test`` (unless given a
-cache), ``run_composite`` and ``confidence_region`` use the process cache:
-up to 32 calibrations in memory, and one file each under
-THRESHTEST_CACHE_DIR when that is set. A region's calibration is the one
-of the test of H0: A beta = 0, and a composite stores three: its
-components under the keys ``run_test`` gives them, and its composite
-values.
+one key function, ``_calibration_keys``, by one helper, ``_calibrated``.
+``run_test`` (unless given a cache), ``run_composite``,
+``confidence_region`` and the power harness of ``simulate``
+(``estimate_power`` and ``estimate_level``) use the process cache: up to
+32 calibrations in memory, and one file each under THRESHTEST_CACHE_DIR
+when that is set. A region's calibration is the one of the test of
+H0: A beta = 0, and a composite stores three: its components under the
+keys ``run_test`` gives them, and its composite values.
 """
 
 import hashlib
@@ -229,11 +230,22 @@ def _get_default_cache():
     return _default_cache
 
 
-def _calibrated(cache, keys, evaluators, model, mc, alpha):
-    """The batch-0 calibration of each evaluator, stored in ``cache`` under
-    its key. The first miss computes them all in one ``calibrate_many``
+def _calibrated(cache, x, a_matrix, c_vector, model, mc, alpha, evaluators, pairs=()):
+    """The batch-0 calibration of each evaluator on design ``x`` under
+    H0: A beta = c with null model ``model``, and the CompositeCalibration
+    of each (ev1, ev2) pair of them; every calibration is read from, or
+    stored in, ``cache`` under its key from :func:`_calibration_keys`.
+
+    The first batch-0 miss computes them all in one ``calibrate_many``
     call; by ``evaluate_many``'s contract each equals the evaluator's own
-    calibration bit for bit."""
+    calibration bit for bit. A pair's kappa calibration draws batch 1 and
+    is keyed by its composite id and both components' block ids.
+    """
+    composite_ids = [_composite_id(ev1.statistic_id, ev2.statistic_id) for ev1, ev2 in pairs]
+    keys = _calibration_keys(
+        x, a_matrix, c_vector, model, mc, alpha,
+        [_identity(ev) for ev in evaluators]
+        + [(cid, ev1.block_ids, ev2.block_ids) for cid, (ev1, ev2) in zip(composite_ids, pairs)])
     batch = []
 
     def compute(i):
@@ -241,9 +253,18 @@ def _calibrated(cache, keys, evaluators, model, mc, alpha):
             batch.extend(calibrate_many(evaluators, model, mc.m_draws, alpha, mc.seed))
         return batch[i]
 
-    return [cache._get(key, lambda i=i: compute(i),
+    cals = [cache._get(key, lambda i=i: compute(i),
                        (ev.statistic_id, mc.m_draws, alpha, mc.seed))
             for i, (key, ev) in enumerate(zip(keys, evaluators))]
+    of = dict(zip(evaluators, cals))
+    composites = []
+    for (ev1, ev2), cid, key in zip(pairs, composite_ids, keys[len(evaluators):]):
+        cal1, cal2 = of[ev1], of[ev2]
+        composites.append(CompositeCalibration(cal1, cal2, cache._get(
+            key,
+            lambda: _calibrate_kappa(ev1, ev2, cal1, cal2, model, mc.m_draws, alpha, mc.seed),
+            (cid, mc.m_draws, alpha, mc.seed))))
+    return cals, composites
 
 
 def _coerce_inputs(y, x, hyp):
@@ -326,9 +347,8 @@ def run_test(y, x, hyp, stat, alpha=0.05, mc=McConfig(), cache=None):
     (evaluator,), model = _bind([stat], y, x, hyp)
     if cache is None:
         cache = _get_default_cache()
-    keys = _calibration_keys(x, hyp.a_matrix, hyp.c_vector, model, mc, alpha,
-                             [_identity(evaluator)])
-    (cal,) = _calibrated(cache, keys, [evaluator], model, mc, alpha)
+    (cal,), _ = _calibrated(cache, x, hyp.a_matrix, hyp.c_vector, model, mc, alpha,
+                            [evaluator])
     observed = evaluator.evaluate(y)
     return _decide(observed, cal.lambda_alpha, mc_p_value(observed, cal), alpha,
                    cal.statistic_id, mc)
@@ -347,17 +367,8 @@ def run_composite(y, x, hyp, stat1=None, stat2=None, alpha=0.05, mc=McConfig()):
     y, x, hyp = _coerce_inputs(y, x, hyp)
     default1, default2 = _composite_pair(hyp.r)
     evaluators, model = _bind([stat1 or default1, stat2 or default2], y, x, hyp)
-    ev1, ev2 = evaluators
-    composite_id = _composite_id(ev1.statistic_id, ev2.statistic_id)
-    cache = _get_default_cache()
-    *keys, kappa_key = _calibration_keys(
-        x, hyp.a_matrix, hyp.c_vector, model, mc, alpha,
-        [_identity(ev1), _identity(ev2), (composite_id, ev1.block_ids, ev2.block_ids)])
-    cal1, cal2 = _calibrated(cache, keys, evaluators, model, mc, alpha)
-    comp = CompositeCalibration(cal1, cal2, cache._get(
-        kappa_key,
-        lambda: _calibrate_kappa(ev1, ev2, cal1, cal2, model, mc.m_draws, alpha, mc.seed),
-        (composite_id, mc.m_draws, alpha, mc.seed)))
+    (cal1, cal2), (comp,) = _calibrated(_get_default_cache(), x, hyp.a_matrix, hyp.c_vector,
+                                        model, mc, alpha, evaluators, [tuple(evaluators)])
     values, degen = _composite_values(evaluate_many(evaluators, y[:, None]), cal1, cal2)
     observed = StatValue(0.0, degenerate=True) if degen[0] else StatValue(float(values[0]))
     return _decide(observed, comp.kappa_alpha, mc_p_value(observed, comp), alpha,
@@ -386,9 +397,8 @@ def _region(y, x, a_matrix, stat, lambda_alpha, alpha=None, mc=None):
         # the test of H0: A beta = 0 has this evaluator, null model and draws
         # (X beta_0 = 0), so the region shares its cache entry
         model = gaussian_pivotal_null(x, None, red0)
-        keys = _calibration_keys(x, a, np.zeros(factor.r), model, mc, alpha,
-                                 [_identity(evaluator)])
-        (cal,) = _calibrated(_get_default_cache(), keys, [evaluator], model, mc, alpha)
+        (cal,), _ = _calibrated(_get_default_cache(), x, a, np.zeros(factor.r), model, mc,
+                                alpha, [evaluator])
         lambda_alpha = cal.lambda_alpha
     return ConfidenceRegion(lambda_alpha, factor, y, evaluator)
 

@@ -9,6 +9,12 @@ the level estimate of the same configuration and results do not depend
 on thread count. A cell seeds all of its replicates' keys in one
 vectorised pass; each draws what ``substream`` with that key would.
 
+The harness takes its calibrations from the process cache of ``inference``,
+keyed on the design its evaluators are bound to, H0, the null model and
+(m_calib, alpha, seed), so a gaussian entry is the one ``run_test`` makes
+for the same test. The grid and n_reps change no calibration: a rerun, or
+a level run after a power run, draws no null batch.
+
 The likelihood-ratio baseline fits the replicates of a cell together:
 the IRLS fit is batched over response columns (closed form for the
 gaussian family), and ``fit_glm_irls`` is its one-column case. Every
@@ -23,20 +29,24 @@ from typing import Sequence, Union
 import numpy as np
 
 from .calibration import (
-    CompositeCalibration,
-    _calibrate_kappa,
     _check_bernoulli,
     _composite_pair,
     _composite_values,
     _plugin_null,
     _substreams,
-    calibrate_many,
     gaussian_pivotal_null,
     substream,
 )
 from .core import DesignMatrix, SubsetHypothesis, _as_response, build_reduction, glm_family
 from .exceptions import InvalidSpec, NotApplicable, OverflowGuard, RankDeficient
-from .inference import _DEGENERATE_NOTE, TestResult, _coerce_inputs
+from .inference import (
+    _DEGENERATE_NOTE,
+    McConfig,
+    TestResult,
+    _calibrated,
+    _coerce_inputs,
+    _get_default_cache,
+)
 from .statistics import (
     GLM_FAMILIES,
     StatValue,
@@ -111,6 +121,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.family not in ("gaussian", "bernoulli", "poisson"):
             raise InvalidSpec(f"unknown family {self.family!r}")
+        if self.n_reps < 1:
+            raise InvalidSpec(f"n_reps must be at least 1, got {self.n_reps}")
         if not np.isfinite([self.beta0, *self.theta_grid]).all():
             raise InvalidSpec("beta0 and every theta must be finite")
         for s in self.s_values:
@@ -240,9 +252,10 @@ class _Harness:
         return build_evaluator(spec, self.x_full, hyp=self.hyp, red=self.red)
 
     def _prepare_statistics(self):
-        """Bind the statistics of the config and calibrate them. The mc
-        statistics and the composite components are calibrated on one
-        batch-0 draw; each composite then draws its own batch 1."""
+        """Bind the statistics of the config and take their calibrations
+        from the process cache. On a miss the mc statistics and the
+        composite components are calibrated on one batch-0 draw, and each
+        composite draws its own batch 1."""
         cfg = self.cfg
         gaussian = cfg.family == "gaussian"
         self.entries = []
@@ -264,16 +277,18 @@ class _Harness:
                 self.evaluators.append(ev)
         if not self.evaluators:
             return
-        model = self._null_model()
-        cals = dict(zip(self.evaluators, calibrate_many(
-            self.evaluators, model, cfg.m_calib, cfg.alpha, cfg.seed)))
+        composites = [entry for entry in self.entries if entry[0] == "composite"]
+        cals, comps = _calibrated(
+            _get_default_cache(), self.x_full if gaussian else self.x_cov,
+            self.hyp.a_matrix, self.hyp.c_vector, self._null_model(),
+            McConfig(cfg.m_calib, cfg.seed), cfg.alpha, self.evaluators,
+            [entry[1] for entry in composites])
+        cals = dict(zip(self.evaluators, cals))
         for entry in self.entries:
             if entry[0] == "mc":
                 entry[2] = cals[entry[1]]
-            elif entry[0] == "composite":
-                ev1, ev2 = entry[1]
-                entry[2] = CompositeCalibration(cals[ev1], cals[ev2], _calibrate_kappa(
-                    ev1, ev2, cals[ev1], cals[ev2], model, cfg.m_calib, cfg.alpha, cfg.seed))
+        for entry, comp in zip(composites, comps):
+            entry[2] = comp
 
     def simulate_cell(self, s, theta):
         cfg = self.cfg
@@ -335,8 +350,9 @@ class _Harness:
 
 
 def estimate_power(cfg, threads=1):
-    """Rejection rate per (statistic, s, theta) cell, calibrating once per
-    (design, statistic) and reusing across the whole grid."""
+    """Rejection rate per (statistic, s, theta) cell. Each statistic is
+    calibrated once per design, through the process cache, and that
+    calibration serves the whole grid."""
     harness = _Harness(cfg)
     cells = [(s, theta) for s in cfg.s_values for theta in cfg.theta_grid]
     if threads > 1 and len(cells) > 1:

@@ -465,26 +465,33 @@ class TestCmdRegion:
 
 
 class TestCacheDirectory:
-    def test_region_rerun_reads_the_cache(self, dataset, tmp_path):
-        # separate processes share calibrations only through the directory
-        data, _ = dataset
-        hyp = tmp_path / "h1.json"
-        hyp.write_text(json.dumps({"A": [[0.0, 1.0, -1.0, 0.0]], "c": [0.0]}))
-        cache = tmp_path / "cache"
+    # separate processes share calibrations only through the directory
+
+    @staticmethod
+    def _run(argv, cache_dir=None):
+        """``threshtest`` with ``argv`` in a new process, with
+        THRESHTEST_CACHE_DIR set to ``cache_dir`` when given, unset otherwise."""
         env = {k: v for k, v in os.environ.items() if k != "THRESHTEST_CACHE_DIR"}
         env["PYTHONPATH"] = os.pathsep.join(
             [os.path.dirname(os.path.dirname(threshtest.__file__))]
             + [p for p in [env.get("PYTHONPATH")] if p])
+        if cache_dir:
+            env["THRESHTEST_CACHE_DIR"] = str(cache_dir)
+        subprocess.run([sys.executable, "-m", "threshtest.cli", *argv],
+                       env=env, check=True, timeout=120)
+
+    def test_region_rerun_reads_the_cache(self, dataset, tmp_path):
+        data, _ = dataset
+        hyp = tmp_path / "h1.json"
+        hyp.write_text(json.dumps({"A": [[0.0, 1.0, -1.0, 0.0]], "c": [0.0]}))
+        cache = tmp_path / "cache"
 
         def region(name, cache_dir=None):
             out = tmp_path / f"{name}.csv"
             svg = tmp_path / f"{name}.svg"
-            run_env = dict(env, THRESHTEST_CACHE_DIR=str(cache_dir)) if cache_dir else env
-            subprocess.run([sys.executable, "-m", "threshtest.cli", "region", "--data",
-                            str(data), "--response", "y", "--intercept", "--hypothesis",
-                            str(hyp), "--grid=-3:3:41", "--mc", "300", "--seed", "7",
-                            "--out", str(out), "--plot", str(svg)],
-                           env=run_env, check=True, timeout=120)
+            self._run(["region", "--data", str(data), "--response", "y", "--intercept",
+                       "--hypothesis", str(hyp), "--grid=-3:3:41", "--mc", "300",
+                       "--seed", "7", "--out", str(out), "--plot", str(svg)], cache_dir)
             return out.read_bytes(), svg.read_bytes()
 
         plain = region("plain")
@@ -493,6 +500,41 @@ class TestCacheDirectory:
         assert len(files) == 1
         assert region("warm", cache) == plain
         assert {p.name: p.read_bytes() for p in cache.iterdir()} == files
+
+    def test_study_rerun_reads_the_cache(self, tmp_path):
+        # a second power run, and a level run of the same config, read every
+        # calibration from the directory and write no file into it
+        doc = {"scenarios": [
+            {"n": 30, "p": 4, "m_calib": 199, "n_reps": 40, "theta_grid": [0.0, 1.0],
+             "s_values": [1, 2], "statistics": ["sqrt_affine_lasso", "composite"], "seed": 3},
+            {"n": 30, "p": 4, "family": "bernoulli", "beta0": 0.0, "m_calib": 199,
+             "n_reps": 40, "theta_grid": [0.0, 1.0], "s_values": [1],
+             "statistics": ["glm_score_sup", "composite"], "seed": 4},
+        ]}
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps(doc))
+        cache = tmp_path / "cache"
+
+        def study(command, name, cache_dir=None):
+            out = tmp_path / f"{name}.csv"
+            svg = tmp_path / f"{name}.svg"
+            self._run([command, "--config", str(cfg), "--out", str(out), "--plot", str(svg)],
+                      cache_dir)
+            return [(tmp_path / f"{name}.csv.scenario{i}.csv").read_bytes()
+                    for i in (1, 2)] + [svg.read_bytes()]
+
+        def files():
+            return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in cache.iterdir()}
+
+        plain = study("power", "plain")
+        assert study("power", "cold", cache) == plain
+        written = files()
+        # per scenario: the sup and group components and the composite values
+        assert len(written) == 6
+        assert study("power", "warm", cache) == plain
+        assert files() == written
+        assert study("level", "level", cache) == study("level", "level_plain")
+        assert files() == written
 
 
 class TestManifestDigest:
@@ -647,6 +689,24 @@ class TestCmdPower:
         assert main(["power", "--config", str(cfg), "--out", str(out)]) == 0
         assert (tmp_path / "grid.csv.scenario1.csv").exists()
         assert (tmp_path / "grid.csv.scenario2.csv").exists()
+
+    @pytest.mark.parametrize("scenarios", [5, [], {"n": 20}, ["n"]],
+                             ids=["number", "empty", "object", "string_entry"])
+    def test_scenarios_must_be_a_list_of_objects(self, tmp_path, capsys, scenarios):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenarios": scenarios}))
+        out = tmp_path / "o.csv"
+        assert main(["power", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "key 'scenarios'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("n_reps", [0, -1])
+    def test_fewer_than_one_replicate_exit_2(self, tmp_path, capsys, n_reps):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 20, "p": 3, "seed": 0, "n_reps": n_reps,
+                                   "statistics": ["sqrt_affine_lasso"]}))
+        assert main(["level", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        assert "n_reps" in capsys.readouterr().err
 
     def test_bad_config_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.json"

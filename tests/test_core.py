@@ -280,6 +280,17 @@ class TestValidation:
         assert hyp.row_partition == ((2, 0), (1,))
         assert all(type(i) is int for block in hyp.row_partition for i in block)
 
+    @pytest.mark.parametrize("j0", [1.0, 1.5, True, np.bool_(True), "1", None],
+                             ids=["integral_float", "fraction", "bool", "numpy_bool",
+                                  "string", "none"])
+    def test_subset_j0_takes_integers_only(self, j0):
+        with pytest.raises(DimensionMismatch, match="j0 must be an integer"):
+            SubsetHypothesis(j0, np.zeros(3))
+
+    def test_subset_j0_takes_numpy_integers(self):
+        hyp = SubsetHypothesis(np.int64(1), np.zeros(3)).expand(4)
+        np.testing.assert_array_equal(hyp.a_matrix, np.eye(4)[1:])
+
     def test_subset_expansion_exact(self):
         hyp = SubsetHypothesis(2, np.array([1.0, 2.0])).expand(4)
         np.testing.assert_array_equal(

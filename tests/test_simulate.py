@@ -1,5 +1,7 @@
 """Simulation harness: generators, power/level grids, baselines."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,8 +23,9 @@ from threshtest import (
     gen_response,
     glm_family,
 )
-from threshtest import calibration, simulate
+from threshtest import calibration, inference, simulate
 from threshtest.calibration import calibrate_composite, calibrate_many, substream
+from threshtest.inference import McConfig, run_test
 from threshtest.simulate import _Harness, fit_glm_irls
 from threshtest.statistics import Evaluator, StatisticSpec
 from threshtest.exceptions import (
@@ -218,6 +221,7 @@ class TestPowerGrid:
 
         monkeypatch.setattr(calibration, "_substreams", per_key)
         monkeypatch.setattr(simulate, "_substreams", per_key)
+        monkeypatch.setattr(inference, "_default_cache", None)  # calibrate again
         reference = estimate_power(cfg)
         assert [r.as_csv_row() for r in batched] == [r.as_csv_row() for r in reference]
 
@@ -244,6 +248,7 @@ class TestPowerGrid:
 
         monkeypatch.setattr(calibration, "_simulate_batch", counted_draw)
         monkeypatch.setattr(Evaluator, "_parts", counted_parts)
+        monkeypatch.setattr(inference, "_default_cache", None)  # a cold run
         rows = estimate_power(cfg)
         assert sorted(batches) == [0, 1]
         assert sorted(passes) == [50] * 3 + [200] * 2
@@ -266,6 +271,56 @@ class TestPowerGrid:
         alone.sort(key=lambda r: (r.statistic_id, r.s, r.theta))
         assert [r.as_csv_row() for r in alone] == [r.as_csv_row() for r in reference]
 
+    @pytest.mark.parametrize("family,beta0,stat", [
+        ("gaussian", -2.0, StatisticSpec("sqrt_affine_lasso")),
+        ("bernoulli", 0.0, StatisticSpec("glm_score_sup", glm_family="bernoulli")),
+    ])
+    def test_level_after_power_draws_no_calibration(self, monkeypatch, family, beta0, stat):
+        # the grid and n_reps change no calibration, so a level run after a
+        # power run of one config reads every calibration from the cache
+        cfg = self._cfg(family=family, beta0=beta0, statistics=(stat, "composite"),
+                        theta_grid=(0.0, 0.5), s_values=(1, 2), n_reps=60)
+        cold = estimate_level(cfg)
+        monkeypatch.setattr(inference, "_default_cache", None)
+        estimate_power(cfg)
+        batches = []
+        draw = calibration._simulate_batch
+
+        def counted_draw(model, seed, m_draws, batch):
+            batches.append(batch)
+            return draw(model, seed, m_draws, batch)
+
+        monkeypatch.setattr(calibration, "_simulate_batch", counted_draw)
+        warm = estimate_level(cfg)
+        assert batches == []
+        assert [r.as_csv_row() for r in warm] == [r.as_csv_row() for r in cold]
+        estimate_power(dataclasses.replace(cfg, theta_grid=(0.3,), n_reps=20))
+        assert batches == []
+
+    def test_harness_reads_the_run_test_calibration(self, monkeypatch):
+        # a gaussian harness keys its calibration as run_test does for the
+        # same (X, H0, statistic, M, alpha, seed), so after that run_test
+        # it draws only the responses, whose keys start with 1
+        cfg = self._cfg(theta_grid=(0.0, 1.0), n_reps=50)
+        cold = estimate_power(cfg)
+        harness = _Harness(cfg)
+        monkeypatch.setattr(inference, "_default_cache", None)
+        y = np.random.default_rng(0).standard_normal(cfg.n)
+        run_test(y, harness.x_full, harness.hyp, StatisticSpec("sqrt_affine_lasso"),
+                 alpha=cfg.alpha, mc=McConfig(cfg.m_calib, cfg.seed))
+        prefixes = []
+        substreams = calibration._substreams
+
+        def counted(seed, *prefix, count):
+            prefixes.append(prefix)
+            return substreams(seed, *prefix, count=count)
+
+        monkeypatch.setattr(calibration, "_substreams", counted)
+        monkeypatch.setattr(simulate, "_substreams", counted)
+        warm = estimate_power(cfg)
+        assert prefixes and all(prefix[0] == 1 for prefix in prefixes)
+        assert [r.as_csv_row() for r in warm] == [r.as_csv_row() for r in cold]
+
     @pytest.mark.parametrize("family,beta0", [("gaussian", -2.0), ("bernoulli", 0.0)])
     def test_lrt_rejects_equal_per_replicate_baseline(self, family, beta0):
         cfg = self._cfg(family=family, beta0=beta0, statistics=("lrt",), n_reps=300)
@@ -287,6 +342,11 @@ class TestPowerGrid:
     def test_non_finite_theta_or_beta0_is_invalid(self, kw):
         with pytest.raises(InvalidSpec):
             ExperimentConfig(n=20, p=3, **kw)
+
+    @pytest.mark.parametrize("n_reps", [0, -1])
+    def test_fewer_than_one_replicate_is_invalid(self, n_reps):
+        with pytest.raises(InvalidSpec, match="n_reps"):
+            ExperimentConfig(n=20, p=3, n_reps=n_reps)
 
     def test_baseline_requires_p_less_than_n(self):
         with pytest.raises(InvalidSpec):
