@@ -18,15 +18,19 @@ once and evaluated by ``evaluate_many``, so statistics that share a
 reduction (or a GLM design and family) share one residual/score pass.
 
 The composite test takes max(lambda_0^(1)/lambda_alpha^(1),
-lambda_0^(2)/lambda_alpha^(2)) (``_composite_values``) of a component pair
-(``_composite_pair`` gives the default one). ``calibrate_composite``
-calibrates the components on batch 0 and kappa_alpha on the composite
-values of an independent batch 1 (``_calibrate_kappa``). All three are
-``CalibrationResult``s from one sort/order-statistic step
-(``_order_stat``); the composite one has the statistic id
-``composite(id1,id2)``. A ``CompositeCalibration`` holds the three, and
-``p_value`` counts the draws of a ``CalibrationResult`` or the composite
-values of a ``CompositeCalibration`` alike.
+lambda_0^(2)/lambda_alpha^(2)) of a component pair (``_composite_pair``
+gives the default one): a ``Composite`` evaluator, calibrated like any
+other statistic. ``calibrate_composite`` calibrates the components on
+batch 0 and the Composite at their thresholds on an independent batch 1;
+that calibration's threshold is kappa_alpha and its statistic id is
+``composite(id1,id2)``. Each is a ``CalibrationResult`` from one
+sort/order-statistic step (``_order_stat``). A ``CompositeCalibration``
+holds the three, and ``p_value`` counts the draws of a
+``CalibrationResult`` or the composite values of a
+``CompositeCalibration`` alike.
+
+``_check_alpha`` refuses an alpha outside (0, 1) on every path, exact tests
+included; ``_check_count``, a seed or draw count that is not an integer >= 0.
 """
 
 import math
@@ -38,10 +42,17 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DesignMatrix, GlmFamily, LinearHypothesis, ReducedProblem, _as_response
-from .exceptions import DomainError, InsufficientDraws, StatisticMismatch
+from .core import (
+    DesignMatrix,
+    GlmFamily,
+    LinearHypothesis,
+    ReducedProblem,
+    _as_response,
+    _is_index,
+)
+from .exceptions import DomainError, InsufficientDraws, InvalidSpec, StatisticMismatch
 from .statistics import (
-    Evaluator,
+    Composite,
     StatisticSpec,
     StatValue,
     build_evaluator,
@@ -331,10 +342,22 @@ class CompositeCalibration:
     seed = _of_kappa("seed")
 
 
-def order_stat_index(m_draws, alpha):
-    """1-based order-statistic index k = ceil((M+1)(1-alpha))."""
+def _check_alpha(alpha):
+    """InsufficientDraws unless 0 < alpha < 1; NaN is refused too."""
     if not 0.0 < alpha < 1.0:
         raise InsufficientDraws(f"alpha must be in (0,1), got {alpha}")
+
+
+def _check_count(name, value):
+    """InvalidSpec unless ``value`` is a non-negative integer; a bool or a
+    whole float is refused, as numpy's generators refuse it."""
+    if not _is_index(value) or value < 0:
+        raise InvalidSpec(f"{name} must be a non-negative integer, got {value!r}")
+
+
+def order_stat_index(m_draws, alpha):
+    """1-based order-statistic index k = ceil((M+1)(1-alpha))."""
+    _check_alpha(alpha)
     if m_draws < math.ceil(1.0 / alpha) - 1:
         raise InsufficientDraws(
             f"M = {m_draws} < ceil(1/alpha) - 1 = {math.ceil(1.0 / alpha) - 1}"
@@ -346,9 +369,10 @@ def order_stat_index(m_draws, alpha):
 
 
 def _resolve_evaluator(stat, model):
-    if isinstance(stat, Evaluator):
-        return stat
-    return build_evaluator(stat, model.design, hyp=model.hyp, red=model.reduced)
+    """A StatisticSpec bound to the model; an Evaluator or Composite as it is."""
+    if isinstance(stat, StatisticSpec):
+        return build_evaluator(stat, model.design, hyp=model.hyp, red=model.reduced)
+    return stat
 
 
 def calibrate(stat, model, m_draws, alpha, seed):
@@ -358,6 +382,8 @@ def calibrate(stat, model, m_draws, alpha, seed):
 
 def calibrate_many(stats, model, m_draws, alpha, seed, batch=0):
     """Calibrate several statistics on one shared batch of null draws."""
+    _check_count("m_draws", m_draws)
+    _check_count("seed", seed)
     k = order_stat_index(m_draws, alpha)
     evaluators = [_resolve_evaluator(s, model) for s in stats]
     y0 = _simulate_batch(model, seed, m_draws, batch)
@@ -406,45 +432,10 @@ def calibrate_composite(stat1, stat2, model, m_draws, alpha, seed):
     max(lambda_0^(1)/lambda_alpha^(1), lambda_0^(2)/lambda_alpha^(2)).
     """
     ev1, ev2 = (_resolve_evaluator(s, model) for s in (stat1, stat2))
-    cal1, cal2 = calibrate_many([ev1, ev2], model, m_draws, alpha, seed, batch=0)
+    cal1, cal2 = calibrate_many([ev1, ev2], model, m_draws, alpha, seed)
+    composite = Composite(ev1, ev2, cal1.lambda_alpha, cal2.lambda_alpha)
     return CompositeCalibration(
-        cal1, cal2, _calibrate_kappa(ev1, ev2, cal1, cal2, model, m_draws, alpha, seed))
-
-
-def _composite_id(id1, id2):
-    """The statistic id of the composite of statistics ``id1`` and ``id2``."""
-    return f"composite({id1},{id2})"
-
-
-def _calibrate_kappa(ev1, ev2, cal1, cal2, model, m_draws, alpha, seed):
-    """The calibration of the composite values of batch 1, given component
-    calibrations ``cal1`` and ``cal2`` taken on batch 0: its threshold is
-    kappa_alpha."""
-    k = order_stat_index(m_draws, alpha)
-    y0 = _simulate_batch(model, seed, m_draws, batch=1)
-    comp, _ = _composite_values(evaluate_many([ev1, ev2], y0), cal1, cal2)
-    comp, kappa_alpha = _order_stat(comp, k)
-    return CalibrationResult(
-        sorted_null_stats=comp,
-        lambda_alpha=kappa_alpha,
-        alpha=alpha,
-        m_draws=m_draws,
-        seed=seed,
-        statistic_id=_composite_id(ev1.statistic_id, ev2.statistic_id),
-    )
-
-
-def _composite_values(results, cal1, cal2):
-    """(values, degenerate mask) of the composite statistic
-    max(lambda_0^(1)/lambda_alpha^(1), lambda_0^(2)/lambda_alpha^(2)) from
-    the component results [(values, degenerate mask)] * 2. A column is
-    degenerate when either component is; a degenerate component counts as
-    +inf, so degenerate draws sort last. Only the other draws are divided,
-    so a threshold of +inf takes them to 0, not a degenerate one to NaN."""
-    (_, d1), (_, d2) = results
-    ratio1, ratio2 = (np.divide(v, cal.lambda_alpha, out=np.full(v.shape, np.inf), where=~d)
-                      for (v, d), cal in zip(results, (cal1, cal2)))
-    return np.maximum(ratio1, ratio2), d1 | d2
+        cal1, cal2, calibrate_many([composite], model, m_draws, alpha, seed, batch=1)[0])
 
 
 def _composite_pair(n_rows, glm_family=None):

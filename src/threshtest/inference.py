@@ -2,10 +2,12 @@
 
 ``run_test`` wires hypothesis reduction, calibration (cached), statistic
 evaluation and the rejection rule together; ``run_composite`` does the
-same for the max-of-ratios composite test, and ``fisher_weighted`` runs
-the exact F-test. All three decide through ``_decide``: a degenerate
-statistic gives p = 1, no rejection and a note; any other statistic
-rejects when it exceeds its threshold. Confidence regions invert the
+same for the max-of-ratios composite test, whose ``Composite`` evaluator
+is calibrated like any other statistic, and ``fisher_weighted`` runs the
+exact F-test. All three decide through ``_decide``, the two Monte-Carlo
+tests through one tail, ``_decide_calibrated``: a degenerate statistic
+gives p = 1, no rejection and a note; any other statistic rejects when
+it exceeds its threshold. Confidence regions invert the
 square-root (scale-pivotal) tests, so one calibration at c = 0 serves
 every candidate c. A ``ConfidenceRegion`` is the one place lambda_CR(c) is
 evaluated: it keeps the reduction factor of (X, A) and the evaluator it
@@ -13,7 +15,7 @@ calibrated at c = 0, and each candidate adds only ``beta_c``, ``X beta_c``
 and one residual pass of y - X beta_c through that evaluator.
 
 Every Monte-Carlo calibration goes through one ``CalibrationCache`` under
-one key function, ``_calibration_keys``, by one helper, ``_calibrated``.
+one key function, ``_calibration_key``, by one helper, ``_calibrated``.
 ``run_test`` (unless given a cache), ``run_composite``,
 ``confidence_region`` and the power harness of ``simulate``
 (``estimate_power`` and ``estimate_level``) use the process cache: up to
@@ -34,11 +36,9 @@ import numpy as np
 
 from .calibration import (
     CalibrationResult,
-    CompositeCalibration,
-    _calibrate_kappa,
-    _composite_id,
+    _check_alpha,
+    _check_count,
     _composite_pair,
-    _composite_values,
     calibrate_many,
     gaussian_pivotal_null,
     glm_plugin_null,
@@ -56,6 +56,7 @@ from .exceptions import NotApplicable, UnsupportedDimension
 from .statistics import (
     GLM_FAMILIES,
     SQRT_FAMILIES,
+    Composite,
     Evaluator,
     StatisticSpec,
     StatValue,
@@ -63,7 +64,6 @@ from .statistics import (
     _f_sf,
     _fisher_batch,
     build_evaluator,
-    evaluate_many,
 )
 
 __all__ = [
@@ -81,10 +81,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte-Carlo settings shared by all calibrated tests."""
+    """Monte-Carlo settings shared by all calibrated tests: non-negative integers."""
 
     m_draws: int = 2000
     seed: int = 0
+
+    def __post_init__(self):
+        _check_count("m_draws", self.m_draws)
+        _check_count("seed", self.seed)
 
 
 @dataclass(frozen=True)
@@ -125,29 +129,25 @@ def _update(hasher, *parts):
         hasher.update(b"|")
 
 
-def _identity(evaluator):
-    """What keys an evaluator's calibration besides the data: its statistic
-    id, and the block ids, which change a group statistic but not its id."""
-    return evaluator.statistic_id, evaluator.block_ids
+def _calibration_key(x, a_matrix, c_vector, model, mc, alpha):
+    """The function that maps an Evaluator or a Composite to the cache key of
+    its calibration on design ``x`` under H0: A beta = c with null model
+    ``model``.
 
-
-def _calibration_keys(x, a_matrix, c_vector, model, mc, alpha, statistics):
-    """The cache key of each calibration on design ``x`` under H0: A beta = c
-    with null model ``model``; ``statistics`` holds one :func:`_identity`
-    (or, for a composite, its id and both components' block ids) per key.
-
-    The intercept column changes lad_sign's centering without changing its
-    id, so it is keyed too. (X, its intercept column, A, c) is hashed once
-    and the hasher copied for each key, so a composite makes one pass over X.
+    A key digests the statistic id and its components' block ids, which
+    change a group statistic but not its id. The intercept column changes
+    lad_sign's centering without changing its id, so it is keyed too.
+    (X, its intercept column, A, c) is hashed once, for every key.
     """
     prefix = hashlib.sha256()
     _update(prefix, x.values, x.intercept_column, a_matrix, c_vector)
-    keys = []
-    for statistic in statistics:
+
+    def key(statistic):
         hasher = prefix.copy()
-        _update(hasher, *statistic, mc.m_draws, alpha, mc.seed, model.kind, model.null_mean)
-        keys.append(hasher.hexdigest())
-    return keys
+        _update(hasher, statistic.statistic_id, *(ev.block_ids for ev in statistic.components),
+                mc.m_draws, alpha, mc.seed, model.kind, model.null_mean)
+        return hasher.hexdigest()
+    return key
 
 
 def _load_consistent(path, header):
@@ -232,39 +232,33 @@ def _get_default_cache():
 
 def _calibrated(cache, x, a_matrix, c_vector, model, mc, alpha, evaluators, pairs=()):
     """The batch-0 calibration of each evaluator on design ``x`` under
-    H0: A beta = c with null model ``model``, and the CompositeCalibration
-    of each (ev1, ev2) pair of them; every calibration is read from, or
-    stored in, ``cache`` under its key from :func:`_calibration_keys`.
+    H0: A beta = c with null model ``model``, and for each (ev1, ev2) pair
+    of them the Composite at their thresholds with its batch-1 calibration,
+    each read from, or stored in, ``cache`` under its :func:`_calibration_key`.
 
-    The first batch-0 miss computes them all in one ``calibrate_many``
-    call; by ``evaluate_many``'s contract each equals the evaluator's own
-    calibration bit for bit. A pair's kappa calibration draws batch 1 and
-    is keyed by its composite id and both components' block ids.
+    The first miss of a batch calibrates all of that batch's statistics in
+    one ``calibrate_many`` call; by ``evaluate_many``'s contract each equals
+    the statistic's own calibration bit for bit.
     """
-    composite_ids = [_composite_id(ev1.statistic_id, ev2.statistic_id) for ev1, ev2 in pairs]
-    keys = _calibration_keys(
-        x, a_matrix, c_vector, model, mc, alpha,
-        [_identity(ev) for ev in evaluators]
-        + [(cid, ev1.block_ids, ev2.block_ids) for cid, (ev1, ev2) in zip(composite_ids, pairs)])
-    batch = []
+    key = _calibration_key(x, a_matrix, c_vector, model, mc, alpha)
 
-    def compute(i):
-        if not batch:
-            batch.extend(calibrate_many(evaluators, model, mc.m_draws, alpha, mc.seed))
-        return batch[i]
+    def cached(statistics, batch):
+        computed = []
 
-    cals = [cache._get(key, lambda i=i: compute(i),
-                       (ev.statistic_id, mc.m_draws, alpha, mc.seed))
-            for i, (key, ev) in enumerate(zip(keys, evaluators))]
-    of = dict(zip(evaluators, cals))
-    composites = []
-    for (ev1, ev2), cid, key in zip(pairs, composite_ids, keys[len(evaluators):]):
-        cal1, cal2 = of[ev1], of[ev2]
-        composites.append(CompositeCalibration(cal1, cal2, cache._get(
-            key,
-            lambda: _calibrate_kappa(ev1, ev2, cal1, cal2, model, mc.m_draws, alpha, mc.seed),
-            (cid, mc.m_draws, alpha, mc.seed))))
-    return cals, composites
+        def compute(i):
+            if not computed:
+                computed.extend(calibrate_many(statistics, model, mc.m_draws, alpha, mc.seed,
+                                               batch))
+            return computed[i]
+
+        return [cache._get(key(stat), lambda i=i: compute(i),
+                           (stat.statistic_id, mc.m_draws, alpha, mc.seed))
+                for i, stat in enumerate(statistics)]
+
+    cals = cached(evaluators, 0)
+    threshold = {ev: cal.lambda_alpha for ev, cal in zip(evaluators, cals)}
+    composites = [Composite(ev1, ev2, threshold[ev1], threshold[ev2]) for ev1, ev2 in pairs]
+    return cals, list(zip(composites, cached(composites, 1)))
 
 
 def _coerce_inputs(y, x, hyp):
@@ -299,6 +293,14 @@ def _decide(observed, lambda_alpha, p, alpha, statistic_id, mc=McConfig(m_draws=
     )
 
 
+def _decide_calibrated(statistic, cal, y, alpha, mc, note=_DEGENERATE_NOTE):
+    """The TestResult of an Evaluator or a Composite on ``y`` against its
+    Monte-Carlo calibration ``cal``."""
+    observed = statistic.evaluate(y)
+    return _decide(observed, cal.lambda_alpha, mc_p_value(observed, cal), alpha,
+                   cal.statistic_id, mc, note)
+
+
 def _fisher_exact_test(y, x, hyp, stat, alpha):
     """Exact-F calibration of the Fisher-weighted thresholding test.
 
@@ -306,6 +308,7 @@ def _fisher_exact_test(y, x, hyp, stat, alpha):
     F-test, whose null distribution is known exactly, so no Monte-Carlo
     step is needed.
     """
+    _check_alpha(alpha)
     fisher = _fisher_batch(x, hyp, y[:, None])
     f_crit = float(_f_ppf(1.0 - alpha, fisher.df1, fisher.df2))
     lam_alpha = float(np.sqrt(f_crit * fisher.s2[0] * fisher.df1))
@@ -349,9 +352,7 @@ def run_test(y, x, hyp, stat, alpha=0.05, mc=McConfig(), cache=None):
         cache = _get_default_cache()
     (cal,), _ = _calibrated(cache, x, hyp.a_matrix, hyp.c_vector, model, mc, alpha,
                             [evaluator])
-    observed = evaluator.evaluate(y)
-    return _decide(observed, cal.lambda_alpha, mc_p_value(observed, cal), alpha,
-                   cal.statistic_id, mc)
+    return _decide_calibrated(evaluator, cal, y, alpha, mc)
 
 
 def run_composite(y, x, hyp, stat1=None, stat2=None, alpha=0.05, mc=McConfig()):
@@ -367,12 +368,9 @@ def run_composite(y, x, hyp, stat1=None, stat2=None, alpha=0.05, mc=McConfig()):
     y, x, hyp = _coerce_inputs(y, x, hyp)
     default1, default2 = _composite_pair(hyp.r)
     evaluators, model = _bind([stat1 or default1, stat2 or default2], y, x, hyp)
-    (cal1, cal2), (comp,) = _calibrated(_get_default_cache(), x, hyp.a_matrix, hyp.c_vector,
-                                        model, mc, alpha, evaluators, [tuple(evaluators)])
-    values, degen = _composite_values(evaluate_many(evaluators, y[:, None]), cal1, cal2)
-    observed = StatValue(0.0, degenerate=True) if degen[0] else StatValue(float(values[0]))
-    return _decide(observed, comp.kappa_alpha, mc_p_value(observed, comp), alpha,
-                   comp.statistic_id, mc, note=_COMPONENT_NOTE)
+    _, ((composite, cal),) = _calibrated(_get_default_cache(), x, hyp.a_matrix, hyp.c_vector,
+                                         model, mc, alpha, evaluators, [tuple(evaluators)])
+    return _decide_calibrated(composite, cal, y, alpha, mc, _COMPONENT_NOTE)
 
 
 def _require_pivotal(stat):

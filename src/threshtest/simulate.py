@@ -13,7 +13,9 @@ The harness takes its calibrations from the process cache of ``inference``,
 keyed on the design its evaluators are bound to, H0, the null model and
 (m_calib, alpha, seed), so a gaussian entry is the one ``run_test`` makes
 for the same test. The grid and n_reps change no calibration: a rerun, or
-a level run after a power run, draws no null batch.
+a level run after a power run, draws no null batch. A composite is a
+``Composite`` evaluator like the other statistics: a cell evaluates them
+all in one ``evaluate_many`` call and rejects where one exceeds its threshold.
 
 The likelihood-ratio baseline fits the replicates of a cell together:
 the IRLS fit is batched over response columns (closed form for the
@@ -29,9 +31,10 @@ from typing import Sequence, Union
 import numpy as np
 
 from .calibration import (
+    _check_alpha,
     _check_bernoulli,
+    _check_count,
     _composite_pair,
-    _composite_values,
     _plugin_null,
     _substreams,
     gaussian_pivotal_null,
@@ -121,11 +124,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.family not in ("gaussian", "bernoulli", "poisson"):
             raise InvalidSpec(f"unknown family {self.family!r}")
+        _check_alpha(self.alpha)
+        for name in ("n", "p", "m_calib", "seed", "n_reps"):
+            _check_count(name, getattr(self, name))
         if self.n_reps < 1:
             raise InvalidSpec(f"n_reps must be at least 1, got {self.n_reps}")
         if not np.isfinite([self.beta0, *self.theta_grid]).all():
             raise InvalidSpec("beta0 and every theta must be finite")
         for s in self.s_values:
+            _check_count("each of s_values", s)
             if not 0 <= s <= self.p:
                 raise InvalidSpec(f"s = {s} outside [0, {self.p}]")
         for entry in self.statistics:
@@ -254,18 +261,20 @@ class _Harness:
     def _prepare_statistics(self):
         """Bind the statistics of the config and take their calibrations
         from the process cache. On a miss the mc statistics and the
-        composite components are calibrated on one batch-0 draw, and each
-        composite draws its own batch 1."""
+        composite components are calibrated on one batch-0 draw, and the
+        composites on one batch-1 draw. A calibrated entry is ("mc",
+        its Evaluator or Composite, its calibration)."""
         cfg = self.cfg
         gaussian = cfg.family == "gaussian"
         self.entries = []
-        self.evaluators = []  # every calibrated evaluator, in entry order
+        evaluators, pairs = [], []
         for entry in cfg.statistics:
-            if entry == "composite":
-                pair = _composite_pair(cfg.p, None if gaussian else cfg.family)
-                evs = tuple(self._bind(spec) for spec in pair)
-                self.entries.append(["composite", evs, None])
-                self.evaluators.extend(evs)
+            if entry == "composite":  # the pair is replaced by its Composite below
+                pair = tuple(self._bind(spec) for spec in
+                             _composite_pair(cfg.p, None if gaussian else cfg.family))
+                self.entries.append(["mc", pair, None])
+                evaluators.extend(pair)
+                pairs.append(pair)
             elif isinstance(entry, str):
                 self.entries.append((entry, entry, None))  # fisher / lrt baselines
             elif entry.family not in GLM_FAMILIES and not gaussian:
@@ -274,21 +283,18 @@ class _Harness:
             else:
                 ev = self._bind(entry)
                 self.entries.append(["mc", ev, None])
-                self.evaluators.append(ev)
-        if not self.evaluators:
+                evaluators.append(ev)
+        if not evaluators:
             return
-        composites = [entry for entry in self.entries if entry[0] == "composite"]
-        cals, comps = _calibrated(
+        cals, composites = _calibrated(
             _get_default_cache(), self.x_full if gaussian else self.x_cov,
             self.hyp.a_matrix, self.hyp.c_vector, self._null_model(),
-            McConfig(cfg.m_calib, cfg.seed), cfg.alpha, self.evaluators,
-            [entry[1] for entry in composites])
-        cals = dict(zip(self.evaluators, cals))
+            McConfig(cfg.m_calib, cfg.seed), cfg.alpha, evaluators, pairs)
+        calibrated = dict(zip(pairs, composites))
+        calibrated.update((ev, (ev, cal)) for ev, cal in zip(evaluators, cals))
         for entry in self.entries:
             if entry[0] == "mc":
-                entry[2] = cals[entry[1]]
-        for entry, comp in zip(composites, comps):
-            entry[2] = comp
+                entry[1:] = calibrated[entry[1]]
 
     def simulate_cell(self, s, theta):
         cfg = self.cfg
@@ -304,24 +310,19 @@ class _Harness:
         cfg = self.cfg
         y = self.simulate_cell(s, theta)
         rows = []
-        shared = None  # {evaluator: (values, degenerate mask)} on y
-        for kind, ev, artifact in self.entries:
+        shared = None  # {statistic: (values, degenerate mask)} on y
+        for kind, stat, artifact in self.entries:
             if kind == "error":
-                rows.append(PowerRow(ev, cfg.family, s, theta, np.nan, np.nan,
+                rows.append(PowerRow(stat, cfg.family, s, theta, np.nan, np.nan,
                                      cfg.n_reps, status=artifact))
                 continue
             try:
-                if kind in ("mc", "composite"):
+                if kind == "mc":
                     if shared is None:
-                        shared = dict(zip(self.evaluators,
-                                          evaluate_many(self.evaluators, y)))
-                    if kind == "mc":
-                        (vals, degen), threshold = shared[ev], artifact.lambda_alpha
-                    else:
-                        vals, degen = _composite_values([shared[e] for e in ev],
-                                                        artifact.cal_1, artifact.cal_2)
-                        threshold = artifact.kappa_alpha
-                    rejects = ~degen & (vals > threshold)
+                        statistics = [entry[1] for entry in self.entries if entry[0] == "mc"]
+                        shared = dict(zip(statistics, evaluate_many(statistics, y)))
+                    vals, degen = shared[stat]
+                    rejects = ~degen & (vals > artifact.lambda_alpha)
                     sid = artifact.statistic_id
                 elif kind == "fisher":
                     rejects = self._fisher_rejects(y)
@@ -330,7 +331,7 @@ class _Harness:
                     rejects = self._lrt_rejects(y)
                     sid = "baseline_lrt"
             except Exception as exc:  # per-cell failures never abort the grid
-                rows.append(PowerRow(str(ev), cfg.family, s, theta, np.nan, np.nan,
+                rows.append(PowerRow(str(stat), cfg.family, s, theta, np.nan, np.nan,
                                      cfg.n_reps, status=f"error: {exc}"))
                 continue
             power = float(np.mean(rejects))
@@ -380,6 +381,7 @@ def baseline_f_test(y, x, hyp, alpha=0.05):
     result is then degenerate with p = 1 and no rejection. A y that is not
     a finite N-vector raises DimensionMismatch, as in ``run_test``.
     """
+    _check_alpha(alpha)
     y, x, hyp = _coerce_inputs(y, x, hyp)
     fisher = _fisher_batch(x, hyp, y[:, None])
     degenerate = bool(fisher.degenerate[0])
@@ -510,6 +512,7 @@ def baseline_lrt(y, x, family, alpha=0.05):
     against the chi-squared reference with P degrees of freedom. A y that is
     not a finite N-vector raises DimensionMismatch (a bernoulli y outside
     {0, 1}, NaN included, DomainError)."""
+    _check_alpha(alpha)
     if isinstance(x, DesignMatrix):
         x = x.tested_values()
     x = np.asarray(x, dtype=float)

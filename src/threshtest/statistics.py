@@ -4,14 +4,18 @@ Each statistic is a pure function of the data; the affine family also
 needs the precomputed :class:`~threshtest.core.ReducedProblem`. An
 :class:`Evaluator` binds a :class:`StatisticSpec` to its design and
 evaluates N x M response batches for the Monte-Carlo calibration; the
-affine and GLM score functions below are its one-column case.
+scalar statistic functions below are its one-column case.
 
-A family's batch path is a pass over the batch (``_parts``) followed by a
-reduction of its result (``_reduce``). The affine parts are
-z = (A A^T)^{-1} A X^T r, ||r|| and Q^T v; the GLM score parts are
-z = X_tested^T (Y - ybar), sqrt(N xi_hat) and the degenerate mask. The
-statistics of one family on one design differ only in the reduction, so
-``evaluate_many`` computes the parts once for all of them.
+Every statistic is a norm of one score vector z, divided by a scale for
+the square-root, Fisher and GLM score families. An evaluator's batch pass
+(``_parts``) gives (z, scale, degenerate mask) per column: the affine
+(A A^T)^{-1} A X^T r and ||r||, Fisher's lambda_0 as a 1 x M z and S_2,
+lad_sign's X^T sign(y) with no scale, or the GLM score X_tested^T (Y - ybar)
+and sqrt(N xi_hat). One rule (``_reduce``) takes the sup norm or the largest
+block 2-norm of z and divides by the scale where the draw is not degenerate,
+so ``evaluate_many`` makes one pass for a family's statistics on one design.
+A :class:`Composite` is the larger of two evaluators' statistics over their
+thresholds; ``evaluate_many`` evaluates its components in their shared passes.
 """
 
 from dataclasses import dataclass
@@ -55,6 +59,7 @@ __all__ = [
     "glm_score_stat",
     "link_identity_residual",
     "build_evaluator",
+    "Composite",
     "evaluate_many",
 ]
 
@@ -156,30 +161,18 @@ def zt_sqrt_variant(red, x, y, base="lasso", partition=None):
 
 
 def _affine_parts(red, x, y_mat, with_norm):
-    """(z, ||r||, Q^T v) for each column y of an N x M batch, with
+    """(z, ||r||, degenerate mask) for each column y of an N x M batch, with
     v = y - X beta_c, r = (I - Q Q^T) v and z = (A A^T)^{-1} A X^T r;
-    ``||r||`` is None unless ``with_norm``."""
+    ``||r||`` and the mask are None unless ``with_norm``."""
     r_mat, qtv = residual_parts(red, x, y_mat)
     z = red.apply_pseudo(x.values.T @ r_mat)
-    return z, _kernels.norm_cols(r_mat) if with_norm else None, qtv
-
-
-def _affine_reduce(parts, x, group_ids, n_blocks, sqrt):
-    """(values, degenerate mask) of one affine statistic from its parts."""
-    z, denom, qtv = parts
-    if group_ids is None:
-        vals = _kernels.sup_abs_cols(z)
-    else:
-        vals = _kernels.block_max_norm_cols(z, group_ids, n_blocks)
-    if not sqrt:
-        return vals, np.zeros(vals.shape, dtype=bool)
+    if not with_norm:
+        return z, None, None
+    denom = _kernels.norm_cols(r_mat)
     # a y in the null fit space leaves only rounding noise in r, so ||r|| is
     # judged against ||y - X beta_c||^2 = ||r||^2 + ||Q^T v||^2
     scale = np.sqrt(denom * denom + np.sum(qtv * qtv, axis=0))
-    degen = denom <= max(x.n, x.p) * np.finfo(float).eps * scale
-    out = np.zeros_like(vals)
-    np.divide(vals, denom, out=out, where=~degen)
-    return out, degen
+    return z, denom, denom <= max(x.n, x.p) * np.finfo(float).eps * scale
 
 
 def _full_rank_ls(x, hyp):
@@ -295,23 +288,14 @@ def zt_lad(x, y, center="none"):
     median first (the l1 fit of the intercept-only null model) and x
     should contain the tested columns only. sign(0) = 0.
     """
+    if center not in ("none", "median"):
+        raise NotApplicable(f"unknown centering {center!r}")
     if isinstance(x, DesignMatrix):
         x = x.values
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape[0] != y.shape[0]:
-        raise DimensionMismatch("X and y have different numbers of rows")
-    return StatValue(float(_lad_batch(x, y[:, None], center)[0]))
-
-
-def _lad_batch(x_mat, y_mat, center):
-    """||X^T sign(y)||_inf for each column y of an N x M batch, centered
-    first by its own median when ``center="median"``."""
-    if center == "median":
-        y_mat = y_mat - np.median(y_mat, axis=0)[None, :]
-    elif center != "none":
-        raise NotApplicable(f"unknown centering {center!r}")
-    return _kernels.sup_abs_cols(x_mat.T @ np.sign(y_mat))
+    if center == "median":  # a marked intercept makes the evaluator center
+        x = DesignMatrix(np.column_stack([np.ones(x.shape[0]), x]), intercept_column=0)
+    return Evaluator(StatisticSpec("lad_sign"), x).evaluate(y)
 
 
 def sign_test(u, v):
@@ -341,18 +325,6 @@ def _glm_parts(x_mat, y_mat, family):
         xi = ybar * (1.0 - ybar) if family.tag == "bernoulli" else ybar
         degen = xi <= 0.0
     return z, np.sqrt(n * np.where(degen, 1.0, xi)), degen
-
-
-def _glm_reduce(parts, group_ids, n_blocks):
-    """(values, degenerate mask) of one GLM score statistic from its parts."""
-    z, scale, degen = parts
-    if group_ids is None:
-        num = _kernels.sup_abs_cols(z)
-    else:
-        num = _kernels.block_max_norm_cols(z, group_ids, n_blocks)
-    out = np.zeros_like(num)
-    np.divide(num, scale, out=out, where=~degen)
-    return out, degen
 
 
 def glm_score_stat(x, y, family, norm="sup", partition=None):
@@ -394,14 +366,17 @@ class Evaluator:
 
     def __init__(self, spec, x, hyp=None, red=None):
         x = _as_design(x)
+        fam = spec.family
         self.spec = spec
         self.x = x
         self.hyp = hyp
+        self.red = None
         self.statistic_id = spec.fingerprint()
         self.block_ids, self._n_blocks = None, None
+        # whether _reduce divides the norm of z by the pass's scale
+        self._scaled = spec.is_sqrt or fam == "fisher_weighted" or fam in GLM_FAMILIES
         # evaluators with equal keys compute equal parts from one batch
         self._share_key = self
-        fam = spec.family
         if fam in AFFINE_FAMILIES:
             if hyp is None and red is None:
                 raise NotApplicable(f"{fam} requires a hypothesis or a reduction")
@@ -416,48 +391,15 @@ class Evaluator:
             if hyp is None:
                 raise NotApplicable("fisher_weighted requires a hypothesis")
             _full_rank_ls(x, hyp)  # applicability check up front
-            self.red = None
-        elif fam == "lad_sign":
-            self.red = None
-            self._lad_x = x.tested_values()
-            self._lad_center = "median" if x.intercept_column is not None else "none"
-        else:  # glm score families
-            self.red = None
-            self._glm_x = x.tested_values()
-            self._share_key = ("glm", id(x), spec.glm_family.tag)
-            if spec.family == "glm_score_group":
+        else:  # lad_sign and the glm score families read the tested columns
+            self._tested = x.tested_values()
+            if fam in GLM_FAMILIES:
+                self._share_key = ("glm", id(x), spec.glm_family.tag)
+            if fam == "glm_score_group":
                 part = spec.row_partition
                 if part is None:  # default: one block over all tested columns
-                    part = (tuple(range(self._glm_x.shape[1])),)
-                self.block_ids, self._n_blocks = _partition_ids(part, self._glm_x.shape[1])
-
-    def _parts(self, y_mat):
-        """The batch pass this evaluator's reduction reads: the affine and
-        GLM score parts above, or the batch itself for Fisher and lad_sign."""
-        fam = self.spec.family
-        if fam in AFFINE_FAMILIES:
-            return _affine_parts(self.red, self.x, y_mat, with_norm=self.spec.is_sqrt)
-        if fam in GLM_FAMILIES:
-            return _glm_parts(self._glm_x, y_mat, self.spec.glm_family)
-        return y_mat
-
-    def _reduce(self, parts):
-        fam = self.spec.family
-        if fam in AFFINE_FAMILIES:
-            return _affine_reduce(parts, self.x, self.block_ids, self._n_blocks,
-                                  sqrt=self.spec.is_sqrt)
-        if fam == "fisher_weighted":
-            # studentized by S2 so the statistic is pivotal in sigma and
-            # Monte-Carlo calibration under unit-variance nulls is valid
-            fisher = _fisher_batch(self.x, self.hyp, parts)
-            out = np.zeros_like(fisher.lam0)
-            np.divide(fisher.lam0, np.sqrt(fisher.s2), out=out,
-                      where=~fisher.degenerate)
-            return out, fisher.degenerate
-        if fam == "lad_sign":
-            vals = _lad_batch(self._lad_x, parts, self._lad_center)
-            return vals, np.zeros(vals.shape, dtype=bool)
-        return _glm_reduce(parts, self.block_ids, self._n_blocks)
+                    part = (tuple(range(self._tested.shape[1])),)
+                self.block_ids, self._n_blocks = _partition_ids(part, self._tested.shape[1])
 
     def evaluate_batch(self, y_mat):
         """Return (values, degenerate_mask) for an N x M response matrix; a
@@ -468,16 +410,79 @@ class Evaluator:
         vals, degen = self.evaluate_batch(np.asarray(y, dtype=float)[:, None])
         return StatValue(float(vals[0]), degenerate=bool(degen[0]))
 
+    @property
+    def components(self):
+        return (self,)
+
+    def _combine(self, results):
+        return results[0]
+
+    def _parts(self, y_mat):
+        """The batch pass: (z, scale, degenerate mask) for each column of
+        ``y_mat``, with a scale and mask of None where nothing is divided."""
+        fam = self.spec.family
+        if fam in AFFINE_FAMILIES:
+            return _affine_parts(self.red, self.x, y_mat, with_norm=self._scaled)
+        if fam in GLM_FAMILIES:
+            return _glm_parts(self._tested, y_mat, self.spec.glm_family)
+        if fam == "fisher_weighted":
+            # studentized by S2 so the statistic is pivotal in sigma and
+            # Monte-Carlo calibration under unit-variance nulls is valid
+            fisher = _fisher_batch(self.x, self.hyp, y_mat)
+            return fisher.lam0[None, :], np.sqrt(fisher.s2), fisher.degenerate
+        if self.x.intercept_column is not None:  # lad_sign: center by the median
+            y_mat = y_mat - np.median(y_mat, axis=0)[None, :]
+        return self._tested.T @ np.sign(y_mat), None, None
+
+    def _reduce(self, parts):
+        """(values, degenerate mask): the sup norm or the largest block
+        2-norm of z, divided by the scale where the draw is not degenerate."""
+        z, scale, degen = parts
+        if self.block_ids is None:
+            vals = _kernels.sup_abs_cols(z)
+        else:
+            vals = _kernels.block_max_norm_cols(z, self.block_ids, self._n_blocks)
+        if not self._scaled:
+            return vals, np.zeros(vals.shape, dtype=bool)
+        out = np.zeros_like(vals)
+        np.divide(vals, scale, out=out, where=~degen)
+        return out, degen
+
 
 def build_evaluator(spec, x, hyp=None, red=None):
     """Construct the bound evaluator for (spec, X, hypothesis)."""
     return Evaluator(spec, x, hyp=hyp, red=red)
 
 
+class Composite:
+    """The composite statistic max(lambda^(1) / t_1, lambda^(2) / t_2) of two
+    evaluators and their thresholds t_1 and t_2. It is degenerate, with
+    value 0, where either component is; only the other columns are divided,
+    so a threshold of +inf takes them to 0, never a degenerate one to NaN.
+    """
+
+    def __init__(self, ev1, ev2, threshold1, threshold2):
+        self.components = (ev1, ev2)
+        self.thresholds = (threshold1, threshold2)
+        self.statistic_id = f"composite({ev1.statistic_id},{ev2.statistic_id})"
+
+    # evaluated as an Evaluator is: through evaluate_many, with its own _combine
+    evaluate_batch = Evaluator.evaluate_batch
+    evaluate = Evaluator.evaluate
+
+    def _combine(self, results):
+        degen = results[0][1] | results[1][1]
+        ratio1, ratio2 = (np.divide(vals, t, out=np.zeros_like(vals), where=~degen)
+                          for (vals, _), t in zip(results, self.thresholds))
+        return np.maximum(ratio1, ratio2), degen
+
+
 def evaluate_many(evaluators, y_mat):
     """``[ev.evaluate_batch(y_mat) for ev in evaluators]``, with one batch
     pass per set of evaluators that share their parts.
 
+    A Composite is evaluated through its components, and an evaluator that
+    is listed more than once, alone or in a composite, is evaluated once.
     Affine evaluators share parts when they hold the same reduction and
     design, GLM score evaluators when they hold the same design and family;
     Fisher and lad_sign evaluators each make their own pass. A group's
@@ -487,13 +492,15 @@ def evaluate_many(evaluators, y_mat):
     of every evaluator's design raises DimensionMismatch.
     """
     y_mat = np.asarray(y_mat, dtype=float)
-    for ev in evaluators:
+    bound = list(dict.fromkeys(ev for item in evaluators for ev in item.components))
+    for ev in bound:
         if y_mat.ndim != 2 or y_mat.shape[0] != ev.x.n:
             raise DimensionMismatch(
                 f"responses must be N x M with N = {ev.x.n}, got shape {y_mat.shape}")
     groups = {}
-    for ev in evaluators:
+    for ev in bound:
         groups.setdefault(ev._share_key, []).append(ev)
-    parts = {key: max(group, key=lambda ev: ev.spec.is_sqrt)._parts(y_mat)
+    parts = {key: max(group, key=lambda ev: ev._scaled)._parts(y_mat)
              for key, group in groups.items()}
-    return [ev._reduce(parts[ev._share_key]) for ev in evaluators]
+    results = {ev: ev._reduce(parts[ev._share_key]) for ev in bound}
+    return [item._combine([results[ev] for ev in item.components]) for item in evaluators]

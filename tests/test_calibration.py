@@ -33,6 +33,7 @@ from threshtest.exceptions import (
     DimensionMismatch,
     DomainError,
     InsufficientDraws,
+    InvalidSpec,
     StatisticMismatch,
 )
 
@@ -174,6 +175,12 @@ class TestCalibrate:
         *_, model = gaussian_model
         with pytest.raises(InsufficientDraws):
             calibrate(StatisticSpec("sqrt_affine_lasso"), model, 10, 0.05, seed=0)
+
+    @pytest.mark.parametrize("m_draws, seed", [(99.0, 0), (-99, 0), (99, -1), (99, 1.5)])
+    def test_seed_and_draws_are_non_negative_integers(self, gaussian_model, m_draws, seed):
+        *_, model = gaussian_model
+        with pytest.raises(InvalidSpec):
+            calibrate(StatisticSpec("sqrt_affine_lasso"), model, m_draws, 0.05, seed=seed)
 
     def test_sqrt_pivotality_across_c_shift(self):
         # two null models with different c (hence different beta_c shifts):

@@ -219,6 +219,24 @@ class TestExitCodes:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["test", "power"])
+    def test_alpha_outside_unit_interval_exit_2(self, dataset, tmp_path, capsys, command):
+        # the exact-F test and a baseline-only study refuse it, as M-C tests do
+        data, hyp = dataset
+        if command == "power":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"n": 20, "p": 3, "seed": 0, "alpha": 1.5,
+                                       "statistics": ["fisher", "lrt"]}))
+            argv = ["power", "--config", str(cfg)]
+        else:
+            argv = ["test", "--data", str(data), "--response", "y", "--intercept",
+                    "--hypothesis", str(hyp), "--stat", "fisher_weighted", "--alpha", "1.5"]
+        out = tmp_path / "o.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "alpha must be in (0,1)" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestReadHypothesis:
     @pytest.mark.parametrize("doc", [
         {"subset": {"j0": 2.7, "c": [0.0]}},

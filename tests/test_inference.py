@@ -1,5 +1,6 @@
 """End-to-end tests of run_test, run_composite, and confidence regions."""
 
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -29,6 +30,8 @@ from threshtest.statistics import StatisticSpec
 from threshtest.exceptions import (
     DimensionMismatch,
     DomainError,
+    InsufficientDraws,
+    InvalidSpec,
     NotApplicable,
     Untestable,
     UnsupportedDimension,
@@ -432,6 +435,27 @@ class TestOneCalibrationCache:
         cal = CalibrationResult.load(str(tmp_path / "composite" / kappa))
         assert cal.statistic_id == run_composite(y, x, hyp, mc=MC).statistic_id
 
+    def test_cache_file_names_are_pinned(self, process_cache, tmp_path):
+        # a directory that earlier releases filled keeps hitting: the names
+        # are the keys of a run_test entry and of a composite's three entries
+        vals = ((np.arange(48) * 7) % 11 - 5.0).reshape(12, 4)
+        vals[:, 0] = 1.0
+        x = DesignMatrix(vals, intercept_column=0)
+        hyp = LinearHypothesis(np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]]),
+                               np.zeros(2))
+        y = (np.arange(12) * 5) % 7 - 3.0
+        mc = McConfig(m_draws=99, seed=4)
+        run_test(y, x, hyp, "sqrt_affine_lasso", mc=mc,
+                 cache=CalibrationCache(directory=str(tmp_path / "test")))
+        process_cache(str(tmp_path / "composite"))
+        run_composite(y, x, hyp, mc=mc)
+        sqrt_lasso = "cal_c43e3b6736218bb294dc349f71c597976ce6eca8d059bb2aa2235e921c68a80f.txt"
+        assert os.listdir(tmp_path / "test") == [sqrt_lasso]
+        assert sorted(os.listdir(tmp_path / "composite")) == [
+            "cal_4c4526a235430cfb095738b0182c5fd160379f448b49fdec6d5e48d656ef04e5.txt",
+            "cal_9d7702e4c89860b3a1c723eb2d08ab2274e2f99fc94ab500c24eff7b84d47f25.txt",
+            sqrt_lasso]
+
     def test_composite_after_its_components_draws_batch_1(self, process_cache, batches,
                                                           dataset, rng):
         x, hyp = dataset
@@ -444,6 +468,33 @@ class TestOneCalibrationCache:
         assert batches == [0, 0, 1]
         run_composite(y, x, hyp, mc=MC)
         assert batches == [0, 0, 1]
+
+
+class TestMcSettings:
+    """An alpha, a seed or a draw count no valid test exists for raises a
+    typed error on every path, never a plausible-looking result."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, np.nan])
+    @pytest.mark.parametrize("stat", ["fisher_weighted", "sqrt_affine_lasso", "composite"])
+    def test_alpha_outside_unit_interval(self, dataset, rng, stat, alpha):
+        x, hyp = dataset
+        y = rng.standard_normal(x.n)
+        with pytest.raises(InsufficientDraws, match="alpha"):
+            if stat == "composite":
+                run_composite(y, x, hyp, alpha=alpha, mc=MC)
+            else:
+                run_test(y, x, hyp, stat, alpha=alpha, mc=MC)
+
+    @pytest.mark.parametrize("kw", [
+        {"seed": -1}, {"seed": 1.5}, {"seed": True}, {"m_draws": 199.0}, {"m_draws": -1},
+    ], ids=["negative_seed", "float_seed", "bool_seed", "float_draws", "negative_draws"])
+    def test_seed_and_draws_are_non_negative_integers(self, kw):
+        with pytest.raises(InvalidSpec, match=next(iter(kw))):
+            McConfig(**kw)
+
+    def test_zero_draws_and_numpy_integers_are_settings(self):
+        assert McConfig(m_draws=0).m_draws == 0
+        assert McConfig(m_draws=np.int64(99), seed=np.uint32(5)).seed == 5
 
 
 class TestInvalidResponse:

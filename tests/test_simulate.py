@@ -27,10 +27,11 @@ from threshtest import calibration, inference, simulate
 from threshtest.calibration import calibrate_composite, calibrate_many, substream
 from threshtest.inference import McConfig, run_test
 from threshtest.simulate import _Harness, fit_glm_irls
-from threshtest.statistics import Evaluator, StatisticSpec
+from threshtest.statistics import Composite, Evaluator, StatisticSpec
 from threshtest.exceptions import (
     DimensionMismatch,
     DomainError,
+    InsufficientDraws,
     InvalidSpec,
     NotApplicable,
     OverflowGuard,
@@ -260,9 +261,11 @@ class TestPowerGrid:
             kind, ev, _ = harness.entries[0]
             harness.entries[0] = (kind, ev, calibrate_many(
                 [ev], model, cfg.m_calib, cfg.alpha, cfg.seed)[0])
-            kind, (ev1, ev2), _ = harness.entries[1]
-            harness.entries[1] = (kind, (ev1, ev2), calibrate_composite(
-                ev1, ev2, model, cfg.m_calib, cfg.alpha, cfg.seed))
+            kind, composite, _ = harness.entries[1]
+            comp = calibrate_composite(*composite.components, model, cfg.m_calib, cfg.alpha,
+                                       cfg.seed)
+            harness.entries[1] = (kind, Composite(*composite.components, comp.cal_1.lambda_alpha,
+                                                  comp.cal_2.lambda_alpha), comp.cal_kappa)
 
         harness = _Harness(cfg)
         separate(harness)
@@ -348,6 +351,15 @@ class TestPowerGrid:
         with pytest.raises(InvalidSpec, match="n_reps"):
             ExperimentConfig(n=20, p=3, n_reps=n_reps)
 
+    @pytest.mark.parametrize("kw", [
+        {"seed": -3}, {"seed": 1.5}, {"seed": True}, {"m_calib": 99.0}, {"m_calib": -1},
+        {"n_reps": 2.5}, {"n": 20.0}, {"p": 3.0}, {"s_values": (1.5,)},
+    ], ids=["negative_seed", "float_seed", "bool_seed", "float_m_calib", "negative_m_calib",
+            "float_n_reps", "float_n", "float_p", "float_s"])
+    def test_seed_and_counts_are_non_negative_integers(self, kw):
+        with pytest.raises(InvalidSpec, match=next(iter(kw))):
+            ExperimentConfig(**{"n": 20, "p": 3, **kw})
+
     def test_baseline_requires_p_less_than_n(self):
         with pytest.raises(InvalidSpec):
             self._cfg(n=4, p=5, statistics=("fisher",))
@@ -418,6 +430,18 @@ class TestBaselines:
                     y[:, None]):
             with pytest.raises(DimensionMismatch):
                 run(bad)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, np.nan])
+    def test_alpha_outside_unit_interval(self, alpha, rng):
+        # the exact tests refuse such an alpha as the Monte-Carlo ones do
+        x = DesignMatrix(rng.standard_normal((20, 3)))
+        y = rng.standard_normal(20)
+        with pytest.raises(InsufficientDraws, match="alpha"):
+            baseline_f_test(y, x, SubsetHypothesis(1, np.zeros(2)), alpha=alpha)
+        with pytest.raises(InsufficientDraws, match="alpha"):
+            baseline_lrt(y, x, "gaussian", alpha=alpha)
+        with pytest.raises(InsufficientDraws, match="alpha"):
+            ExperimentConfig(n=20, p=3, alpha=alpha, statistics=("fisher", "lrt"))
 
     def test_f_test_response_in_span_is_degenerate(self):
         # y = X[:, :2] b: the F numerator and the RSS are both rounding noise

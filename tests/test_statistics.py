@@ -26,6 +26,7 @@ from threshtest.statistics import (
     AFFINE_FAMILIES,
     ALL_FAMILIES,
     GLM_FAMILIES,
+    Composite,
     StatisticSpec,
     StatValue,
     evaluate_many,
@@ -424,8 +425,10 @@ def shared_batches(draw):
 
     The affine evaluators share one reduction, except one that builds its
     own and one at another c; the GLM score evaluators share the family,
-    except one. Column ``degenerate_col`` of the batch lies in the null-model span
-    (affine and Fisher) or is constant (GLM score).
+    except one. One to three Composites of drawn pairs of them, at
+    thresholds of 0.5, 2 or +inf, come too. Column ``degenerate_col`` of the
+    batch lies in the null-model span (affine and Fisher) or is constant
+    (GLM score).
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(6, 30))
@@ -458,6 +461,10 @@ def shared_batches(draw):
                 for part in parts]
     other_tag = "poisson" if tag == "gaussian" else "gaussian"
     evs.append(build_evaluator(StatisticSpec("glm_score_sup", glm_family=other_tag), x))
+    base = list(evs)
+    for _ in range(draw(st.integers(1, 3))):
+        pair = rng.integers(0, len(base), size=2)
+        evs.append(Composite(base[pair[0]], base[pair[1]], *rng.choice([0.5, 2.0, np.inf], 2)))
     evs = [evs[i] for i in rng.permutation(len(evs))]
     if tag == "gaussian":
         y = rng.standard_normal((n, m))
@@ -474,6 +481,17 @@ def shared_batches(draw):
     return evs, y
 
 
+def _alone(ev, y):
+    """``ev.evaluate_batch(y)``; for a Composite, the larger ratio of each
+    component's own ``evaluate_batch`` to its threshold, and 0 where either
+    component is degenerate."""
+    if not isinstance(ev, Composite):
+        return ev.evaluate_batch(y)
+    (v1, d1), (v2, d2) = (component.evaluate_batch(y) for component in ev.components)
+    t1, t2 = ev.thresholds
+    return np.where(d1 | d2, 0.0, np.maximum(v1 / t1, v2 / t2)), d1 | d2
+
+
 class TestEvaluateMany:
     @settings(max_examples=60, deadline=None)
     @given(shared_batches())
@@ -482,7 +500,7 @@ class TestEvaluateMany:
         got = evaluate_many(evs, y)
         assert len(got) == len(evs)
         for ev, (vals, degen) in zip(evs, got):
-            want_vals, want_degen = ev.evaluate_batch(y)
+            want_vals, want_degen = _alone(ev, y)
             assert vals.tobytes() == want_vals.tobytes(), ev.statistic_id
             assert np.array_equal(degen, want_degen), ev.statistic_id
 
