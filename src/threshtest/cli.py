@@ -91,9 +91,10 @@ def _read_hypothesis(path, p):
     with open(path) as fh:
         doc = _object(json.load(fh))
     if "subset" in doc:
-        sub = _given(_object(doc["subset"]), {"j0": _integer, "c": _floats})
+        _object(doc, ("subset", "groups"))
+        sub = _given(_object(doc["subset"], ("j0", "c")), {"j0": _integer, "c": _floats})
         return SubsetHypothesis(sub["j0"], sub["c"]).expand(p, row_partition=doc.get("groups"))
-    given = _given(doc, {"A": _floats, "c": _floats})
+    given = _given(_object(doc, ("A", "c", "groups")), {"A": _floats, "c": _floats})
     return LinearHypothesis(given["A"], given["c"], row_partition=doc.get("groups"))
 
 
@@ -242,16 +243,24 @@ def _flag(value):
     return bool(value)
 
 
-def _object(value):
-    """A JSON object; any other value is refused."""
+def _object(value, keys=None):
+    """A JSON object, with no key outside ``keys`` unless that is None; any
+    other value is refused, and so is an unknown key, by name, since a
+    misspelt key would otherwise leave its default in place unseen."""
     if not isinstance(value, dict):
         raise InvalidSpec(f"expected an object, got {value!r}")
+    if keys is not None:
+        unknown = sorted(set(value) - set(keys))
+        if unknown:
+            raise InvalidSpec(f"unknown key {unknown[0]!r}; expected keys among "
+                              + ", ".join(sorted(keys)))
     return value
 
 
-# converters of the keys a study config may set; a key it leaves out takes
-# the default of ExperimentConfig or DesignSpec, except n, p and seed,
-# which it must set
+# converters of the keys a study config may set besides design and
+# statistics; a key it leaves out takes the default of ExperimentConfig or
+# DesignSpec, except n, p and seed, which it must set, and any other key is
+# refused
 _CONFIG_KEYS = {
     "n": _integer,
     "p": _integer,
@@ -286,19 +295,19 @@ def _study_stat(entry, cfg):
         return entry
     if isinstance(entry, str):
         return _resolve_stat(entry, cfg.family, cfg.p)
-    entry = _object(entry)
+    entry = _object(entry, ("family", "groups", "glm_family"))
     return StatisticSpec(_known_stat(entry["family"]), row_partition=entry.get("groups"),
                          glm_family=entry.get("glm_family"))
 
 
 def _scenario_config(doc, seed_override):
-    doc = _object(doc)
+    doc = _object(doc, (*_CONFIG_KEYS, "design", "statistics"))
     if seed_override is not None:
         doc = dict(doc, seed=seed_override)
     missing = [key for key in ("n", "p", "seed") if key not in doc]
     if missing:
         raise InvalidSpec(f"config lacks {', '.join(missing)}")
-    design = _given(doc, {"design": _object}).get("design", {})
+    design = _given(doc, {"design": lambda v: _object(v, _DESIGN_KEYS)}).get("design", {})
     cfg = ExperimentConfig(design_spec=DesignSpec(**_given(design, _DESIGN_KEYS)),
                            **_given(doc, _CONFIG_KEYS))
     stats = _given(doc, {"statistics": _tuple_of(lambda entry: _study_stat(entry, cfg))})
@@ -342,6 +351,8 @@ def _cmd_power(args):
     """``power`` and ``level``: one CSV per scenario of the config."""
     with open(args.config) as fh:
         doc = _object(json.load(fh))
+    if "scenarios" in doc:  # then the scenarios carry every setting
+        _object(doc, ("scenarios",))
     scenarios = _given(doc, {"scenarios": _scenarios}).get("scenarios", [doc])
     runner = estimate_level if args.command == "level" else estimate_power
     all_rows = []

@@ -6,7 +6,9 @@ kernel basis of the hypothesis matrix, the minimum-norm solution of
 so the residual can be formed with two matrix-vector products. Only
 ``beta_c`` and ``X beta_c`` depend on c; the rest is a
 :class:`ReductionFactor` of (X, A), factored once by
-:func:`factor_reduction`.
+:func:`factor_reduction`. A :class:`DesignMatrix` keeps the factor arrays
+of the last A it was factored with, so :func:`factor_reduction` and
+:func:`build_reduction` on the same design and the same A take no SVD.
 """
 
 from dataclasses import dataclass, field, fields
@@ -58,13 +60,25 @@ def _as_1d(v, name):
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Dense N x P covariate matrix, optionally with an all-ones intercept column."""
+    """Dense N x P covariate matrix, optionally with an all-ones intercept column.
+
+    ``values`` is a read-only copy of the input, so editing the caller's
+    array later changes no result. The design keeps the reduction factor of
+    the last A it was factored with (see :func:`factor_reduction`): testing
+    many responses against one design, or a test and then its region,
+    takes the SVDs of A and X K_A once.
+    """
 
     values: np.ndarray
     intercept_column: Optional[int] = None
+    # (A.shape, A's bytes) and the factor arrays (K_A, Q, U, s, Vt) of the
+    # last A; arrays only, since a ReductionFactor points back at the design
+    _factor_memo: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        values = _as_2d(self.values, "design matrix")
+        # a read-only copy, so that _factor_memo stays a factor of values
+        values = _as_2d(self.values, "design matrix").copy()
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         n, p = values.shape
         if n < 2 or p < 1:
@@ -223,7 +237,9 @@ class ReductionFactor:
     inverse, and ``projector_factor`` holds an orthonormal basis Q of
     ``range(X K_A)`` so projecting is two thin products. :meth:`at`
     completes it for one right-hand side c, so a confidence region
-    factors once and takes every candidate c from the same factor.
+    factors once and takes every candidate c from the same factor. The
+    arrays are read-only: every factor of one design and one A shares
+    them, through the design's memo.
     """
 
     kernel_basis: np.ndarray
@@ -325,6 +341,11 @@ def _factor(x, a, a_svd):
     x = _as_design(x)
     if a.shape[1] != x.p:
         raise DimensionMismatch(f"A has {a.shape[1]} columns, X has P = {x.p}")
+    key = (a.shape, a.tobytes())
+    memo = x._factor_memo
+    if memo is not None and memo[0] == key:
+        # these bytes already passed the row-rank check
+        return ReductionFactor(*memo[1], design=x)
     r = a.shape[0]
     u, s, vh = _full_row_rank_svd(a) if a_svd is None else a_svd
     k_a = vh[r:].T
@@ -342,14 +363,11 @@ def _factor(x, a, a_svd):
         raise Untestable(
             "rank(X K_A) = N: lambda_0(y) = 0 for all y, no thresholding test exists"
         )
-    return ReductionFactor(
-        kernel_basis=k_a,
-        projector_factor=q,
-        pseudo_u=u,
-        pseudo_s=s[:r],
-        pseudo_vt=vh[:r],
-        design=x,
-    )
+    arrays = (k_a, q, u, s[:r], vh[:r])
+    for arr in arrays:  # every later factor of these bytes shares them
+        arr.flags.writeable = False
+    object.__setattr__(x, "_factor_memo", (key, arrays))
+    return ReductionFactor(*arrays, design=x)
 
 
 def build_reduction(x, hyp):

@@ -12,7 +12,12 @@ square-root (scale-pivotal) tests, so one calibration at c = 0 serves
 every candidate c. A ``ConfidenceRegion`` is the one place lambda_CR(c) is
 evaluated: it keeps the reduction factor of (X, A) and the evaluator it
 calibrated at c = 0, and each candidate adds only ``beta_c``, ``X beta_c``
-and one residual pass of y - X beta_c through that evaluator.
+and one residual pass of y - X beta_c through that evaluator. The
+reduction factor itself is kept on the DesignMatrix, so a test and then
+its region, or many responses tested on one design and one A, factor
+(X, A) once. ``run_test``, ``run_composite`` and ``baseline_f_test`` refuse
+a hypothesis that is not a LinearHypothesis or a SubsetHypothesis with
+InvalidSpec.
 
 Every Monte-Carlo calibration goes through one ``CalibrationCache`` under
 one key function, ``_calibration_key``, by one helper, ``_calibrated``.
@@ -45,6 +50,7 @@ from .calibration import (
     p_value as mc_p_value,
 )
 from .core import (
+    LinearHypothesis,
     ReductionFactor,
     SubsetHypothesis,
     _as_design,
@@ -52,7 +58,7 @@ from .core import (
     build_reduction,
     factor_reduction,
 )
-from .exceptions import NotApplicable, UnsupportedDimension
+from .exceptions import InvalidSpec, NotApplicable, UnsupportedDimension
 from .statistics import (
     GLM_FAMILIES,
     SQRT_FAMILIES,
@@ -270,6 +276,15 @@ def _coerce_inputs(y, x, hyp):
     return _as_response(y, x.n), x, hyp
 
 
+def _test_inputs(y, x, hyp):
+    """:func:`_coerce_inputs` of a test, whose hypothesis must be a
+    LinearHypothesis or a SubsetHypothesis: InvalidSpec otherwise."""
+    if not isinstance(hyp, (LinearHypothesis, SubsetHypothesis)):
+        raise InvalidSpec(f"a test needs a LinearHypothesis or a SubsetHypothesis, "
+                          f"got {type(hyp).__name__}")
+    return _coerce_inputs(y, x, hyp)
+
+
 _DEGENERATE_NOTE = "statistic denominator vanished; conservative no-reject"
 _COMPONENT_NOTE = "component statistic degenerate; conservative no-reject"
 
@@ -344,7 +359,7 @@ def run_test(y, x, hyp, stat, alpha=0.05, mc=McConfig(), cache=None):
     """
     if isinstance(stat, str):
         stat = StatisticSpec(stat)
-    y, x, hyp = _coerce_inputs(y, x, hyp)
+    y, x, hyp = _test_inputs(y, x, hyp)
     if stat.family == "fisher_weighted":
         return _fisher_exact_test(y, x, hyp, stat, alpha)
     (evaluator,), model = _bind([stat], y, x, hyp)
@@ -365,7 +380,7 @@ def run_composite(y, x, hyp, stat1=None, stat2=None, alpha=0.05, mc=McConfig()):
     go through the process cache: the components under the keys
     ``run_test`` gives them, and the composite values under their own.
     """
-    y, x, hyp = _coerce_inputs(y, x, hyp)
+    y, x, hyp = _test_inputs(y, x, hyp)
     default1, default2 = _composite_pair(hyp.r)
     evaluators, model = _bind([stat1 or default1, stat2 or default2], y, x, hyp)
     _, ((composite, cal),) = _calibrated(_get_default_cache(), x, hyp.a_matrix, hyp.c_vector,

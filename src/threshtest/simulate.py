@@ -47,8 +47,8 @@ from .inference import (
     McConfig,
     TestResult,
     _calibrated,
-    _coerce_inputs,
     _get_default_cache,
+    _test_inputs,
 )
 from .statistics import (
     GLM_FAMILIES,
@@ -382,7 +382,7 @@ def baseline_f_test(y, x, hyp, alpha=0.05):
     a finite N-vector raises DimensionMismatch, as in ``run_test``.
     """
     _check_alpha(alpha)
-    y, x, hyp = _coerce_inputs(y, x, hyp)
+    y, x, hyp = _test_inputs(y, x, hyp)
     fisher = _fisher_batch(x, hyp, y[:, None])
     degenerate = bool(fisher.degenerate[0])
     p = float(_f_sf(fisher.f[0], fisher.df1, fisher.df2))  # 1 at F = 0

@@ -261,6 +261,23 @@ class TestReadHypothesis:
         assert "internal error" not in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"A": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "c": [0.0, 0.0], "grups": [[0, 1]]},
+         "grups"),
+        ({"subset": {"j0": 1, "c": [0.0, 0.0, 0.0]}, "grups": [[0, 1], [2]]}, "grups"),
+        ({"subset": {"j0": 1, "c": [0.0, 0.0, 0.0], "groups": [[0, 1], [2]]}}, "groups"),
+        ({"subset": {"j0": 1, "c": [0.0, 0.0, 0.0]}, "A": [[1.0, 0.0, 0.0]], "c": [5.0]}, "A"),
+    ], ids=["linear", "subset", "inside_subset", "subset_and_a"])
+    def test_unknown_key_exit_2(self, dataset, tmp_path, capsys, doc, key):
+        data, hyp = dataset
+        hyp.write_text(json.dumps(doc))
+        out = tmp_path / "o.csv"
+        assert main(["test", "--data", str(data), "--response", "y", "--hypothesis", str(hyp),
+                     "--stat", "sqrt_affine_group_lasso", "--mc", "100",
+                     "--out", str(out)]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_j0_reads_as_its_integer(self, dataset, tmp_path):
         data, hyp = dataset
         outs = []
@@ -649,6 +666,35 @@ class TestScenarioConfig:
                                    "statistics": ["sqrt_affine_lasso"], **doc}))
         assert main(["power", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
         assert "internal error" not in capsys.readouterr().err
+
+    _SCENARIO = {"n": 20, "p": 3, "seed": 0, "m_calib": 50, "n_reps": 10,
+                 "theta_grid": [0.0], "s_values": [1], "statistics": ["sqrt_affine_lasso"]}
+
+    @pytest.mark.parametrize("doc, key", [
+        (dict(_SCENARIO, alhpa=0.5), "alhpa"),
+        (dict(_SCENARIO, m_clib=10), "m_clib"),
+        (dict(_SCENARIO, design={"rhoo": 0.9}), "rhoo"),
+        (dict(_SCENARIO, statistics=[{"family": "sqrt_affine_group_lasso",
+                                      "grups": [[0, 1, 2]]}]), "grups"),
+        ({"scenarios": [dict(_SCENARIO, alhpa=0.5)]}, "alhpa"),
+        ({"scenarios": [_SCENARIO], "seed": 3}, "seed"),
+    ], ids=["config", "config_m_calib", "design", "statistic", "scenario", "scenarios_doc"])
+    def test_unknown_key_exit_2(self, tmp_path, capsys, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o.csv"
+        assert main(["power", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_known_key_is_read(self, tmp_path):
+        doc = dict(self._SCENARIO, family="gaussian", beta0=0.0, alpha=0.05,
+                   design={"kind": "identity", "rho": 0.0, "standardize": False},
+                   statistics=[{"family": "sqrt_affine_group_lasso", "groups": [[0, 1, 2]],
+                                "glm_family": None}])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenarios": [doc]}))
+        assert main(["power", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
 
 
 class TestCmdPower:

@@ -1,7 +1,9 @@
 """End-to-end tests of run_test, run_composite, and confidence regions."""
 
+import gc
 import os
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -531,6 +533,18 @@ class TestInvalidResponse:
         with pytest.raises(DimensionMismatch):
             call(y, x, np.eye(5)[1:2], StatisticSpec("sqrt_affine_lasso"))
 
+    @pytest.mark.parametrize("call", [
+        lambda y, x: run_test(y, x, None, StatisticSpec("sqrt_affine_lasso"), mc=MC),
+        lambda y, x: run_test(y, x, None, StatisticSpec("glm_score_sup",
+                                                        glm_family="gaussian"), mc=MC),
+        lambda y, x: run_test(y, x, None, StatisticSpec("fisher_weighted")),
+        lambda y, x: run_composite(y, x, None, mc=MC),
+    ], ids=["affine", "glm", "fisher", "composite"])
+    def test_no_hypothesis(self, dataset, rng, call):
+        x, _ = dataset
+        with pytest.raises(InvalidSpec, match="NoneType"):
+            call(rng.standard_normal(x.n), x)
+
     @pytest.mark.parametrize("family, bad", [
         ("bernoulli", 2.5), ("poisson", 1.5), ("poisson", -1.0)])
     def test_glm_response_outside_support(self, dataset, rng, family, bad):
@@ -693,6 +707,19 @@ def region_problems(draw):
     return y, x, a, stat, grid, points, draw(st.integers(0, len(points) - 1))
 
 
+def _counting_svds(monkeypatch):
+    """The shape of each matrix np.linalg.svd is called on, in order."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
 class TestRegionSharesOneReduction:
     @settings(max_examples=30, deadline=None)
     @given(region_problems())
@@ -732,7 +759,8 @@ class TestRegionSharesOneReduction:
             region.member(np.array([c]))
         assert calls == {"factor": 1, "build": 0, "svd": 2}  # the SVDs of A and X K_A
         cr_grid(y, x, a, stat, region.lambda_alpha, grid)
-        assert calls == {"factor": 2, "build": 0, "svd": 4}
+        # the design kept the factor of this A
+        assert calls == {"factor": 2, "build": 0, "svd": 2}
 
     @pytest.mark.parametrize("r", [1, 2])
     @pytest.mark.parametrize("g", [1, 9, 40])
@@ -763,17 +791,103 @@ class TestRegionSharesOneReduction:
     def test_one_svd_of_a_per_run_test(self, monkeypatch, rng):
         x = DesignMatrix(rng.standard_normal((50, 6)))
         y = rng.standard_normal(50)
-        calls = []
-        svd = np.linalg.svd
-
-        def counting(a, *args, **kwargs):
-            calls.append(a.shape)
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        calls = _counting_svds(monkeypatch)
         run_test(y, x, SubsetHypothesis(2, np.zeros(4)), StatisticSpec("sqrt_affine_lasso"),
                  mc=MC, cache=CalibrationCache(directory=False))
         assert calls == [(4, 6), (50, 2)]  # A, when the hypothesis is expanded, and X K_A
+
+
+def _same_factor(got, want):
+    return all(getattr(got, name).tobytes() == getattr(want, name).tobytes()
+               and getattr(got, name).shape == getattr(want, name).shape
+               for name in ("kernel_basis", "projector_factor", "pseudo_u", "pseudo_s",
+                            "pseudo_vt"))
+
+
+class TestDesignKeepsItsFactor:
+    """A DesignMatrix keeps the reduction factor of the last A it was
+    factored with, over a read-only copy of its values."""
+
+    A2 = np.array([[0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+
+    @pytest.fixture
+    def problem(self, rng):
+        values = rng.standard_normal((30, 4))
+        y = values @ np.array([0.5, 0.1, -0.2, 0.3]) + rng.standard_normal(30)
+        return values, np.array([[1.0, -1.0, 0.0, 0.0]]), y
+
+    @staticmethod
+    def _results(y, x_test, x_region, a):
+        """The record of a run_test of H0: A beta = 0.5 on ``x_test``, and the
+        threshold and lambda_CR bytes of a region on ``x_region``."""
+        stat = StatisticSpec("sqrt_affine_lasso")
+        test = run_test(y, x_test, LinearHypothesis(a, [0.5]), stat, mc=MC,
+                        cache=CalibrationCache(directory=False))
+        region = confidence_region(y, x_region, a, stat=stat, mc=MC)
+        _, lam = region.scan(np.linspace(-2.0, 2.0, 9))
+        return test.to_record(), _bits(region.lambda_alpha), lam.tobytes()
+
+    def test_repeated_calls_take_no_svd_and_match_a_new_design(self, monkeypatch, problem):
+        values, a, y = problem
+        x = DesignMatrix(values)
+        first = self._results(y, x, x, a)
+        calls = _counting_svds(monkeypatch)
+        again = self._results(y, x, x, a)
+        assert calls == [(1, 4)]  # the row-rank check of the new LinearHypothesis
+        assert again == first == self._results(y, DesignMatrix(values), DesignMatrix(values), a)
+
+    def test_values_are_a_read_only_copy(self, problem):
+        values, a, y = problem
+        x = DesignMatrix(values)
+        assert x.values is not values
+        with pytest.raises(ValueError):
+            x.values[0, 0] = 1.0
+        before = self._results(y, x, x, a)
+        values[:, 0] = 0.0
+        assert self._results(y, x, x, a) == before
+
+    def test_a_design_is_freed_without_the_cyclic_collector(self, problem):
+        values, a, y = problem
+        x = DesignMatrix(values)
+        ref = weakref.ref(x)
+        gc.disable()
+        try:
+            self._results(y, x, x, a)
+            del x
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_a_second_a_replaces_the_first(self, monkeypatch, problem):
+        values, a1, _ = problem
+        a2 = self.A2
+        x = DesignMatrix(values)
+        calls = _counting_svds(monkeypatch)
+        f1 = core.factor_reduction(x, a1)
+        f2 = core.factor_reduction(x, a2)
+        assert core.factor_reduction(x, a2).design is x
+        assert len(calls) == 4  # A and X K_A, once for each A
+        back = core.factor_reduction(x, a1)
+        assert len(calls) == 6
+        assert _same_factor(back, f1)
+        assert _same_factor(f1, core.factor_reduction(DesignMatrix(values), a1))
+        assert _same_factor(f2, core.factor_reduction(DesignMatrix(values), a2))
+
+    def test_threads_switching_a_on_one_design(self, problem):
+        values, a1, _ = problem
+        a_list = [a1, self.A2]
+        want = [core.factor_reduction(DesignMatrix(values), a) for a in a_list]
+        x = DesignMatrix(values)
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(core.factor_reduction, x, a_list[k % 2])
+                           for k in range(600)]
+                got = [f.result(timeout=30) for f in futures]
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert all(_same_factor(f, want[k % 2]) for k, f in enumerate(got))
 
 
 @st.composite

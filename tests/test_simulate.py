@@ -431,6 +431,11 @@ class TestBaselines:
             with pytest.raises(DimensionMismatch):
                 run(bad)
 
+    def test_f_test_needs_a_hypothesis(self, rng):
+        x = DesignMatrix(rng.standard_normal((20, 3)))
+        with pytest.raises(InvalidSpec, match="NoneType"):
+            baseline_f_test(rng.standard_normal(20), x, None)
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, np.nan])
     def test_alpha_outside_unit_interval(self, alpha, rng):
         # the exact tests refuse such an alpha as the Monte-Carlo ones do
