@@ -438,14 +438,12 @@ def calibrate_composite(stat1, stat2, model, m_draws, alpha, seed):
         cal1, cal2, calibrate_many([composite], model, m_draws, alpha, seed, batch=1)[0])
 
 
-def _composite_pair(n_rows, glm_family=None):
+def _composite_pair(glm_family=None):
     """The default components of the composite test: the sup statistic and
-    the group statistic over one block of all ``n_rows`` rows. They are the
+    the group statistic, whose blocks the Evaluator resolves (one block over
+    all rows unless the hypothesis has a partition). They are the
     square-root affine pair, or the GLM score pair of ``glm_family``."""
-    one_block = (tuple(range(n_rows)),)
     if glm_family is None:
-        return (StatisticSpec("sqrt_affine_lasso"),
-                StatisticSpec("sqrt_affine_group_lasso", row_partition=one_block))
+        return StatisticSpec("sqrt_affine_lasso"), StatisticSpec("sqrt_affine_group_lasso")
     return (StatisticSpec("glm_score_sup", glm_family=glm_family),
-            StatisticSpec("glm_score_group", row_partition=one_block,
-                          glm_family=glm_family))
+            StatisticSpec("glm_score_group", glm_family=glm_family))

@@ -106,38 +106,29 @@ def _known_stat(name):
     return name
 
 
-def _resolve_stat(name, family_tag, n_rows, groups=None):
-    """The StatisticSpec a statistic name stands for.
-
-    A group statistic over ``n_rows`` rows takes ``groups`` when some block
-    holds more than one row, and one block over all its rows otherwise.
+def _resolve_stat(name, family_tag, groups=None):
+    """The StatisticSpec a statistic name stands for, with ``groups`` as its
+    partition; a group statistic given none has one block over all its rows.
     ``family_tag`` is used by the GLM score statistics only.
     """
     if _known_stat(name) not in GLM_FAMILIES:
         family_tag = None
     elif family_tag is None:
         raise InvalidSpec(f"{name} requires --family")
-    spec = StatisticSpec(name, glm_family=family_tag)
-    if not spec.is_group:
-        return spec
-    if groups is None or all(len(block) == 1 for block in groups):
-        groups = (tuple(range(n_rows)),)
-    return dataclasses.replace(spec, row_partition=groups)
+    return StatisticSpec(name, row_partition=groups, glm_family=family_tag)
 
 
-def _data_stat(args, x, hyp):
-    """``--stat`` of a hypothesis-file command. A GLM score statistic has
-    one row per tested column of X; any other has the rows of A and their
-    groups from the hypothesis file. Those groups index rows of A, so a
-    group block of more than one row cannot apply to glm_score_group."""
-    if args.stat in GLM_FAMILIES:
-        if args.stat == "glm_score_group" and any(
-                len(block) > 1 for block in hyp.row_partition):
-            raise InvalidSpec(
-                "the hypothesis file's groups do not apply to glm_score_group: "
-                "they group rows of A, and its blocks are the tested columns of X")
-        return _resolve_stat(args.stat, args.family, x.tested_values().shape[1])
-    return _resolve_stat(args.stat, args.family, hyp.r, hyp.row_partition)
+def _data_stat(args, hyp):
+    """``--stat`` of a hypothesis-file command. Any statistic but a GLM score
+    one carries the file's groups, since ``region`` passes only A on; those
+    groups index rows of A, so glm_score_group refuses any."""
+    if args.stat not in GLM_FAMILIES:
+        return _resolve_stat(args.stat, args.family, hyp.row_partition)
+    if args.stat == "glm_score_group" and hyp.row_partition is not None:
+        raise InvalidSpec(
+            "the hypothesis file's groups do not apply to glm_score_group: "
+            "they group rows of A, and its blocks are the tested columns of X")
+    return _resolve_stat(args.stat, args.family)
 
 
 def _write_record_csv(path, record):
@@ -155,7 +146,7 @@ def _cmd_test(args):
     if args.stat == "composite":
         result = run_composite(y, x, hyp, alpha=args.alpha, mc=mc)
     else:
-        result = run_test(y, x, hyp, _data_stat(args, x, hyp), alpha=args.alpha, mc=mc)
+        result = run_test(y, x, hyp, _data_stat(args, hyp), alpha=args.alpha, mc=mc)
     _write_record_csv(args.out, result.to_record())
     return _data_config(args)
 
@@ -163,7 +154,7 @@ def _cmd_test(args):
 def _cmd_calibrate(args):
     x, y = _read_data(args.data, args.response, args.intercept)
     hyp = _read_hypothesis(args.hypothesis, x.p)
-    (evaluator,), model = _bind([_data_stat(args, x, hyp)], y, x, hyp)
+    (evaluator,), model = _bind([_data_stat(args, hyp)], y, x, hyp)
     calibrate(evaluator, model, args.mc, args.alpha, args.seed).save(args.out)
     return _data_config(args)
 
@@ -188,7 +179,9 @@ def _cmd_region(args):
     if len(args.grid) != r:
         raise InvalidSpec(f"need {r} --grid axes for an R = {r} hypothesis")
     axes = [_parse_axis(g) for g in args.grid]
-    region = confidence_region(y, x, hyp.a_matrix, stat=_data_stat(args, x, hyp),
+    if args.plot and r != 1:
+        raise InvalidSpec(f"--plot draws an R = 1 region only, got R = {r}")
+    region = confidence_region(y, x, hyp.a_matrix, stat=_data_stat(args, hyp),
                                alpha=args.alpha, mc=McConfig(m_draws=args.mc, seed=args.seed))
     # every combination of the axis values, the last axis varying fastest
     points, lam = region.scan(
@@ -204,7 +197,7 @@ def _cmd_region(args):
             writer.writerow(["c1", "c2", "member"])
             writer.writerows([repr(float(c1)), repr(float(c2)), int(m)]
                              for (c1, c2), m in zip(points, member))
-    if args.plot and r == 1:
+    if args.plot:
         _svg.line_panels([{
             "title": f"lambda_CR(c), threshold {region.lambda_alpha:.4g}",
             "series": [
@@ -294,7 +287,7 @@ def _study_stat(entry, cfg):
     if entry in ("composite", "fisher", "lrt"):
         return entry
     if isinstance(entry, str):
-        return _resolve_stat(entry, cfg.family, cfg.p)
+        return _resolve_stat(entry, cfg.family)
     entry = _object(entry, ("family", "groups", "glm_family"))
     return StatisticSpec(_known_stat(entry["family"]), row_partition=entry.get("groups"),
                          glm_family=entry.get("glm_family"))
@@ -355,9 +348,10 @@ def _cmd_power(args):
         _object(doc, ("scenarios",))
     scenarios = _given(doc, {"scenarios": _scenarios}).get("scenarios", [doc])
     runner = estimate_level if args.command == "level" else estimate_power
+    configs = [_scenario_config(scenario, args.seed) for scenario in scenarios]
     all_rows = []
-    for i, scenario in enumerate(scenarios):
-        rows = runner(_scenario_config(scenario, args.seed), threads=args.threads)
+    for i, cfg in enumerate(configs):
+        rows = runner(cfg, threads=args.threads)
         all_rows.extend(rows)
         path = args.out if len(scenarios) == 1 else f"{args.out}.scenario{i + 1}.csv"
         _write_power_csv(path, rows)

@@ -122,10 +122,6 @@ def _as_response(y, n):
     return y
 
 
-def _default_partition(r):
-    return tuple((i,) for i in range(r))
-
-
 def _is_index(value):
     """True for an integer, a numpy integer too, but not a bool: ``int``
     would read 0.7 as 0 and True as 1."""
@@ -163,10 +159,11 @@ def _validate_partition(partition, r):
 
 @dataclass(frozen=True)
 class LinearHypothesis:
-    """The pair (A, c) of H0: A beta = c with a row partition {H_l}.
+    """The pair (A, c) of H0: A beta = c with an optional row partition {H_l}.
 
-    Rows are 0-indexed; the default partition is all singletons (the
-    natural choice for sup-norm statistics).
+    Rows are 0-indexed. A given partition is validated; none given stays
+    None, and a group statistic bound to the hypothesis then takes one
+    block over all rows (see :class:`~threshtest.statistics.Evaluator`).
     """
 
     a_matrix: np.ndarray
@@ -187,9 +184,7 @@ class LinearHypothesis:
             raise DimensionMismatch(f"c has length {c.shape[0]}, expected {r}")
         # full row rank is a standing assumption of every statistic
         object.__setattr__(self, "_a_svd", _full_row_rank_svd(a))
-        if self.row_partition is None:
-            object.__setattr__(self, "row_partition", _default_partition(r))
-        else:
+        if self.row_partition is not None:
             object.__setattr__(
                 self, "row_partition", _validate_partition(self.row_partition, r)
             )
@@ -442,11 +437,17 @@ def _gaussian_family():
     )
 
 
+def _logistic(x):
+    """1 / (1 + e^-x), with the exponent capped at 709 so that e^-x cannot
+    overflow: below x = -709 it gives about 1e-308 for the limit 0."""
+    return 1.0 / (1.0 + np.exp(np.minimum(-np.asarray(x, dtype=float), 709.0)))
+
+
 def _bernoulli_family():
     return GlmFamily(
         tag="bernoulli",
         variance=lambda mu: np.asarray(mu) * (1.0 - np.asarray(mu)),
-        canonical_inverse_link=lambda x: 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float))),
+        canonical_inverse_link=_logistic,
         canonical_link=lambda mu: np.log(np.asarray(mu) / (1.0 - np.asarray(mu))),
         pivotal_inverse_link=lambda x: (np.sin(np.asarray(x, dtype=float)) + 1.0) / 2.0,
         pivotal_derivative=lambda x: np.cos(np.asarray(x, dtype=float)) / 2.0,
@@ -474,8 +475,9 @@ _FAMILIES = {
 
 
 def glm_family(tag):
-    """Return the GlmFamily for one of {gaussian, bernoulli, poisson}."""
+    """Return the GlmFamily for one of {gaussian, bernoulli, poisson}; any
+    other tag, or a value that is not one, raises DomainError."""
     try:
         return _FAMILIES[tag]()
-    except KeyError:
+    except (KeyError, TypeError):
         raise DomainError(f"unknown family {tag!r}") from None

@@ -140,9 +140,11 @@ def _calibration_key(x, a_matrix, c_vector, model, mc, alpha):
     its calibration on design ``x`` under H0: A beta = c with null model
     ``model``.
 
-    A key digests the statistic id and its components' block ids, which
-    change a group statistic but not its id. The intercept column changes
-    lad_sign's centering without changing its id, so it is keyed too.
+    A key digests the statistic id and its components' block ids. A group
+    statistic's id names its blocks, so the block ids tell apart no two
+    equal ids; they stay in the digest so that files written earlier keep
+    their names and keep hitting. The intercept column changes lad_sign's
+    centering without changing its id, so it is keyed too.
     (X, its intercept column, A, c) is hashed once, for every key.
     """
     prefix = hashlib.sha256()
@@ -375,13 +377,14 @@ def run_composite(y, x, hyp, stat1=None, stat2=None, alpha=0.05, mc=McConfig()):
     exceeds its own calibrated quantile.
 
     Defaults to the sqrt affine lasso (sup norm) paired with the sqrt
-    affine group lasso over a single block. A degenerate component gives
+    affine group lasso, whose blocks are the hypothesis's partition, or
+    one block over all rows when it has none. A degenerate component gives
     the observed value 0, p = 1 and no rejection. The three calibrations
     go through the process cache: the components under the keys
     ``run_test`` gives them, and the composite values under their own.
     """
     y, x, hyp = _test_inputs(y, x, hyp)
-    default1, default2 = _composite_pair(hyp.r)
+    default1, default2 = _composite_pair()
     evaluators, model = _bind([stat1 or default1, stat2 or default2], y, x, hyp)
     _, ((composite, cal),) = _calibrated(_get_default_cache(), x, hyp.a_matrix, hyp.c_vector,
                                          model, mc, alpha, evaluators, [tuple(evaluators)])

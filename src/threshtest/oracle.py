@@ -41,12 +41,9 @@ def _check_scale(x):
         raise UnsupportedScale(f"oracle limited to N <= {_MAX_N}, P <= {_MAX_P}")
 
 
-def _blocks(partition, r, j):
-    if partition is not None:
-        return [np.asarray(b, dtype=int) for b in partition]
-    if j == 1:
-        return [np.array([i]) for i in range(r)]
-    return [np.arange(r)]
+def _blocks(partition, r):
+    # one block by default; an l1 penalty is the same for any blocks
+    return [np.arange(r)] if partition is None else [np.asarray(b, dtype=int) for b in partition]
 
 
 def _prox(d, step_lam, blocks, j):
@@ -116,7 +113,7 @@ def solve_affine_lasso(x, y, a_matrix, c, lam, j=1, partition=None,
         raise DimensionMismatch("inconsistent shapes in solve_affine_lasso")
     if lam < 0:
         raise DimensionMismatch("lambda must be nonnegative")
-    blocks = _blocks(partition, r, j)
+    blocks = _blocks(partition, r)
 
     u_a, s_a, vh_a = np.linalg.svd(a, full_matrices=True)
     k_a = vh_a[r:].T                       # basis of ker(A)

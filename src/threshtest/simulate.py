@@ -40,7 +40,8 @@ from .calibration import (
     gaussian_pivotal_null,
     substream,
 )
-from .core import DesignMatrix, SubsetHypothesis, _as_response, build_reduction, glm_family
+from .core import (DesignMatrix, SubsetHypothesis, _as_response, _is_index, build_reduction,
+                   glm_family)
 from .exceptions import InvalidSpec, NotApplicable, OverflowGuard, RankDeficient
 from .inference import (
     _DEGENERATE_NOTE,
@@ -129,12 +130,18 @@ class ExperimentConfig:
             _check_count(name, getattr(self, name))
         if self.n_reps < 1:
             raise InvalidSpec(f"n_reps must be at least 1, got {self.n_reps}")
-        if not np.isfinite([self.beta0, *self.theta_grid]).all():
-            raise InvalidSpec("beta0 and every theta must be finite")
+        if not np.isfinite(self.beta0):
+            raise InvalidSpec("beta0 must be finite")
+        if self.family == "poisson" and self.beta0 > _ETA_MAX:
+            raise OverflowGuard(f"poisson beta0 = {self.beta0} exceeds the exp(30) guard")
+        if len(self.theta_grid) == 0 or len(self.s_values) == 0:
+            raise InvalidSpec("theta_grid and s_values must each hold at least one value")
         for s in self.s_values:
             _check_count("each of s_values", s)
-            if not 0 <= s <= self.p:
+            if s > self.p:
                 raise InvalidSpec(f"s = {s} outside [0, {self.p}]")
+            for theta in self.theta_grid:
+                AlternativeSpec(s, theta)
         for entry in self.statistics:
             if isinstance(entry, str) and entry not in ("composite", "fisher", "lrt"):
                 raise InvalidSpec(f"unknown statistic tag {entry!r}")
@@ -212,7 +219,7 @@ def gen_response(x, beta0, beta, family, rng):
     if family.tag == "gaussian":
         return eta + rng.standard_normal(x.shape[0])
     if family.tag == "bernoulli":
-        return rng.binomial(1, 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        return rng.binomial(1, family.canonical_inverse_link(eta)).astype(float)
     if np.any(eta > _ETA_MAX):
         raise OverflowGuard("poisson linear predictor exceeds the exp(30) guard")
     return rng.poisson(np.exp(eta)).astype(float)
@@ -271,7 +278,7 @@ class _Harness:
         for entry in cfg.statistics:
             if entry == "composite":  # the pair is replaced by its Composite below
                 pair = tuple(self._bind(spec) for spec in
-                             _composite_pair(cfg.p, None if gaussian else cfg.family))
+                             _composite_pair(None if gaussian else cfg.family))
                 self.entries.append(["mc", pair, None])
                 evaluators.extend(pair)
                 pairs.append(pair)
@@ -353,7 +360,12 @@ class _Harness:
 def estimate_power(cfg, threads=1):
     """Rejection rate per (statistic, s, theta) cell. Each statistic is
     calibrated once per design, through the process cache, and that
-    calibration serves the whole grid."""
+    calibration serves the whole grid. A config with no statistics, or a
+    thread count below 1, raises InvalidSpec."""
+    if not cfg.statistics:
+        raise InvalidSpec("a study needs at least one statistic")
+    if not _is_index(threads) or threads < 1:
+        raise InvalidSpec(f"threads must be an integer of at least 1, got {threads!r}")
     harness = _Harness(cfg)
     cells = [(s, theta) for s in cfg.s_values for theta in cfg.theta_grid]
     if threads > 1 and len(cells) > 1:
@@ -369,8 +381,7 @@ def estimate_power(cfg, threads=1):
 
 def estimate_level(cfg, threads=1):
     """estimate_power restricted to theta = 0 (the null point of the H1 grid)."""
-    null_cfg = dataclasses.replace(
-        cfg, theta_grid=(0.0,), s_values=(min(cfg.s_values),) if cfg.s_values else (0,))
+    null_cfg = dataclasses.replace(cfg, theta_grid=(0.0,), s_values=(min(cfg.s_values),))
     return estimate_power(null_cfg, threads=threads)
 
 

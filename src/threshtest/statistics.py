@@ -28,7 +28,6 @@ from .core import (
     DesignMatrix,
     GlmFamily,
     _as_design,
-    _default_partition,
     _partition_blocks,
     _validate_partition,
     build_reduction,
@@ -86,9 +85,9 @@ class StatValue:
 class StatisticSpec:
     """Which zero-thresholding statistic to use, plus its structure.
 
-    ``row_partition`` (0-indexed blocks over the rows of A) only matters
-    for the group families; ``glm_family`` only for the GLM score ones
-    and may be a tag string.
+    ``row_partition`` (0-indexed blocks) only matters for the group
+    families, and None leaves the blocks to the :class:`Evaluator`;
+    ``glm_family`` only for the GLM score ones and may be a tag string.
     """
 
     family: str
@@ -98,7 +97,7 @@ class StatisticSpec:
     def __post_init__(self):
         if self.family not in ALL_FAMILIES:
             raise NotApplicable(f"unknown statistic family {self.family!r}")
-        if isinstance(self.glm_family, str):
+        if self.glm_family is not None and not isinstance(self.glm_family, GlmFamily):
             object.__setattr__(self, "glm_family", glm_family(self.glm_family))
         if self.family in GLM_FAMILIES and self.glm_family is None:
             raise NotApplicable(f"{self.family} requires a glm_family")
@@ -115,24 +114,18 @@ class StatisticSpec:
         return self.family in SQRT_FAMILIES
 
     def fingerprint(self):
-        parts = [self.family]
-        if self.is_group and self.row_partition is not None:
-            parts.append("groups=" + ";".join(
-                ",".join(str(i) for i in block) for block in self.row_partition))
-        if self.glm_family is not None:
-            parts.append("family=" + self.glm_family.tag)
-        return "|".join(parts)
+        return _statistic_id(self.family, self.row_partition if self.is_group else None,
+                             self.glm_family)
 
 
-def _partition_ids(partition, r):
-    """Map a block partition of r rows to (row -> block id, n_blocks)."""
-    if partition is None:
-        return np.arange(r, dtype=np.int64), r
-    blocks = _validate_partition(partition, r)
-    ids = np.empty(r, dtype=np.int64)
-    for l, block in enumerate(blocks):
-        ids[list(block)] = l
-    return ids, len(blocks)
+def _statistic_id(family, blocks, glm_family):
+    """``family|groups=...|family=tag``, leaving out a part that is None."""
+    parts = [family]
+    if blocks is not None:
+        parts.append("groups=" + ";".join(",".join(str(i) for i in block) for block in blocks))
+    if glm_family is not None:
+        parts.append("family=" + glm_family.tag)
+    return "|".join(parts)
 
 
 def zt_affine_lasso(red, x, y):
@@ -143,7 +136,7 @@ def zt_affine_lasso(red, x, y):
 def zt_affine_group_lasso(red, x, y, partition=None):
     """max over blocks of || [(A A^T)^{-1} A X^T r]^{H_l} ||_2.
 
-    ``partition=None`` means singleton blocks.
+    ``partition=None`` means one block over all rows of A.
     """
     spec = StatisticSpec("affine_group_lasso", row_partition=partition)
     return Evaluator(spec, x, red=red).evaluate(y)
@@ -152,7 +145,7 @@ def zt_affine_group_lasso(red, x, y, partition=None):
 def zt_sqrt_variant(red, x, y, base="lasso", partition=None):
     """Square-root variant: the base statistic divided by ||r||_2 (scale pivotal).
 
-    ``base="group"`` with ``partition=None`` means singleton blocks.
+    ``base="group"`` with ``partition=None`` means one block over all rows of A.
     """
     family = {"lasso": "sqrt_affine_lasso", "group": "sqrt_affine_group_lasso"}.get(base)
     if family is None:
@@ -334,15 +327,11 @@ def glm_score_stat(x, y, family, norm="sup", partition=None):
     (gaussian: unbiased sample variance). Degenerate when xi_hat = 0, or for
     the gaussian family when it is rounding noise against the scale of y.
     X holds the tested columns (a DesignMatrix drops its intercept column).
-    ``norm="group"`` with ``partition=None`` means singleton blocks, while
-    ``StatisticSpec("glm_score_group")`` without a partition means one block
-    over all tested columns.
+    ``norm="group"`` with ``partition=None`` means one block over all tested
+    columns.
     """
     if norm not in ("sup", "group"):
         raise NotApplicable(f"unknown norm {norm!r}")
-    x = _as_design(x)
-    if norm == "group" and partition is None:
-        partition = _default_partition(x.tested_values().shape[1])
     spec = StatisticSpec(f"glm_score_{norm}", row_partition=partition, glm_family=family)
     return Evaluator(spec, x).evaluate(y)
 
@@ -359,9 +348,11 @@ def link_identity_residual(family, x_grid):
 class Evaluator:
     """Bound statistic: evaluates one StatisticSpec on vectors or N x M batches.
 
-    ``block_ids`` maps each row of a group statistic to its block, as
-    resolved from the spec, the hypothesis or the one-block default; it is
-    None for every other family.
+    A group statistic's blocks are the spec's partition, else an affine
+    family's hypothesis's, else one block over all its rows: the rows of A,
+    or the tested columns for glm_score_group. ``block_ids`` maps each row
+    to its block (None for the other families), and ``statistic_id`` names
+    the blocks, so equal statistics have equal ids.
     """
 
     def __init__(self, spec, x, hyp=None, red=None):
@@ -371,35 +362,38 @@ class Evaluator:
         self.x = x
         self.hyp = hyp
         self.red = None
-        self.statistic_id = spec.fingerprint()
         self.block_ids, self._n_blocks = None, None
         # whether _reduce divides the norm of z by the pass's scale
         self._scaled = spec.is_sqrt or fam == "fisher_weighted" or fam in GLM_FAMILIES
         # evaluators with equal keys compute equal parts from one batch
         self._share_key = self
+        part = spec.row_partition
         if fam in AFFINE_FAMILIES:
             if hyp is None and red is None:
                 raise NotApplicable(f"{fam} requires a hypothesis or a reduction")
             self.red = red if red is not None else build_reduction(x, hyp)
             self._share_key = ("affine", id(self.red), id(x))
-            if spec.is_group:
-                part = spec.row_partition
-                if part is None and hyp is not None:
-                    part = hyp.row_partition
-                self.block_ids, self._n_blocks = _partition_ids(part, self.red.r)
+            n_rows = self.red.r
+            if part is None and hyp is not None:
+                part = hyp.row_partition
         elif fam == "fisher_weighted":
             if hyp is None:
                 raise NotApplicable("fisher_weighted requires a hypothesis")
             _full_rank_ls(x, hyp)  # applicability check up front
         else:  # lad_sign and the glm score families read the tested columns
             self._tested = x.tested_values()
+            n_rows = self._tested.shape[1]
             if fam in GLM_FAMILIES:
                 self._share_key = ("glm", id(x), spec.glm_family.tag)
-            if fam == "glm_score_group":
-                part = spec.row_partition
-                if part is None:  # default: one block over all tested columns
-                    part = (tuple(range(self._tested.shape[1])),)
-                self.block_ids, self._n_blocks = _partition_ids(part, self._tested.shape[1])
+        blocks = None
+        if spec.is_group:
+            blocks = ((tuple(range(n_rows)),) if part is None
+                      else _validate_partition(part, n_rows))
+            self.block_ids = np.empty(n_rows, dtype=np.int64)
+            for l, block in enumerate(blocks):
+                self.block_ids[list(block)] = l
+            self._n_blocks = len(blocks)
+        self.statistic_id = _statistic_id(fam, blocks, spec.glm_family)
 
     def evaluate_batch(self, y_mat):
         """Return (values, degenerate_mask) for an N x M response matrix; a

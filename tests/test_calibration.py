@@ -224,7 +224,7 @@ class TestComposite:
         x = DesignMatrix(np.random.default_rng(0).standard_normal((6, 2)))
         y = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         model = glm_plugin_null(x, glm_family("bernoulli"), y)
-        comp = calibrate_composite(*calibration._composite_pair(2, "bernoulli"),
+        comp = calibrate_composite(*calibration._composite_pair("bernoulli"),
                                    model, 199, 0.05, seed=0)
         assert comp.cal_1.lambda_alpha == comp.cal_2.lambda_alpha == np.inf
         draws = comp.sorted_composite_stats

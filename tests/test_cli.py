@@ -1,8 +1,10 @@
 """CLI surface: happy paths, determinism, exit codes, manifests."""
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -18,7 +20,7 @@ from threshtest import (DesignMatrix, DesignSpec, ExperimentConfig, McConfig,
 from threshtest.cli import _read_csv, _scenario_config, build_parser, main
 from threshtest import exceptions
 from threshtest.exceptions import InvalidSpec, ThreshTestError
-from threshtest.statistics import StatisticSpec
+from threshtest.statistics import StatisticSpec, build_evaluator
 
 
 @pytest.fixture
@@ -391,7 +393,8 @@ class TestStatisticNames:
             got = CalibrationResult.load(out).statistic_id
         (spec,) = _scenario_config({"n": 30, "p": 3, "seed": 0,
                                     "statistics": ["glm_score_group"]}, None).statistics
-        assert got == spec.fingerprint() == "glm_score_group|groups=0,1,2|family=gaussian"
+        power_id = build_evaluator(spec, np.eye(30, 3)).statistic_id
+        assert got == power_id == "glm_score_group|groups=0,1,2|family=gaussian"
 
 
     @pytest.mark.parametrize("command", ["test", "calibrate"])
@@ -427,7 +430,96 @@ class TestStatisticNames:
         assert not out.exists()
 
 
+class TestGroupBlocks:
+    """A group statistic has one block over all its rows unless the
+    hypothesis file or the study config gives its groups."""
+
+    @pytest.mark.parametrize("stat", ["affine_group_lasso", "sqrt_affine_group_lasso"])
+    def test_test_command(self, dataset, tmp_path, stat):
+        data, _ = dataset
+
+        def row(groups):
+            doc = {"subset": {"j0": 1, "c": [0.0, 0.0, 0.0]}}
+            if groups is not None:
+                doc["groups"] = groups
+            hyp = tmp_path / "hyp.json"
+            hyp.write_text(json.dumps(doc))
+            out = tmp_path / "o.csv"
+            assert main(["test", "--data", str(data), "--response", "y", "--intercept",
+                         "--hypothesis", str(hyp), "--stat", stat, "--mc", "100",
+                         "--out", str(out)]) == 0
+            return _read_record(out)
+
+        default = row(None)
+        assert default == row([[0, 1, 2]])
+        assert default["statistic"] == f"{stat}|groups=0,1,2"
+        singletons = row([[0], [1], [2]])
+        assert singletons["statistic"] == f"{stat}|groups=0;1;2"
+        assert singletons["observed"] != default["observed"]
+
+    @pytest.mark.parametrize("family", ["sqrt_affine_group_lasso", "glm_score_group"])
+    def test_power_command(self, tmp_path, family):
+        def power(entry):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"n": 30, "p": 3, "seed": 2, "m_calib": 99, "n_reps": 40,
+                                       "theta_grid": [0.0, 1.0], "statistics": [entry]}))
+            out = tmp_path / "o.csv"
+            assert main(["power", "--config", str(cfg), "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        glm = {"glm_family": "gaussian"} if family.startswith("glm") else {}
+        default = power(dict(family=family, **glm))
+        assert default == power(family) == power(dict(family=family, groups=[[0, 1, 2]], **glm))
+        assert f"{family}|groups=0,1,2".encode() in default
+        singletons = power(dict(family=family, groups=[[0], [1], [2]], **glm))
+        assert b"groups=0;1;2" in singletons and singletons != default
+
+    def test_region_command_keeps_the_file_groups(self, dataset, tmp_path):
+        data, _ = dataset
+        a = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+
+        def region(groups):
+            doc = {"A": a, "c": [0.0, 0.0]}
+            if groups is not None:
+                doc["groups"] = groups
+            hyp = tmp_path / "hyp.json"
+            hyp.write_text(json.dumps(doc))
+            out = tmp_path / "o.csv"
+            assert main(["region", "--data", str(data), "--response", "y", "--hypothesis",
+                         str(hyp), "--stat", "sqrt_affine_group_lasso", "--grid=0:3:13",
+                         "--grid=-1.5:1.5:13", "--mc", "200", "--out", str(out)]) == 0
+            with open(out) as fh:
+                return list(csv.DictReader(fh))
+
+        default = region(None)
+        assert default == region([[0, 1]])
+        singletons = region([[0], [1]])
+        # the file's groups reach the region: its mask is the library's
+        # with singleton blocks, and not the one-block mask
+        values = np.loadtxt(data, delimiter=",", skiprows=1)
+        y, x = values[:, 0], DesignMatrix(values[:, 1:])
+        points = np.array([[float(r["c1"]), float(r["c2"])] for r in singletons])
+        spec = StatisticSpec("sqrt_affine_group_lasso", row_partition=[(0,), (1,)])
+        threshold = confidence_region(y, x, np.array(a), spec,
+                                      mc=McConfig(m_draws=200)).lambda_alpha
+        mask = cr_grid(y, x, np.array(a), spec, threshold, points)
+        assert [r["member"] == "1" for r in singletons] == mask.tolist()
+        assert singletons != default
+
+
 class TestCmdRegion:
+    def test_plot_of_an_r2_region_exit_2(self, dataset, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("threshtest.cli.confidence_region", None)  # nothing is calibrated
+        data, _ = dataset
+        hyp = tmp_path / "h2.json"
+        hyp.write_text(json.dumps({"A": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "c": [0.0, 0.0]}))
+        out, svg = tmp_path / "o.csv", tmp_path / "o.svg"
+        assert main(["region", "--data", str(data), "--response", "y", "--hypothesis", str(hyp),
+                     "--grid=-1:1:3", "--grid=-1:1:3", "--mc", "100", "--out", str(out),
+                     "--plot", str(svg)]) == 2
+        assert "--plot draws an R = 1 region only" in capsys.readouterr().err
+        assert not out.exists() and not svg.exists()
+
     def test_interval_contiguous(self, dataset, tmp_path):
         data, _ = dataset
         hyp = tmp_path / "h1.json"
@@ -764,6 +856,32 @@ class TestCmdPower:
         assert "key 'scenarios'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize("command, doc", [
+        ("power", {"theta_grid": []}), ("power", {"s_values": []}),
+        ("power", {"statistics": []}), ("level", {"statistics": []}),
+        ("power", {"theta_grid": [-0.5]}), ("level", {"theta_grid": [-0.5]}),
+    ], ids=["no_theta", "no_s", "no_statistics", "level_no_statistics", "negative_theta",
+            "level_negative_theta"])
+    def test_study_that_estimates_nothing_exit_2(self, tmp_path, capsys, command, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 20, "p": 3, "seed": 0, "m_calib": 50, "n_reps": 10,
+                                   "statistics": ["sqrt_affine_lasso"], **doc}))
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "internal error" not in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setattr("threshtest.simulate._Harness", None)  # nothing is calibrated
+        cfg = self._config(tmp_path)
+        out = tmp_path / "o.csv"
+        assert main(["power", "--config", str(cfg), "--out", str(out),
+                     "--threads", threads]) == 2
+        assert f"threads must be an integer of at least 1, got {threads}" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_reps", [0, -1])
     def test_fewer_than_one_replicate_exit_2(self, tmp_path, capsys, n_reps):
         cfg = tmp_path / "cfg.json"
@@ -777,3 +895,123 @@ class TestCmdPower:
         cfg.write_text("{not json")
         assert main(["power", "--config", str(cfg),
                      "--out", str(tmp_path / "o.csv")]) == 2
+
+
+# The mutation tests put any JSON value at any key of a study config or a
+# hypothesis file, or any string in --grid. The command must refuse the input
+# (exit 2 or 3) or finish (exit 0), never fail internally (exit 4), and a
+# finished command has written at least one data row. Sizes are tiny (n = 20,
+# p = 3, M = 19, 5 replicates), and counts stay small: a count of 10**9 is
+# valid input that would allocate gigabytes. The tier-1 run draws a few
+# examples of each; `--hypothesis-profile=ci` (see conftest.py) draws more.
+
+_MUTATION_STUDIES = tuple(
+    {"n": 20, "p": 3, "seed": 1, "family": family, "beta0": beta0, "alpha": 0.1,
+     "m_calib": 19, "n_reps": 5, "theta_grid": [0.0, 0.5], "s_values": [1, 3],
+     "design": {"kind": "ar1", "rho": 0.5, "standardize": True},
+     "statistics": ["composite", "fisher", "lrt", "sqrt_affine_lasso",
+                    {"family": "sqrt_affine_group_lasso", "groups": [[0, 1], [2]]},
+                    {"family": "glm_score_group", "glm_family": family}]}
+    for family, beta0 in (("gaussian", -2.0), ("bernoulli", 0.0), ("poisson", 0.5)))
+_MUTATION_HYPOTHESES = (
+    {"A": [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]], "c": [0.0, 0.5],
+     "groups": [[0], [1]]},
+    {"subset": {"j0": 1, "c": [0.0, 0.0, 0.0]}, "groups": [[0, 2], [1]]},
+)
+_WORDS = st.sampled_from(threshtest.statistics.ALL_FAMILIES + (
+    "composite", "fisher", "lrt", "gaussian", "bernoulli", "poisson", "ar1", "identity",
+    "A", "c", "j0", "subset", "groups", "family", "glm_family"))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-1e3, 1e3)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e300, 1e-300])
+    | st.text(max_size=6) | _WORDS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4) | _WORDS, inner, max_size=3),
+    max_leaves=8)
+_AXIS_PARTS = st.integers(-3, 60).map(str) | st.sampled_from(
+    ["-1", "2.5", "41.0", "1e400", "nan", "-inf", "", " 3", "x"])
+
+
+def _key_paths(doc, path=()):
+    """The path to every value in a JSON document: each object key and list index."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return []
+    return [p for key, value in items
+            for p in [path + (key,), *_key_paths(value, path + (key,))]]
+
+
+def _mutated(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def mutation_data(tmp_path_factory):
+    """A data CSV of n = 20 rows: y and three covariates."""
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((20, 3))
+    y = 0.5 + x @ np.array([1.0, 0.0, -0.5]) + rng.standard_normal(20)
+    data = tmp_path_factory.mktemp("mutation") / "data.csv"
+    np.savetxt(data, np.column_stack([y, x]), delimiter=",", header="y,x1,x2,x3",
+               comments="")
+    return data
+
+
+class TestMutation:
+    @staticmethod
+    def _outcome(argv, out):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        assert code in (0, 2, 3), err.getvalue()
+        if code == 0:
+            with open(out) as fh:
+                assert len(list(csv.reader(fh))) >= 2, "a header and no data rows"
+
+    @settings(deadline=None)
+    @given(command=st.sampled_from(["power", "level"]),
+           case=st.sampled_from([(doc, path) for doc in _MUTATION_STUDIES
+                                 for path in _key_paths(doc)]),
+           value=_JSON)
+    def test_mutation_study_config(self, tmp_path_factory, command, case, value):
+        tmp = tmp_path_factory.mktemp("study")
+        cfg = tmp / "cfg.json"
+        cfg.write_text(json.dumps(_mutated(*case, value)))
+        self._outcome([command, "--config", str(cfg), "--out", str(tmp / "o.csv")],
+                      tmp / "o.csv")
+
+    @settings(deadline=None)
+    @given(case=st.sampled_from([(doc, path) for doc in _MUTATION_HYPOTHESES
+                                 for path in _key_paths(doc)]),
+           stat=st.sampled_from(["sqrt_affine_lasso", "sqrt_affine_group_lasso",
+                                 "affine_group_lasso", "fisher_weighted", "lad_sign",
+                                 "glm_score_group", "composite"]),
+           value=_JSON)
+    def test_mutation_hypothesis_file(self, tmp_path_factory, mutation_data, case, stat,
+                                      value):
+        tmp = tmp_path_factory.mktemp("hypothesis")
+        hyp = tmp / "hyp.json"
+        hyp.write_text(json.dumps(_mutated(*case, value)))
+        self._outcome(["test", "--data", str(mutation_data), "--response", "y",
+                       "--intercept", "--hypothesis", str(hyp), "--stat", stat,
+                       "--family", "gaussian", "--mc", "19", "--alpha", "0.1",
+                       "--out", str(tmp / "o.csv")], tmp / "o.csv")
+
+    @settings(deadline=None)
+    @given(grid=st.text(max_size=8) | st.lists(_AXIS_PARTS, min_size=1, max_size=4).map(
+        ":".join))
+    def test_mutation_grid(self, tmp_path_factory, mutation_data, grid):
+        tmp = tmp_path_factory.mktemp("grid")
+        hyp = tmp / "hyp.json"
+        hyp.write_text(json.dumps({"A": [[0.0, 1.0, 0.0, 0.0]], "c": [0.0]}))
+        self._outcome(["region", "--data", str(mutation_data), "--response", "y",
+                       "--intercept", "--hypothesis", str(hyp), f"--grid={grid}",
+                       "--mc", "19", "--alpha", "0.1", "--out", str(tmp / "o.csv")],
+                      tmp / "o.csv")

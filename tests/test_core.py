@@ -18,7 +18,7 @@ from threshtest import (
     min_norm_solution,
     residual,
 )
-from threshtest.exceptions import DimensionMismatch, RankDeficient, Untestable
+from threshtest.exceptions import DimensionMismatch, DomainError, RankDeficient, Untestable
 
 
 @pytest.fixture
@@ -274,6 +274,13 @@ class TestValidation:
         with pytest.raises(DimensionMismatch):
             LinearHypothesis(np.eye(3), np.zeros(3), row_partition=partition)
 
+    def test_no_partition_stays_none(self):
+        # so that an explicit singleton partition can be told from none
+        assert LinearHypothesis(np.eye(3), np.zeros(3)).row_partition is None
+        assert SubsetHypothesis(1, np.zeros(2)).expand(3).row_partition is None
+        singletons = LinearHypothesis(np.eye(3), np.zeros(3), [[0], [1], [2]])
+        assert singletons.row_partition == ((0,), (1,), (2,))
+
     def test_partition_takes_numpy_integers(self):
         hyp = LinearHypothesis(np.eye(3), np.zeros(3),
                                row_partition=[np.array([2, 0]), (np.uint8(1),)])
@@ -298,6 +305,11 @@ class TestValidation:
 
 
 class TestGlmFamilies:
+    @pytest.mark.parametrize("tag", ["nonsense", [], {}, 1, None])
+    def test_unknown_tag_is_a_domain_error(self, tag):
+        with pytest.raises(DomainError, match="unknown family"):
+            glm_family(tag)
+
     @pytest.mark.parametrize("tag,grid", [
         ("gaussian", np.linspace(-5, 5, 101)),
         ("poisson", np.linspace(0, 20, 101)),

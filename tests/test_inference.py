@@ -160,7 +160,7 @@ class TestRunTest:
     def _group_partitions(rng):
         x = DesignMatrix(rng.standard_normal((80, 6)))
         y = x.values @ np.array([0.5, -0.3, 0.2, 0.0, 0.1, 0.0]) + rng.standard_normal(80)
-        first = SubsetHypothesis(2, np.zeros(4)).expand(6)
+        first = SubsetHypothesis(2, np.zeros(4)).expand(6, row_partition=[[0], [1], [2], [3]])
         second = SubsetHypothesis(2, np.zeros(4)).expand(6, row_partition=[[0, 1, 2, 3]])
         return y, (x, first), (x, second), StatisticSpec("sqrt_affine_group_lasso")
 
@@ -174,15 +174,18 @@ class TestRunTest:
 
     @pytest.mark.parametrize("case", ["_group_partitions", "_intercept_marking"])
     def test_cache_key_tells_same_id_statistics_apart(self, rng, case):
-        # both calls share data, A, c and the statistic id, but not the
-        # statistic: the group partition or the centering differs
+        # both calls share data, A and c, but not the statistic: the group
+        # partition, which the id names, or the centering, which it does not
         y, (x1, hyp1), (x2, hyp2), spec = getattr(self, case)(rng)
         mc = McConfig(m_draws=999, seed=3)
         cache = CalibrationCache(directory=False)
         first = run_test(y, x1, hyp1, spec, mc=mc, cache=cache)
         second = run_test(y, x2, hyp2, spec, mc=mc, cache=cache)
         fresh = run_test(y, x2, hyp2, spec, mc=mc, cache=CalibrationCache(directory=False))
-        assert first.statistic_id == second.statistic_id == spec.family
+        if case == "_group_partitions":
+            assert first.statistic_id != second.statistic_id
+        else:
+            assert first.statistic_id == second.statistic_id == spec.family
         assert first.lambda_alpha != fresh.lambda_alpha
         assert second == fresh
         assert len(cache._memory) == 2
@@ -279,6 +282,49 @@ class TestRunTest:
                        StatisticSpec("fisher_weighted"))
         assert res.observed.degenerate
         assert not res.reject and res.p_value == 1.0 and res.degenerate_note
+
+
+class TestGroupBlocks:
+    """run_test and run_composite resolve a group statistic's blocks as the
+    Evaluator does: one block over all rows unless a partition is given."""
+
+    @staticmethod
+    def _run(y, x, hyp, family, partition=None):
+        tag = "bernoulli" if family.startswith("glm") else None
+        return run_test(y, x, hyp, StatisticSpec(family, row_partition=partition,
+                                                 glm_family=tag),
+                        mc=MC, cache=CalibrationCache(directory=False))
+
+    @pytest.mark.parametrize("family, sup", [
+        ("affine_group_lasso", "affine_lasso"),
+        ("sqrt_affine_group_lasso", "sqrt_affine_lasso"),
+        ("glm_score_group", "glm_score_sup"),
+    ])
+    def test_no_partition_is_one_block(self, rng, family, sup):
+        x = DesignMatrix(rng.standard_normal((60, 5)))
+        hyp = SubsetHypothesis(2, np.zeros(3)).expand(5)
+        if family.startswith("glm"):  # its rows are the five columns of X
+            y, rows = (rng.random(60) < 0.4).astype(float), 5
+        else:
+            y, rows = x.values @ np.array([0.5, 0.0, 0.3, 0.2, 0.0]) + rng.standard_normal(60), 3
+        default = self._run(y, x, hyp, family)
+        assert default == self._run(y, x, hyp, family, [tuple(range(rows))])
+        singletons = self._run(y, x, hyp, family, [(i,) for i in range(rows)])
+        assert f"|groups={';'.join(map(str, range(rows)))}" in singletons.statistic_id
+        assert singletons.statistic_id != default.statistic_id
+        # singleton blocks give the sup statistic's value and threshold
+        want = self._run(y, x, hyp, sup)
+        got = (singletons.observed, singletons.lambda_alpha, singletons.p_value)
+        assert got == (want.observed, want.lambda_alpha, want.p_value)
+        assert default.lambda_alpha != want.lambda_alpha
+
+    def test_composite_group_half_follows_the_rule(self, rng):
+        x = DesignMatrix(rng.standard_normal((40, 5)))
+        y = rng.standard_normal(40)
+        ids = [run_composite(y, x, SubsetHypothesis(2, np.zeros(3)).expand(5, part),
+                             mc=MC).statistic_id for part in (None, [(0,), (1, 2)])]
+        assert ids == ["composite(sqrt_affine_lasso,sqrt_affine_group_lasso|groups=0,1,2)",
+                       "composite(sqrt_affine_lasso,sqrt_affine_group_lasso|groups=0;1,2)"]
 
 
 class TestDefaultCache:
@@ -413,7 +459,7 @@ class TestOneCalibrationCache:
         # the composite's three entries are calibrate_composite's calibrations
         red = build_reduction(x, hyp)
         ref = calibrate_composite(*[build_evaluator(s, x, hyp=hyp, red=red)
-                                    for s in calibration._composite_pair(hyp.r)],
+                                    for s in calibration._composite_pair()],
                                   gaussian_pivotal_null(x, hyp, red), MC.m_draws, 0.05,
                                   MC.seed)
         for cal in (ref.cal_1, ref.cal_2, ref.cal_kappa):
@@ -426,7 +472,7 @@ class TestOneCalibrationCache:
         y = rng.standard_normal(x.n)
         process_cache(str(tmp_path / "composite"))
         run_composite(y, x, hyp, mc=MC)
-        for spec in calibration._composite_pair(hyp.r):
+        for spec in calibration._composite_pair():
             run_test(y, x, hyp, spec, mc=MC,
                      cache=CalibrationCache(directory=str(tmp_path / "tests")))
         composite = {p.name: p.read_bytes() for p in (tmp_path / "composite").iterdir()}
@@ -463,7 +509,7 @@ class TestOneCalibrationCache:
         x, hyp = dataset
         y = rng.standard_normal(x.n)
         process_cache()
-        for spec in calibration._composite_pair(hyp.r):
+        for spec in calibration._composite_pair():
             run_test(y, x, hyp, spec, mc=MC)
         assert batches == [0, 0]
         run_composite(y, x, hyp, mc=MC)
@@ -589,7 +635,7 @@ class TestComposite:
         res = run_composite(y, x, hyp, mc=MC)
         red = build_reduction(x, hyp)
         evs = [build_evaluator(spec, x, hyp=hyp, red=red)
-               for spec in calibration._composite_pair(hyp.r)]
+               for spec in calibration._composite_pair()]
         comp = calibrate_composite(*evs, gaussian_pivotal_null(x, hyp, red),
                                    MC.m_draws, 0.05, MC.seed)
         assert res.statistic_id == comp.statistic_id == (

@@ -155,7 +155,7 @@ PINNED = {'power': {'level_bernoulli': ['baseline_fisher,bernoulli,1,0.0,0.05,0.
            'level_gaussian': ['baseline_fisher,gaussian,1,0.0,0.06666666666666667,0.03220305943597653,60,ok',
                               'baseline_lrt,gaussian,1,0.0,0.06666666666666667,0.03220305943597653,60,ok',
                               'composite(sqrt_affine_lasso,sqrt_affine_group_lasso|groups=0,1,2,3),gaussian,1,0.0,0.08333333333333333,0.03568120160740314,60,ok',
-                              'glm_score_group|family=gaussian,gaussian,1,0.0,0.05,0.028136571693556888,60,ok',
+                              'glm_score_group|groups=0,1,2,3|family=gaussian,gaussian,1,0.0,0.05,0.028136571693556888,60,ok',
                               'sqrt_affine_lasso,gaussian,1,0.0,0.06666666666666667,0.03220305943597653,60,ok'],
            'power_bernoulli': ['baseline_fisher,bernoulli,1,0.0,0.05,0.028136571693556888,60,ok',
                                'baseline_fisher,bernoulli,1,0.7,0.2833333333333333,0.05817438662555248,60,ok',
@@ -193,10 +193,10 @@ PINNED = {'power': {'level_bernoulli': ['baseline_fisher,bernoulli,1,0.0,0.05,0.
                               'composite(sqrt_affine_lasso,sqrt_affine_group_lasso|groups=0,1,2,3),gaussian,1,0.7,0.9666666666666667,0.023174059571793564,60,ok',
                               'composite(sqrt_affine_lasso,sqrt_affine_group_lasso|groups=0,1,2,3),gaussian,2,0.0,0.05,0.028136571693556888,60,ok',
                               'composite(sqrt_affine_lasso,sqrt_affine_group_lasso|groups=0,1,2,3),gaussian,2,0.7,0.9166666666666666,0.035681201607403144,60,ok',
-                              'glm_score_group|family=gaussian,gaussian,1,0.0,0.05,0.028136571693556888,60,ok',
-                              'glm_score_group|family=gaussian,gaussian,1,0.7,0.95,0.0281365716935569,60,ok',
-                              'glm_score_group|family=gaussian,gaussian,2,0.0,0.05,0.028136571693556888,60,ok',
-                              'glm_score_group|family=gaussian,gaussian,2,0.7,0.9166666666666666,0.035681201607403144,60,ok',
+                              'glm_score_group|groups=0,1,2,3|family=gaussian,gaussian,1,0.0,0.05,0.028136571693556888,60,ok',
+                              'glm_score_group|groups=0,1,2,3|family=gaussian,gaussian,1,0.7,0.95,0.0281365716935569,60,ok',
+                              'glm_score_group|groups=0,1,2,3|family=gaussian,gaussian,2,0.0,0.05,0.028136571693556888,60,ok',
+                              'glm_score_group|groups=0,1,2,3|family=gaussian,gaussian,2,0.7,0.9166666666666666,0.035681201607403144,60,ok',
                               'sqrt_affine_lasso,gaussian,1,0.0,0.06666666666666667,0.03220305943597653,60,ok',
                               'sqrt_affine_lasso,gaussian,1,0.7,0.95,0.0281365716935569,60,ok',
                               'sqrt_affine_lasso,gaussian,2,0.0,0.05,0.028136571693556888,60,ok',

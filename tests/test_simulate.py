@@ -141,6 +141,11 @@ class TestGenResponse:
         y = gen_response(x, -2.0, np.zeros(2), "poisson", rng)
         assert np.mean(y) == pytest.approx(np.exp(-2.0), abs=0.004)
 
+    def test_bernoulli_extreme_predictor_takes_the_limit(self, rng):
+        # e^-eta would overflow at eta = -1000; the probability is about 1e-308
+        x = DesignMatrix(np.array([[-1.0], [1.0]]))
+        assert gen_response(x, 0.0, np.array([1000.0]), "bernoulli", rng).tolist() == [0, 1]
+
     def test_poisson_overflow_guard(self, rng):
         x = DesignMatrix(np.full((5, 1), 10.0))
         with pytest.raises(OverflowGuard):
@@ -363,6 +368,40 @@ class TestPowerGrid:
     def test_baseline_requires_p_less_than_n(self):
         with pytest.raises(InvalidSpec):
             self._cfg(n=4, p=5, statistics=("fisher",))
+
+    @pytest.mark.parametrize("kw", [{"theta_grid": ()}, {"s_values": ()},
+                                    {"theta_grid": np.array([])}],
+                             ids=["no_theta", "no_s", "empty_array"])
+    def test_empty_grid_is_invalid(self, kw):
+        with pytest.raises(InvalidSpec, match="at least one value"):
+            ExperimentConfig(n=20, p=3, **kw)
+
+    def test_grid_may_be_an_array(self):
+        cfg = ExperimentConfig(n=20, p=3, theta_grid=np.linspace(0.0, 1.0, 3),
+                               s_values=np.array([1, 2]))
+        assert list(cfg.theta_grid) == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("theta", [-0.5, -np.inf])
+    def test_each_alternative_is_checked(self, theta):
+        # the rule of AlternativeSpec, checked before any cell is simulated
+        with pytest.raises(InvalidSpec, match=r"theta >= 0"):
+            ExperimentConfig(n=20, p=3, theta_grid=(0.0, theta))
+
+    def test_poisson_beta0_above_the_guard_is_refused(self):
+        ExperimentConfig(n=20, p=3, family="poisson", beta0=30.0)
+        with pytest.raises(OverflowGuard):
+            ExperimentConfig(n=20, p=3, family="poisson", beta0=30.5)
+
+    @pytest.mark.parametrize("estimate", [estimate_power, estimate_level])
+    def test_no_statistics_is_invalid(self, estimate):
+        with pytest.raises(InvalidSpec, match="at least one statistic"):
+            estimate(ExperimentConfig(n=20, p=3, seed=5))
+
+    @pytest.mark.parametrize("threads", [0, -4, 1.0, True])
+    def test_threads_below_one_are_invalid(self, monkeypatch, threads):
+        monkeypatch.setattr(simulate, "_Harness", None)  # refused before any calibration
+        with pytest.raises(InvalidSpec, match="threads"):
+            estimate_power(self._cfg(), threads=threads)
 
     @pytest.mark.parametrize("family,beta0", [("gaussian", -2.0), ("bernoulli", 0.0)])
     def test_fisher_rejects_equal_baseline_and_skip_degenerate(self, family, beta0):

@@ -369,6 +369,11 @@ class TestEvaluator:
         with pytest.raises(NotApplicable):
             StatisticSpec("ridge")
 
+    @pytest.mark.parametrize("tag", ["nonsense", [], 1])
+    def test_glm_family_must_be_a_tag_or_a_family(self, tag):
+        with pytest.raises(DomainError, match="unknown family"):
+            StatisticSpec("glm_score_sup", glm_family=tag)
+
     def test_glm_spec_needs_family(self):
         with pytest.raises(NotApplicable):
             StatisticSpec("glm_score_sup")
@@ -404,6 +409,74 @@ class TestEvaluator:
             with pytest.raises(DimensionMismatch):
                 glm_score_stat(x, rng.standard_normal(29), tag,
                                norm="group" if ev.spec.is_group else "sup")
+
+
+_GROUP_FAMILIES = ("affine_group_lasso", "sqrt_affine_group_lasso", "glm_score_group")
+_SUP_OF = {"affine_group_lasso": "affine_lasso", "sqrt_affine_group_lasso": "sqrt_affine_lasso",
+           "glm_score_group": "glm_score_sup"}
+
+
+def _spec(family, partition=None):
+    tag = "gaussian" if family in GLM_FAMILIES else None
+    return StatisticSpec(family, row_partition=partition, glm_family=tag)
+
+
+class TestGroupBlocks:
+    """A group statistic has one block over all its rows unless a partition
+    is given: by the spec, or, for an affine family, by the hypothesis."""
+
+    @staticmethod
+    def _problem(rng, family):
+        """(X with 4 columns, H0 with 3 rows, its reduction, the statistic's rows)."""
+        x, hyp, red = _random_problem(rng, n=12, p=4, r=3)
+        return x, hyp, red, 4 if family in GLM_FAMILIES else 3
+
+    @pytest.mark.parametrize("family", _GROUP_FAMILIES)
+    def test_no_partition_is_one_block(self, family, rng):
+        x, hyp, red, rows = self._problem(rng, family)
+        default, one_block = (build_evaluator(_spec(family, part), x, hyp=hyp, red=red)
+                              for part in (None, [tuple(range(rows))]))
+        assert default.statistic_id == one_block.statistic_id
+        assert f"|groups={','.join(map(str, range(rows)))}" in default.statistic_id
+        assert np.array_equal(default.block_ids, one_block.block_ids)
+        y = rng.standard_normal((12, 5))
+        assert default.evaluate_batch(y)[0].tobytes() == one_block.evaluate_batch(y)[0].tobytes()
+
+    @pytest.mark.parametrize("family", _GROUP_FAMILIES)
+    def test_singletons_are_the_sup_statistic(self, family, rng):
+        x, hyp, red, rows = self._problem(rng, family)
+        singletons, default, sup = (
+            build_evaluator(spec, x, hyp=hyp, red=red)
+            for spec in (_spec(family, [(i,) for i in range(rows)]), _spec(family),
+                         _spec(_SUP_OF[family])))
+        assert f"|groups={';'.join(map(str, range(rows)))}" in singletons.statistic_id
+        assert singletons.statistic_id != default.statistic_id
+        y = rng.standard_normal((12, 5))
+        vals = singletons.evaluate_batch(y)[0]
+        assert vals.tobytes() == sup.evaluate_batch(y)[0].tobytes()
+        assert not np.array_equal(vals, default.evaluate_batch(y)[0])
+
+    def test_scalar_functions_default_to_one_block(self, rng):
+        x, hyp, red = _random_problem(rng, n=12, p=4, r=3)
+        y = rng.standard_normal(12)
+        rows = [(0, 1, 2)]
+        assert zt_affine_group_lasso(red, x, y) == zt_affine_group_lasso(red, x, y, rows)
+        assert zt_sqrt_variant(red, x, y, base="group") == zt_sqrt_variant(
+            red, x, y, base="group", partition=rows)
+        assert glm_score_stat(x, y, "gaussian", norm="group") == glm_score_stat(
+            x, y, "gaussian", norm="group", partition=[(0, 1, 2, 3)])
+        assert zt_affine_group_lasso(red, x, y) != zt_affine_lasso(red, x, y)
+
+    def test_affine_families_take_the_hypothesis_partition(self, rng):
+        x, _, _ = _random_problem(rng, n=12, p=4, r=3)
+        hyp = LinearHypothesis(rng.standard_normal((3, 4)), np.zeros(3), [(0, 2), (1,)])
+        ids = [build_evaluator(spec, x, hyp=hyp).statistic_id for spec in (
+            _spec("sqrt_affine_group_lasso"),
+            _spec("sqrt_affine_group_lasso", [(0, 1, 2)]),  # the spec's partition first
+            _spec("glm_score_group"))]  # its blocks are the columns, not the rows of A
+        assert ids == ["sqrt_affine_group_lasso|groups=0,2;1",
+                       "sqrt_affine_group_lasso|groups=0,1,2",
+                       "glm_score_group|groups=0,1,2,3|family=gaussian"]
 
 
 def _random_blocks(rng, k):
