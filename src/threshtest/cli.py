@@ -24,7 +24,8 @@ from .calibration import calibrate
 from .core import DesignMatrix, LinearHypothesis, SubsetHypothesis
 from .exceptions import InvalidSpec, ThreshTestError
 from .inference import McConfig, _bind, confidence_region, run_composite, run_test
-from .simulate import DesignSpec, ExperimentConfig, PowerRow, estimate_level, estimate_power
+from .simulate import (_STUDY_TAGS, DesignSpec, ExperimentConfig, PowerRow, estimate_level,
+                       estimate_power)
 from .statistics import ALL_FAMILIES, GLM_FAMILIES, StatisticSpec
 
 
@@ -284,10 +285,8 @@ def _study_stat(entry, cfg):
     """One ``statistics`` entry of a study config: a baseline tag, a
     statistic name, which tests all P covariates, or an object with a
     ``family`` and optional ``groups`` and ``glm_family``."""
-    if entry in ("composite", "fisher", "lrt"):
-        return entry
     if isinstance(entry, str):
-        return _resolve_stat(entry, cfg.family)
+        return entry if entry in _STUDY_TAGS else _resolve_stat(entry, cfg.family)
     entry = _object(entry, ("family", "groups", "glm_family"))
     return StatisticSpec(_known_stat(entry["family"]), row_partition=entry.get("groups"),
                          glm_family=entry.get("glm_family"))

@@ -425,16 +425,15 @@ class GlmFamily:
         return x_grid
 
 
-def _gaussian_family():
-    return GlmFamily(
-        tag="gaussian",
-        variance=lambda mu: np.ones_like(np.asarray(mu, dtype=float)),
-        canonical_inverse_link=lambda x: np.asarray(x, dtype=float),
-        canonical_link=lambda mu: np.asarray(mu, dtype=float),
-        pivotal_inverse_link=lambda x: np.asarray(x, dtype=float),
-        pivotal_derivative=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        pivotal_domain=(-np.inf, np.inf),
-    )
+_GAUSSIAN = GlmFamily(
+    tag="gaussian",
+    variance=lambda mu: np.ones_like(np.asarray(mu, dtype=float)),
+    canonical_inverse_link=lambda x: np.asarray(x, dtype=float),
+    canonical_link=lambda mu: np.asarray(mu, dtype=float),
+    pivotal_inverse_link=lambda x: np.asarray(x, dtype=float),
+    pivotal_derivative=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+    pivotal_domain=(-np.inf, np.inf),
+)
 
 
 def _logistic(x):
@@ -443,41 +442,35 @@ def _logistic(x):
     return 1.0 / (1.0 + np.exp(np.minimum(-np.asarray(x, dtype=float), 709.0)))
 
 
-def _bernoulli_family():
-    return GlmFamily(
-        tag="bernoulli",
-        variance=lambda mu: np.asarray(mu) * (1.0 - np.asarray(mu)),
-        canonical_inverse_link=_logistic,
-        canonical_link=lambda mu: np.log(np.asarray(mu) / (1.0 - np.asarray(mu))),
-        pivotal_inverse_link=lambda x: (np.sin(np.asarray(x, dtype=float)) + 1.0) / 2.0,
-        pivotal_derivative=lambda x: np.cos(np.asarray(x, dtype=float)) / 2.0,
-        pivotal_domain=(-np.pi / 2.0, np.pi / 2.0),
-    )
+_BERNOULLI = GlmFamily(
+    tag="bernoulli",
+    variance=lambda mu: np.asarray(mu) * (1.0 - np.asarray(mu)),
+    canonical_inverse_link=_logistic,
+    canonical_link=lambda mu: np.log(np.asarray(mu) / (1.0 - np.asarray(mu))),
+    pivotal_inverse_link=lambda x: (np.sin(np.asarray(x, dtype=float)) + 1.0) / 2.0,
+    pivotal_derivative=lambda x: np.cos(np.asarray(x, dtype=float)) / 2.0,
+    pivotal_domain=(-np.pi / 2.0, np.pi / 2.0),
+)
 
+_POISSON = GlmFamily(
+    tag="poisson",
+    variance=lambda mu: np.asarray(mu, dtype=float),
+    canonical_inverse_link=lambda x: np.exp(np.asarray(x, dtype=float)),
+    canonical_link=lambda mu: np.log(np.asarray(mu, dtype=float)),
+    pivotal_inverse_link=lambda x: np.asarray(x, dtype=float) ** 2 / 4.0,
+    pivotal_derivative=lambda x: np.asarray(x, dtype=float) / 2.0,
+    pivotal_domain=(0.0, np.inf),
+)
 
-def _poisson_family():
-    return GlmFamily(
-        tag="poisson",
-        variance=lambda mu: np.asarray(mu, dtype=float),
-        canonical_inverse_link=lambda x: np.exp(np.asarray(x, dtype=float)),
-        canonical_link=lambda mu: np.log(np.asarray(mu, dtype=float)),
-        pivotal_inverse_link=lambda x: np.asarray(x, dtype=float) ** 2 / 4.0,
-        pivotal_derivative=lambda x: np.asarray(x, dtype=float) / 2.0,
-        pivotal_domain=(0.0, np.inf),
-    )
-
-
-_FAMILIES = {
-    "gaussian": _gaussian_family,
-    "bernoulli": _bernoulli_family,
-    "poisson": _poisson_family,
-}
+# one instance per tag, so that equal tags give equal (and equally hashed)
+# families, specs and configs
+_FAMILIES = {family.tag: family for family in (_GAUSSIAN, _BERNOULLI, _POISSON)}
 
 
 def glm_family(tag):
     """Return the GlmFamily for one of {gaussian, bernoulli, poisson}; any
     other tag, or a value that is not one, raises DomainError."""
     try:
-        return _FAMILIES[tag]()
+        return _FAMILIES[tag]
     except (KeyError, TypeError):
         raise DomainError(f"unknown family {tag!r}") from None

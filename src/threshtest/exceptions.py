@@ -64,4 +64,4 @@ class DomainError(ThreshTestError):
 
 
 class OverflowGuard(ThreshTestError):
-    """A simulated mean would overflow (poisson linear predictor too large)."""
+    """A value would overflow the float range, or the poisson exp(30) guard."""

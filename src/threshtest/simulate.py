@@ -9,13 +9,15 @@ the level estimate of the same configuration and results do not depend
 on thread count. A cell seeds all of its replicates' keys in one
 vectorised pass; each draws what ``substream`` with that key would.
 
-The harness takes its calibrations from the process cache of ``inference``,
-keyed on the design its evaluators are bound to, H0, the null model and
-(m_calib, alpha, seed), so a gaussian entry is the one ``run_test`` makes
-for the same test. The grid and n_reps change no calibration: a rerun, or
-a level run after a power run, draws no null batch. A composite is a
-``Composite`` evaluator like the other statistics: a cell evaluates them
-all in one ``evaluate_many`` call and rejects where one exceeds its threshold.
+An ``ExperimentConfig`` refuses an entry its study cannot run: the fisher
+and lrt baselines unless p + 1 < n (InvalidSpec), and in a bernoulli or
+poisson study any statistic but a GLM score one (NotApplicable). The
+harness binds each entry once, to the intercept design and H0, and takes
+its calibration from the process cache of ``inference``, keyed as
+``run_test`` keys the same test. The grid and n_reps change no
+calibration: a rerun, or a level run after a power run, draws no null
+batch. A row whose computation fails on a cell is an error row with the
+id of its statistic.
 
 The likelihood-ratio baseline fits the replicates of a cell together:
 the IRLS fit is batched over response columns (closed form for the
@@ -24,6 +26,7 @@ family requires an intercept design of full column rank with P < N.
 """
 
 import dataclasses
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -60,6 +63,7 @@ from .statistics import (
     _f_ppf,
     _f_sf,
     _fisher_batch,
+    _overflow_guard,
     build_evaluator,
     evaluate_many,
 )
@@ -107,6 +111,11 @@ class DesignSpec:
             raise InvalidSpec("rho must be in (-1, 1)")
 
 
+# the tags a study's ``statistics`` may hold besides a StatisticSpec, with
+# the row id of each baseline; a composite's rows carry its evaluator's id
+_STUDY_TAGS = {"composite": None, "fisher": "baseline_fisher", "lrt": "baseline_lrt"}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     n: int
@@ -143,10 +152,18 @@ class ExperimentConfig:
             for theta in self.theta_grid:
                 AlternativeSpec(s, theta)
         for entry in self.statistics:
-            if isinstance(entry, str) and entry not in ("composite", "fisher", "lrt"):
-                raise InvalidSpec(f"unknown statistic tag {entry!r}")
-            if isinstance(entry, str) and entry in ("fisher", "lrt") and self.p >= self.n:
-                raise InvalidSpec(f"{entry} baseline requires P < N")
+            if isinstance(entry, str):
+                if entry not in _STUDY_TAGS:
+                    raise InvalidSpec(f"unknown statistic tag {entry!r}")
+                if entry != "composite" and self.p + 1 >= self.n:
+                    raise InvalidSpec(f"the {entry} baseline fits an intercept and p columns, "
+                                      f"so it needs p + 1 < n, got p = {self.p}, n = {self.n}")
+            elif not isinstance(entry, StatisticSpec):
+                raise InvalidSpec(f"a statistics entry is a tag or a StatisticSpec, "
+                                  f"got {entry!r}")
+            elif entry.family not in GLM_FAMILIES and self.family != "gaussian":
+                raise NotApplicable(f"{entry.fingerprint()} needs gaussian responses, "
+                                    f"not {self.family}: use a GLM score statistic")
 
 
 @dataclass(frozen=True)
@@ -238,70 +255,50 @@ def _glm_true_null(design, family_tag, beta0):
 
 
 class _Harness:
-    """Holds the per-config design, calibrations, and batched evaluators."""
+    """A study's columns: each entry bound once, to the intercept design
+    ``x_full`` and H0: beta_1..P = 0, into (statistic id, decision). Called
+    with the harness, a decision gives the replicates' rejections on a
+    cell's responses, drawn on the covariates ``x_cov``. The Monte-Carlo
+    statistics are calibrated in one ``_calibrated`` call and share one
+    ``evaluate_many`` pass per cell."""
 
     def __init__(self, cfg):
         self.cfg = cfg
         rng = substream(cfg.seed, 0)
         self.x_cov = gen_design(cfg.n, cfg.p, cfg.design_spec, rng, intercept=False)
         self.family = glm_family(cfg.family)
-        # the intercept design and H0: beta_1..P = 0 serve the F and LRT
-        # baselines of every family; only the gaussian statistics reduce it
         self.x_full = DesignMatrix(np.hstack([np.ones((cfg.n, 1)), self.x_cov.values]),
                                    intercept_column=0)
         self.hyp = SubsetHypothesis(1, np.zeros(cfg.p)).expand(cfg.p + 1)
-        self.red = build_reduction(self.x_full, self.hyp) if cfg.family == "gaussian" else None
-        self._prepare_statistics()
-
-    def _null_model(self):
-        if self.cfg.family == "gaussian":
-            return gaussian_pivotal_null(self.x_full, self.hyp, self.red)
-        return _glm_true_null(self.x_cov, self.cfg.family, self.cfg.beta0)
-
-    def _bind(self, spec):
-        """``spec`` bound to the design: a GLM score statistic to the
-        covariates, any other statistic to the intercept design and H0."""
-        if spec.family in GLM_FAMILIES:
-            return build_evaluator(spec, self.x_cov)
-        return build_evaluator(spec, self.x_full, hyp=self.hyp, red=self.red)
-
-    def _prepare_statistics(self):
-        """Bind the statistics of the config and take their calibrations
-        from the process cache. On a miss the mc statistics and the
-        composite components are calibrated on one batch-0 draw, and the
-        composites on one batch-1 draw. A calibrated entry is ("mc",
-        its Evaluator or Composite, its calibration)."""
-        cfg = self.cfg
+        # a bernoulli or poisson config holds GLM score statistics: no reduction
         gaussian = cfg.family == "gaussian"
-        self.entries = []
-        evaluators, pairs = [], []
-        for entry in cfg.statistics:
-            if entry == "composite":  # the pair is replaced by its Composite below
-                pair = tuple(self._bind(spec) for spec in
-                             _composite_pair(None if gaussian else cfg.family))
-                self.entries.append(["mc", pair, None])
-                evaluators.extend(pair)
-                pairs.append(pair)
-            elif isinstance(entry, str):
-                self.entries.append((entry, entry, None))  # fisher / lrt baselines
-            elif entry.family not in GLM_FAMILIES and not gaussian:
-                self.entries.append(("error", entry.fingerprint(),
-                                     "gaussian statistic with non-gaussian family"))
-            else:
-                ev = self._bind(entry)
-                self.entries.append(["mc", ev, None])
-                evaluators.append(ev)
-        if not evaluators:
-            return
+        red = build_reduction(self.x_full, self.hyp) if gaussian else None
+        model = (gaussian_pivotal_null(self.x_full, self.hyp, red) if gaussian
+                 else _glm_true_null(self.x_full, cfg.family, cfg.beta0))
+        pair = _composite_pair(None if gaussian else cfg.family)
+        bind = functools.partial(build_evaluator, x=self.x_full, hyp=self.hyp, red=red)
+        # a pair of Evaluators per composite and a 1-tuple per spec
+        bound = [tuple(map(bind, pair)) if entry == "composite" else (bind(entry),)
+                 for entry in cfg.statistics if entry not in ("fisher", "lrt")]
+        pairs = [item for item in bound if len(item) == 2]
+        evaluators = [ev for item in bound for ev in item]
         cals, composites = _calibrated(
-            _get_default_cache(), self.x_full if gaussian else self.x_cov,
-            self.hyp.a_matrix, self.hyp.c_vector, self._null_model(),
+            _get_default_cache(), self.x_full, self.hyp.a_matrix, self.hyp.c_vector, model,
             McConfig(cfg.m_calib, cfg.seed), cfg.alpha, evaluators, pairs)
         calibrated = dict(zip(pairs, composites))
-        calibrated.update((ev, (ev, cal)) for ev, cal in zip(evaluators, cals))
-        for entry in self.entries:
-            if entry[0] == "mc":
-                entry[1:] = calibrated[entry[1]]
+        calibrated.update(((ev,), (ev, cal)) for ev, cal in zip(evaluators, cals))
+        mc = iter(calibrated[item] for item in bound)
+        self._mc, self.columns = [], []  # _mc: each Monte-Carlo column's statistic
+        # unbound decisions: a column that held the harness would delay its freeing
+        for entry in cfg.statistics:
+            if entry in ("fisher", "lrt"):
+                decide = _Harness._fisher_rejects if entry == "fisher" else _Harness._lrt_rejects
+                self.columns.append((_STUDY_TAGS[entry], decide))
+            else:
+                stat, cal = next(mc)
+                self._mc.append(stat)
+                self.columns.append((stat.statistic_id, functools.partial(
+                    _Harness._exceeds, stat=stat, threshold=cal.lambda_alpha)))
 
     def simulate_cell(self, s, theta):
         cfg = self.cfg
@@ -314,31 +311,16 @@ class _Harness:
         return y
 
     def evaluate_cell(self, s, theta):
+        """One row per column, an error row where the column fails on this cell."""
         cfg = self.cfg
         y = self.simulate_cell(s, theta)
+        shared = {}  # {statistic: (values, degenerate mask)}: the mc columns' one pass on y
         rows = []
-        shared = None  # {statistic: (values, degenerate mask)} on y
-        for kind, stat, artifact in self.entries:
-            if kind == "error":
-                rows.append(PowerRow(stat, cfg.family, s, theta, np.nan, np.nan,
-                                     cfg.n_reps, status=artifact))
-                continue
+        for sid, decide in self.columns:
             try:
-                if kind == "mc":
-                    if shared is None:
-                        statistics = [entry[1] for entry in self.entries if entry[0] == "mc"]
-                        shared = dict(zip(statistics, evaluate_many(statistics, y)))
-                    vals, degen = shared[stat]
-                    rejects = ~degen & (vals > artifact.lambda_alpha)
-                    sid = artifact.statistic_id
-                elif kind == "fisher":
-                    rejects = self._fisher_rejects(y)
-                    sid = "baseline_fisher"
-                else:
-                    rejects = self._lrt_rejects(y)
-                    sid = "baseline_lrt"
+                rejects = decide(self, y, shared)
             except Exception as exc:  # per-cell failures never abort the grid
-                rows.append(PowerRow(str(stat), cfg.family, s, theta, np.nan, np.nan,
+                rows.append(PowerRow(sid, cfg.family, s, theta, np.nan, np.nan,
                                      cfg.n_reps, status=f"error: {exc}"))
                 continue
             power = float(np.mean(rejects))
@@ -346,13 +328,20 @@ class _Harness:
             rows.append(PowerRow(sid, cfg.family, s, theta, power, se, cfg.n_reps))
         return rows
 
-    def _fisher_rejects(self, y):
-        """F-test rejections; a degenerate replicate never rejects."""
-        fisher = _fisher_batch(self.x_full, self.hyp, y)
-        return ~fisher.degenerate & (
-            _f_sf(fisher.f, fisher.df1, fisher.df2) <= self.cfg.alpha)
+    def _exceeds(self, y, shared, stat, threshold):
+        """Rejections of a Monte-Carlo column: its statistic above its
+        threshold. The first such column of a cell fills ``shared``."""
+        if not shared:
+            shared.update(zip(self._mc, evaluate_many(self._mc, y)))
+        vals, degen = shared[stat]
+        return ~degen & (vals > threshold)
 
-    def _lrt_rejects(self, y):
+    def _fisher_rejects(self, y, _shared=None):
+        """F-test rejections; a degenerate replicate has F = 0 and p = 1."""
+        fisher = _fisher_batch(self.x_full, self.hyp, y)
+        return _f_sf(fisher.f, fisher.df1, fisher.df2) <= self.cfg.alpha
+
+    def _lrt_rejects(self, y, _shared=None):
         stats = _lrt_statistics(y, self.x_full.values, self.family)
         return _chi2_sf(stats, self.cfg.p) <= self.cfg.alpha
 
@@ -403,7 +392,7 @@ def baseline_f_test(y, x, hyp, alpha=0.05):
         p_value=p,
         reject=p <= alpha,
         alpha=alpha,
-        statistic_id="baseline_fisher",
+        statistic_id=_STUDY_TAGS["fisher"],
         degenerate_note=_DEGENERATE_NOTE if degenerate else None,
     )
 
@@ -442,7 +431,7 @@ def _irls_batch(x, y, family, tol=1e-8, max_iter=100):
     """
     n, p = x.shape
     if p >= n:
-        raise NotApplicable("IRLS baseline requires P < N")
+        raise NotApplicable(f"the IRLS fit needs P < N, got P = {p}, N = {n}")
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     if s[-1] <= max(n, p) * np.finfo(float).eps * s[0]:
         raise RankDeficient("design is rank deficient")
@@ -505,17 +494,18 @@ def fit_glm_irls(x, y, family, tol=1e-8, max_iter=100):
 def _lrt_statistics(y, x1, family):
     """Deviance drop from the intercept-only fit to the full fit on x1 (an
     intercept column followed by the tested columns), per column of the
-    N x M response y."""
-    _, dev_full = _irls_batch(x1, y, family)
-    ybar = np.mean(y, axis=0)
-    if family.tag == "bernoulli":
-        mu0 = np.clip(ybar, 1e-12, 1 - 1e-12)
-    elif family.tag == "poisson":
-        mu0 = np.maximum(ybar, 1e-12)
-    else:
-        mu0 = ybar
-    dev_null = _deviance(y, mu0, family.tag)
-    return np.maximum(dev_null - dev_full, 0.0)
+    N x M response y. Responses whose deviance overflows raise OverflowGuard."""
+    with _overflow_guard():
+        _, dev_full = _irls_batch(x1, y, family)
+        ybar = np.mean(y, axis=0)
+        if family.tag == "bernoulli":
+            mu0 = np.clip(ybar, 1e-12, 1 - 1e-12)
+        elif family.tag == "poisson":
+            mu0 = np.maximum(ybar, 1e-12)
+        else:
+            mu0 = ybar
+        dev_null = _deviance(y, mu0, family.tag)
+        return np.maximum(dev_null - dev_full, 0.0)
 
 
 def baseline_lrt(y, x, family, alpha=0.05):
@@ -533,8 +523,6 @@ def baseline_lrt(y, x, family, alpha=0.05):
     _check_bernoulli(family, np.asarray(y, dtype=float))
     y = _as_response(y, x.shape[0])
     n, p = x.shape
-    if p >= n:
-        raise NotApplicable("LRT baseline requires P < N")
     x1 = np.hstack([np.ones((n, 1)), x])
     stat = float(_lrt_statistics(y[:, None], x1, family)[0])
     p_val = float(_chi2_sf(stat, p))
@@ -544,5 +532,5 @@ def baseline_lrt(y, x, family, alpha=0.05):
         p_value=p_val,
         reject=p_val <= alpha,
         alpha=alpha,
-        statistic_id="baseline_lrt",
+        statistic_id=_STUDY_TAGS["lrt"],
     )

@@ -18,6 +18,7 @@ A :class:`Composite` is the larger of two evaluators' statistics over their
 thresholds; ``evaluate_many`` evaluates its components in their shared passes.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -38,6 +39,7 @@ from .exceptions import (
     DegenerateStatistic,
     DimensionMismatch,
     NotApplicable,
+    OverflowGuard,
     RankDeficient,
 )
 
@@ -153,6 +155,17 @@ def zt_sqrt_variant(red, x, y, base="lasso", partition=None):
     return Evaluator(StatisticSpec(family, row_partition=partition), x, red=red).evaluate(y)
 
 
+@contextmanager
+def _overflow_guard():
+    """Raise a float overflow in the block as OverflowGuard: the inf or 0
+    that follows from responses near the float range would read as a value."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise OverflowGuard(f"responses too large for the statistic: {exc}") from None
+
+
 def _affine_parts(red, x, y_mat, with_norm):
     """(z, ||r||, degenerate mask) for each column y of an N x M batch, with
     v = y - X beta_c, r = (I - Q Q^T) v and z = (A A^T)^{-1} A X^T r;
@@ -199,22 +212,24 @@ def _fisher_batch(x, hyp, y_mat):
 
     A y in the column span of X leaves ||y - X beta_hat|| of order
     max(N, P) eps ||y||. Such a column's RSS is rounding noise: it is marked
-    degenerate and gets F = 0, so its F-test p-value is 1.
+    degenerate and gets F = 0, so its F-test p-value is 1. A batch whose
+    squares overflow raises OverflowGuard.
     """
     x, q, rr, l = _full_rank_ls(x, hyp)
-    qty = q.T @ y_mat
-    beta = np.linalg.solve(rr, qty)
-    fit = q @ qty
-    rss = np.sum((y_mat - fit) ** 2, axis=0)
-    d = hyp.a_matrix @ beta - hyp.c_vector[:, None]
-    w = np.linalg.solve(l, d)
-    lam0 = np.sqrt(np.maximum(np.sum(w * w, axis=0), 0.0))
-    df2 = x.n - x.p
-    s2 = rss / df2
-    tol = max(x.n, x.p) * np.finfo(float).eps
-    degen = rss <= tol * tol * np.sum(y_mat * y_mat, axis=0)
-    f = np.zeros_like(lam0)
-    np.divide(lam0 ** 2, s2 * hyp.r, out=f, where=~degen)
+    with _overflow_guard():
+        qty = q.T @ y_mat
+        beta = np.linalg.solve(rr, qty)
+        fit = q @ qty
+        rss = np.sum((y_mat - fit) ** 2, axis=0)
+        d = hyp.a_matrix @ beta - hyp.c_vector[:, None]
+        w = np.linalg.solve(l, d)
+        lam0 = np.sqrt(np.maximum(np.sum(w * w, axis=0), 0.0))
+        df2 = x.n - x.p
+        s2 = rss / df2
+        tol = max(x.n, x.p) * np.finfo(float).eps
+        degen = rss <= tol * tol * np.sum(y_mat * y_mat, axis=0)
+        f = np.zeros_like(lam0)
+        np.divide(lam0 ** 2, s2 * hyp.r, out=f, where=~degen)
     return _Fisher(lam0, s2, f, hyp.r, df2, degen)
 
 
@@ -483,7 +498,8 @@ def evaluate_many(evaluators, y_mat):
     parts come from a square-root member when it has one, so they carry
     ||r||; the other members ignore it. Every value equals the evaluator's
     own ``evaluate_batch`` bit for bit. A batch that is not N x M for the N
-    of every evaluator's design raises DimensionMismatch.
+    of every evaluator's design raises DimensionMismatch, and one whose
+    values overflow a pass or a reduction raises OverflowGuard.
     """
     y_mat = np.asarray(y_mat, dtype=float)
     bound = list(dict.fromkeys(ev for item in evaluators for ev in item.components))
@@ -494,7 +510,8 @@ def evaluate_many(evaluators, y_mat):
     groups = {}
     for ev in bound:
         groups.setdefault(ev._share_key, []).append(ev)
-    parts = {key: max(group, key=lambda ev: ev._scaled)._parts(y_mat)
-             for key, group in groups.items()}
-    results = {ev: ev._reduce(parts[ev._share_key]) for ev in bound}
-    return [item._combine([results[ev] for ev in item.components]) for item in evaluators]
+    with _overflow_guard():
+        parts = {key: max(group, key=lambda ev: ev._scaled)._parts(y_mat)
+                 for key, group in groups.items()}
+        results = {ev: ev._reduce(parts[ev._share_key]) for ev in bound}
+        return [item._combine([results[ev] for ev in item.components]) for item in evaluators]

@@ -165,6 +165,21 @@ class TestCmdTest:
         assert code == 3
 
 
+    def test_overflowing_response_exit_2(self, dataset, tmp_path, capsys):
+        # the squares of a response of order 1e200 overflow: a refusal, not p = 1
+        data, hyp = dataset
+        with open(data) as fh:
+            header, *rows = csv.reader(fh)
+        with open(data, "w", newline="\n") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([repr(float(row[0]) * 1e200)] + row[1:] for row in rows)
+        out = tmp_path / "o.csv"
+        assert main(["test", "--data", str(data), "--response", "y", "--intercept",
+                     "--hypothesis", str(hyp), "--mc", "100", "--out", str(out)]) == 2
+        assert "too large" in capsys.readouterr().err
+        assert not out.exists()
+
 # the CLI exit status of each library error type
 _EXIT_CODES = {
     "ThreshTestError": 2, "DimensionMismatch": 2, "RankDeficient": 2, "Untestable": 3,
@@ -758,6 +773,23 @@ class TestScenarioConfig:
                                    "statistics": ["sqrt_affine_lasso"], **doc}))
         assert main(["power", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
         assert "internal error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, code, message", [
+        ({"p": 9, "statistics": ["fisher"]}, 2, "needs p + 1 < n"),
+        ({"p": 9, "statistics": ["composite", "lrt"]}, 2, "needs p + 1 < n"),
+        ({"p": 3, "family": "poisson", "beta0": 0.5,
+          "statistics": ["glm_score_sup", "sqrt_affine_lasso"]}, 3, "needs gaussian responses"),
+        ({"p": 3, "family": "bernoulli", "beta0": 0.0,
+          "statistics": [{"family": "lad_sign"}]}, 3, "needs gaussian responses"),
+    ], ids=["fisher_at_p_n_minus_1", "lrt_at_p_n_minus_1", "affine_in_poisson",
+            "lad_in_bernoulli"])
+    def test_entry_the_study_cannot_run_is_refused(self, tmp_path, capsys, doc, code, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 10, "seed": 0, "m_calib": 19, "n_reps": 5, **doc}))
+        out = tmp_path / "o.csv"
+        assert main(["power", "--config", str(cfg), "--out", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     _SCENARIO = {"n": 20, "p": 3, "seed": 0, "m_calib": 50, "n_reps": 10,
                  "theta_grid": [0.0], "s_values": [1], "statistics": ["sqrt_affine_lasso"]}

@@ -16,6 +16,8 @@ from threshtest import (
     LinearHypothesis,
     McConfig,
     SubsetHypothesis,
+    baseline_f_test,
+    baseline_lrt,
     build_evaluator,
     build_reduction,
     calibrate_composite,
@@ -35,6 +37,7 @@ from threshtest.exceptions import (
     InsufficientDraws,
     InvalidSpec,
     NotApplicable,
+    OverflowGuard,
     Untestable,
     UnsupportedDimension,
 )
@@ -601,6 +604,21 @@ class TestInvalidResponse:
         with pytest.raises(DomainError):
             run_test(y, x, hyp, StatisticSpec("glm_score_sup", glm_family=family),
                      mc=MC, cache=CalibrationCache(directory=False))
+
+
+    @pytest.mark.parametrize("call", [
+        lambda y, x, hyp: run_test(y, x, hyp, StatisticSpec("sqrt_affine_lasso"), mc=MC,
+                                   cache=CalibrationCache(directory=False)),
+        lambda y, x, hyp: run_composite(y, x, hyp, mc=MC),
+        lambda y, x, hyp: baseline_f_test(y, x, hyp),
+        lambda y, x, hyp: baseline_lrt(y, x, "gaussian"),
+    ], ids=["run_test", "run_composite", "baseline_f_test", "baseline_lrt"])
+    def test_squares_beyond_the_float_range(self, dataset, rng, call):
+        # 1e200 is finite but its square is not: the statistic's denominator
+        # did not vanish, so this is an OverflowGuard, not p = 1
+        x, hyp = dataset
+        with pytest.raises(OverflowGuard, match="too large"):
+            call(1e200 * rng.standard_normal(x.n), x, hyp)
 
 
 class TestComposite:

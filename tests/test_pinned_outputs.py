@@ -113,8 +113,7 @@ def _power_configs():
     bernoulli = ExperimentConfig(
         family="bernoulli", beta0=0.0,
         statistics=("composite", "fisher", "lrt",
-                    StatisticSpec("glm_score_sup", glm_family="bernoulli"),
-                    StatisticSpec("sqrt_affine_lasso")),
+                    StatisticSpec("glm_score_sup", glm_family="bernoulli")),
         **common)
     return {"gaussian": gaussian, "bernoulli": bernoulli}
 
@@ -149,9 +148,7 @@ def _assert_matches(got, want, path=""):
 PINNED = {'power': {'level_bernoulli': ['baseline_fisher,bernoulli,1,0.0,0.05,0.028136571693556888,60,ok',
                                'baseline_lrt,bernoulli,1,0.0,0.05,0.028136571693556888,60,ok',
                                'composite(glm_score_sup|family=bernoulli,glm_score_group|groups=0,1,2,3|family=bernoulli),bernoulli,1,0.0,0.06666666666666667,0.03220305943597653,60,ok',
-                               'glm_score_sup|family=bernoulli,bernoulli,1,0.0,0.05,0.028136571693556888,60,ok',
-                               'sqrt_affine_lasso,bernoulli,1,0.0,nan,nan,60,gaussian '
-                               'statistic with non-gaussian family'],
+                               'glm_score_sup|family=bernoulli,bernoulli,1,0.0,0.05,0.028136571693556888,60,ok'],
            'level_gaussian': ['baseline_fisher,gaussian,1,0.0,0.06666666666666667,0.03220305943597653,60,ok',
                               'baseline_lrt,gaussian,1,0.0,0.06666666666666667,0.03220305943597653,60,ok',
                               'composite(sqrt_affine_lasso,sqrt_affine_group_lasso|groups=0,1,2,3),gaussian,1,0.0,0.08333333333333333,0.03568120160740314,60,ok',
@@ -172,15 +169,7 @@ PINNED = {'power': {'level_bernoulli': ['baseline_fisher,bernoulli,1,0.0,0.05,0.
                                'glm_score_sup|family=bernoulli,bernoulli,1,0.0,0.05,0.028136571693556888,60,ok',
                                'glm_score_sup|family=bernoulli,bernoulli,1,0.7,0.26666666666666666,0.05708992257184502,60,ok',
                                'glm_score_sup|family=bernoulli,bernoulli,2,0.0,0.016666666666666666,0.01652719420071502,60,ok',
-                               'glm_score_sup|family=bernoulli,bernoulli,2,0.7,0.5,0.06454972243679027,60,ok',
-                               'sqrt_affine_lasso,bernoulli,1,0.0,nan,nan,60,gaussian '
-                               'statistic with non-gaussian family',
-                               'sqrt_affine_lasso,bernoulli,1,0.7,nan,nan,60,gaussian '
-                               'statistic with non-gaussian family',
-                               'sqrt_affine_lasso,bernoulli,2,0.0,nan,nan,60,gaussian '
-                               'statistic with non-gaussian family',
-                               'sqrt_affine_lasso,bernoulli,2,0.7,nan,nan,60,gaussian '
-                               'statistic with non-gaussian family'],
+                               'glm_score_sup|family=bernoulli,bernoulli,2,0.7,0.5,0.06454972243679027,60,ok'],
            'power_gaussian': ['baseline_fisher,gaussian,1,0.0,0.06666666666666667,0.03220305943597653,60,ok',
                               'baseline_fisher,gaussian,1,0.7,0.9666666666666667,0.023174059571793564,60,ok',
                               'baseline_fisher,gaussian,2,0.0,0.016666666666666666,0.01652719420071502,60,ok',

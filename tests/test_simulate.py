@@ -16,6 +16,7 @@ from threshtest import (
     SubsetHypothesis,
     baseline_f_test,
     baseline_lrt,
+    build_reduction,
     estimate_level,
     estimate_power,
     gen_beta,
@@ -26,8 +27,8 @@ from threshtest import (
 from threshtest import calibration, inference, simulate
 from threshtest.calibration import calibrate_composite, calibrate_many, substream
 from threshtest.inference import McConfig, run_test
-from threshtest.simulate import _Harness, fit_glm_irls
-from threshtest.statistics import Composite, Evaluator, StatisticSpec
+from threshtest.simulate import PowerRow, _Harness, fit_glm_irls
+from threshtest.statistics import Composite, Evaluator, StatisticSpec, evaluate_many
 from threshtest.exceptions import (
     DimensionMismatch,
     DomainError,
@@ -199,16 +200,15 @@ class TestPowerGrid:
         assert "baseline_fisher" in sids and "baseline_lrt" in sids
         assert any(s.startswith("composite(") for s in sids)
 
-    def test_gaussian_statistic_with_glm_family_flagged(self):
-        cfg = self._cfg(family="poisson", beta0=0.5,
-                        statistics=(StatisticSpec("sqrt_affine_lasso"),
-                                    StatisticSpec("glm_score_sup",
-                                                  glm_family="poisson")))
-        rows = estimate_power(cfg)
-        bad = [r for r in rows if r.statistic_id == "sqrt_affine_lasso"]
-        good = [r for r in rows if r.statistic_id.startswith("glm_score_sup")]
-        assert bad and all(r.status != "ok" for r in bad)
-        assert good and all(r.status == "ok" for r in good)
+    def test_gaussian_statistic_with_glm_family_refused(self, monkeypatch):
+        # a gaussian statistic has no null model for these responses, so the
+        # config refuses it before a design is drawn
+        monkeypatch.setattr(simulate, "_Harness", None)
+        for family in ("bernoulli", "poisson"):
+            with pytest.raises(NotApplicable, match="sqrt_affine_lasso needs gaussian"):
+                self._cfg(family=family, beta0=0.5,
+                          statistics=(StatisticSpec("sqrt_affine_lasso"),
+                                      StatisticSpec("glm_score_sup", glm_family=family)))
 
     @pytest.mark.parametrize("family,beta0,stats", [
         ("gaussian", -2.0, (StatisticSpec("sqrt_affine_lasso"), "composite", "fisher")),
@@ -260,22 +260,34 @@ class TestPowerGrid:
         assert sorted(passes) == [50] * 3 + [200] * 2
         assert [r.as_csv_row() for r in rows] == [r.as_csv_row() for r in reference]
 
-        # the rows of calibrating each entry on its own batch-0 draw
-        def separate(harness):
-            model = harness._null_model()
-            kind, ev, _ = harness.entries[0]
-            harness.entries[0] = (kind, ev, calibrate_many(
-                [ev], model, cfg.m_calib, cfg.alpha, cfg.seed)[0])
-            kind, composite, _ = harness.entries[1]
-            comp = calibrate_composite(*composite.components, model, cfg.m_calib, cfg.alpha,
-                                       cfg.seed)
-            harness.entries[1] = (kind, Composite(*composite.components, comp.cal_1.lambda_alpha,
-                                                  comp.cal_2.lambda_alpha), comp.cal_kappa)
-
+        # the rows of calibrating the statistic and the composite each on
+        # its own draws, on the harness's intercept design and H0
         harness = _Harness(cfg)
-        separate(harness)
-        alone = [row for s in cfg.s_values for theta in cfg.theta_grid
-                 for row in harness.evaluate_cell(s, theta)]
+        x, hyp = harness.x_full, harness.hyp
+        if family == "gaussian":
+            model = calibration.gaussian_pivotal_null(x, hyp, build_reduction(x, hyp))
+        else:
+            model = simulate._glm_true_null(x, family, beta0)
+        ev, ev1, ev2 = (Evaluator(spec, x, hyp=hyp, red=model.reduced) for spec in
+                        (stat, *calibration._composite_pair(None if family == "gaussian"
+                                                            else family)))
+        cal = calibrate_many([ev], model, cfg.m_calib, cfg.alpha, cfg.seed)[0]
+        comp = calibrate_composite(ev1, ev2, model, cfg.m_calib, cfg.alpha, cfg.seed)
+        composite = Composite(ev1, ev2, comp.cal_1.lambda_alpha, comp.cal_2.lambda_alpha)
+        alone = []
+        for theta in cfg.theta_grid:
+            y = harness.simulate_cell(1, theta)
+            (vals, degen), (kappas, kappa_degen) = evaluate_many([ev, composite], y)
+            lrt = [baseline_lrt(y[:, m], harness.x_cov, family, cfg.alpha).reject
+                   for m in range(cfg.n_reps)]
+            for sid, rejects in [
+                    (ev.statistic_id, ~degen & (vals > cal.lambda_alpha)),
+                    (composite.statistic_id, ~kappa_degen & (kappas > comp.kappa_alpha)),
+                    ("baseline_lrt", lrt)]:
+                power = float(np.mean(rejects))
+                alone.append(PowerRow(sid, family, 1, theta, power,
+                                      float(np.sqrt(power * (1.0 - power) / cfg.n_reps)),
+                                      cfg.n_reps))
         alone.sort(key=lambda r: (r.statistic_id, r.s, r.theta))
         assert [r.as_csv_row() for r in alone] == [r.as_csv_row() for r in reference]
 
@@ -368,6 +380,52 @@ class TestPowerGrid:
     def test_baseline_requires_p_less_than_n(self):
         with pytest.raises(InvalidSpec):
             self._cfg(n=4, p=5, statistics=("fisher",))
+
+    @pytest.mark.parametrize("tag", ["fisher", "lrt"])
+    def test_baseline_needs_an_intercept_and_p_columns_below_n(self, monkeypatch, tag):
+        # the baselines fit an intercept and p columns, so p = n - 1 leaves
+        # no residual; the config refuses it before a design is drawn
+        self._cfg(n=10, p=8, statistics=(tag,))
+        monkeypatch.setattr(simulate, "_Harness", None)
+        with pytest.raises(InvalidSpec, match=r"needs p \+ 1 < n, got p = 9, n = 10"):
+            self._cfg(n=10, p=9, statistics=(tag,))
+
+    @pytest.mark.parametrize("entry", [5, None, Evaluator], ids=["int", "none", "class"])
+    def test_entry_neither_tag_nor_spec_is_invalid(self, entry):
+        with pytest.raises(InvalidSpec, match="a tag or a StatisticSpec"):
+            self._cfg(statistics=(entry,))
+
+    @pytest.mark.parametrize("tag", ["bernoulli", "poisson"])
+    def test_equal_glm_specs_and_configs_are_equal(self, tag):
+        # one family per tag, so specs and studies that name it compare
+        # and hash equal
+        assert glm_family(tag) is glm_family(tag)
+        specs = [StatisticSpec("glm_score_sup", glm_family=tag) for _ in range(2)]
+        assert specs[0] == specs[1] and hash(specs[0]) == hash(specs[1])
+        cfgs = [self._cfg(family=tag, beta0=0.0, statistics=(spec, "composite"))
+                for spec in specs]
+        assert cfgs[0] == cfgs[1] and hash(cfgs[0]) == hash(cfgs[1])
+
+    def test_failed_column_row_carries_its_id(self):
+        # nearly all-zero poisson responses at n = 5 make the LRT's IRLS
+        # system singular; that cell's error row carries the lrt column's id
+        cfg = ExperimentConfig(
+            n=5, p=3, family="poisson", beta0=-20.0, theta_grid=(10.0,), s_values=(3,),
+            m_calib=19, n_reps=20, seed=3, alpha=0.1,
+            statistics=("composite", "fisher", "lrt",
+                        StatisticSpec("glm_score_sup", glm_family="poisson")))
+        rows = estimate_power(cfg)
+        assert [r.statistic_id for r in rows if r.status != "ok"] == ["baseline_lrt"]
+
+    def test_overflowing_responses_write_no_ok_rows(self):
+        # a gaussian beta0 of 1e300 overflows every column's squares: each
+        # row is an OverflowGuard error, not a power of 0
+        cfg = ExperimentConfig(n=20, p=3, seed=1, alpha=0.1, m_calib=19, n_reps=5, beta0=1e300,
+                               statistics=("composite", "fisher", "lrt",
+                                           StatisticSpec("sqrt_affine_lasso")))
+        rows = estimate_power(cfg)
+        assert len(rows) == 4
+        assert all(r.status.startswith("error: responses too large") for r in rows)
 
     @pytest.mark.parametrize("kw", [{"theta_grid": ()}, {"s_values": ()},
                                     {"theta_grid": np.array([])}],
