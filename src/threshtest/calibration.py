@@ -29,10 +29,16 @@ holds the three, and ``p_value`` counts the draws of a
 ``CalibrationResult`` or the composite values of a
 ``CompositeCalibration`` alike.
 
+``CalibrationResult.save`` writes a calibration file: six ``#`` header
+lines, the last the SHA-256 of the draws, then the draws as raw
+little-endian float64, so a load takes them with one ``np.frombuffer``
+and an edited draw, even one that keeps them sorted, is refused.
+
 ``_check_alpha`` refuses an alpha outside (0, 1) on every path, exact tests
 included; ``_check_count``, a seed or draw count that is not an integer >= 0.
 """
 
+import hashlib
 import math
 import operator
 import os
@@ -249,6 +255,10 @@ def _simulate_batch(model, seed, m_draws, batch):
                        np.empty((model.design.n, m_draws)))
 
 
+# the header lines of a calibration file, in order
+_HEADER = ("statistic_id", "m_draws", "alpha", "seed", "lambda_alpha", "draws_sha256")
+
+
 @dataclass(frozen=True)
 class CalibrationResult:
     """Sorted null draws plus the calibrated test-threshold."""
@@ -261,21 +271,20 @@ class CalibrationResult:
     statistic_id: str
 
     def save(self, path):
-        """Write five ``#`` header lines, then one ``repr`` draw per line.
+        """Write the six ``#`` header lines of :meth:`load`, then the draws
+        as raw little-endian float64, stored exactly.
 
-        The text goes in one write to a temporary file beside ``path``,
+        The bytes go in one write to a temporary file beside ``path``,
         which is then renamed into place, so a reader sees the old file or
         the whole new one, never a part."""
-        lines = [f"# statistic_id={self.statistic_id}",
-                 f"# m_draws={self.m_draws}",
-                 f"# alpha={self.alpha!r}",
-                 f"# seed={self.seed}",
-                 f"# lambda_alpha={float(self.lambda_alpha)!r}"]
-        lines += map(repr, np.asarray(self.sorted_null_stats, dtype=float).tolist())
+        draws = np.asarray(self.sorted_null_stats, dtype="<f8").tobytes()
+        values = (self.statistic_id, self.m_draws, repr(self.alpha), self.seed,
+                  repr(float(self.lambda_alpha)), hashlib.sha256(draws).hexdigest())
+        header = "".join(f"# {name}={value}\n" for name, value in zip(_HEADER, values))
         tmp = f"{path}.{uuid.uuid4().hex}.tmp"
         try:
-            with open(tmp, "x", newline="\n") as fh:
-                fh.write("\n".join(lines) + "\n")
+            with open(tmp, "xb") as fh:
+                fh.write(header.encode() + draws)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -284,23 +293,34 @@ class CalibrationResult:
 
     @classmethod
     def load(cls, path):
-        """Read a file written by :meth:`save`: the leading ``#`` lines are
-        the header, and every later line must be one draw. A blank or ``#``
-        line among the draws raises ValueError."""
-        with open(path) as fh:
-            lines = fh.read().split("\n")
-        if lines[-1] == "":
-            lines.pop()
-        n_head = 0
-        while n_head < len(lines) and lines[n_head].startswith("#"):
-            n_head += 1
-        meta = dict(line[1:].strip().partition("=")[::2] for line in lines[:n_head])
+        """Read a file written by :meth:`save`: exactly the header lines
+        ``# statistic_id=``, ``# m_draws=``, ``# alpha=``, ``# seed=``,
+        ``# lambda_alpha=`` and ``# draws_sha256=``, in that order, then
+        8 * m_draws bytes of draws with that SHA-256. Anything else, a text
+        file written before the draws were stored raw included, raises
+        ValueError."""
+        with open(path, "rb") as fh:
+            data = fh.read()
+        meta, start = {}, 0
+        for name in _HEADER:
+            end = data.index(b"\n", start)
+            line = data[start:end].decode()
+            prefix = f"# {name}="
+            if not line.startswith(prefix):
+                raise ValueError(f"{path}: header line {line[:40]!r} is not {prefix!r}")
+            meta[name] = line[len(prefix):]
+            start = end + 1
+        m_draws = int(meta["m_draws"])
+        draws = data[start:]
+        if len(draws) != 8 * m_draws:
+            raise ValueError(f"{path}: {len(draws)} bytes of draws, not 8 * {m_draws}")
+        if hashlib.sha256(draws).hexdigest() != meta["draws_sha256"]:
+            raise ValueError(f"{path}: the draws do not match their SHA-256")
         return cls(
-            # numpy parses each string as float() does: correctly rounded
-            sorted_null_stats=np.array(lines[n_head:], dtype=float),
+            sorted_null_stats=np.frombuffer(draws, dtype="<f8"),
             lambda_alpha=float(meta["lambda_alpha"]),
             alpha=float(meta["alpha"]),
-            m_draws=int(meta["m_draws"]),
+            m_draws=m_draws,
             seed=int(meta["seed"]),
             statistic_id=meta["statistic_id"],
         )

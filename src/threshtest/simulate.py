@@ -161,9 +161,13 @@ class ExperimentConfig:
             elif not isinstance(entry, StatisticSpec):
                 raise InvalidSpec(f"a statistics entry is a tag or a StatisticSpec, "
                                   f"got {entry!r}")
-            elif entry.family not in GLM_FAMILIES and self.family != "gaussian":
-                raise NotApplicable(f"{entry.fingerprint()} needs gaussian responses, "
-                                    f"not {self.family}: use a GLM score statistic")
+            elif entry.family not in GLM_FAMILIES:
+                if self.family != "gaussian":
+                    raise NotApplicable(f"{entry.fingerprint()} needs gaussian responses, "
+                                        f"not {self.family}: use a GLM score statistic")
+            elif entry.glm_family.tag != self.family:
+                raise NotApplicable(f"{entry.fingerprint()} scores {entry.glm_family.tag} "
+                                    f"responses, not {self.family}")
 
 
 @dataclass(frozen=True)
@@ -487,7 +491,8 @@ def fit_glm_irls(x, y, family, tol=1e-8, max_iter=100):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_bernoulli(family, y)
-    beta, dev = _irls_batch(x, y[:, None], family, tol, max_iter)
+    with _overflow_guard():
+        beta, dev = _irls_batch(x, y[:, None], family, tol, max_iter)
     return beta[:, 0], float(dev[0])
 
 

@@ -27,6 +27,7 @@ from threshtest.calibration import (
     calibrate_many,
     order_stat_index,
 )
+from threshtest.inference import CalibrationCache
 from threshtest.simulate import _theta_key
 from threshtest.statistics import StatisticSpec
 from threshtest.exceptions import (
@@ -279,35 +280,6 @@ class TestSaveLoad:
         assert np.float64(loaded.lambda_alpha).tobytes() == np.float64(cal.lambda_alpha).tobytes()
 
 
-def _write_line_by_line(cal, path):
-    """The cache-file writer that one bulk write replaced: one write per line."""
-    with open(path, "x", newline="\n") as fh:
-        fh.write(f"# statistic_id={cal.statistic_id}\n")
-        fh.write(f"# m_draws={cal.m_draws}\n")
-        fh.write(f"# alpha={cal.alpha!r}\n")
-        fh.write(f"# seed={cal.seed}\n")
-        fh.write(f"# lambda_alpha={float(cal.lambda_alpha)!r}\n")
-        for v in cal.sorted_null_stats:
-            fh.write(f"{float(v)!r}\n")
-
-
-def _parse_line_by_line(path):
-    """The cache-file parser that one bulk conversion replaced: float() per
-    line, blank lines skipped, a ``#`` line anywhere read as a header."""
-    meta, draws = {}, []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].strip().partition("=")
-                meta[key] = val
-            else:
-                draws.append(float(line))
-    return meta, np.asarray(draws)
-
-
 # finite floats of every magnitude (subnormals included), values that need
 # all 17 significant digits, and the +inf a degenerate draw is stored as
 _draw_values = st.one_of(
@@ -320,8 +292,8 @@ _draw_values = st.one_of(
 
 
 class TestBulkFileIo:
-    """One write and one numpy conversion per cache file, with the bytes and
-    values of the line-by-line code they replaced."""
+    """One write and one ``np.frombuffer`` per cache file, which holds the
+    draws exactly."""
 
     @staticmethod
     def _cal(draws, alpha=0.05, seed=3, statistic_id="sqrt_affine_lasso"):
@@ -332,36 +304,38 @@ class TestBulkFileIo:
 
     @settings(max_examples=60, deadline=None)
     @given(draws=st.lists(_draw_values, min_size=1, max_size=60),
-           alpha=st.floats(1e-3, 0.999), seed=st.integers(0, 2**64))
-    def test_save_bytes_equal_line_by_line_writer(self, tmp_path_factory, draws, alpha,
-                                                  seed):
-        cal = self._cal(draws, alpha, seed)
-        tmp = tmp_path_factory.mktemp("cal")
-        cal.save(tmp / "bulk.txt")
-        _write_line_by_line(cal, tmp / "lines.txt")
-        assert (tmp / "bulk.txt").read_bytes() == (tmp / "lines.txt").read_bytes()
-
-    @settings(max_examples=60, deadline=None)
-    @given(draws=st.lists(_draw_values, min_size=1, max_size=60))
-    def test_load_equals_line_by_line_parser(self, tmp_path_factory, draws):
+           alpha=st.floats(1e-3, 0.999), seed=st.integers(0, 2**64),
+           statistic_id=st.sampled_from(["sqrt_affine_lasso",
+                                         "glm_score_group|groups=0,1;2|family=bernoulli"]))
+    def test_save_load_is_bit_identical(self, tmp_path_factory, draws, alpha, seed,
+                                        statistic_id):
+        cal = self._cal(draws, alpha, seed, statistic_id)
         path = tmp_path_factory.mktemp("cal") / "cal.txt"
-        _write_line_by_line(self._cal(draws), path)
-        meta, want = _parse_line_by_line(path)
-        got = CalibrationResult.load(path)
-        assert got.sorted_null_stats.dtype == want.dtype
-        assert got.sorted_null_stats.tobytes() == want.tobytes()
-        assert np.float64(got.lambda_alpha).tobytes() == \
-            np.float64(float(meta["lambda_alpha"])).tobytes()
-        assert (got.m_draws, got.seed, got.statistic_id) == \
-            (int(meta["m_draws"]), int(meta["seed"]), meta["statistic_id"])
-
-    def test_crlf_file_loads(self, tmp_path):
-        cal = self._cal([0.5, 1.5, 2.5])
-        path = tmp_path / "cal.txt"
         cal.save(path)
-        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        assert CalibrationResult.load(path).sorted_null_stats.tobytes() == \
-            cal.sorted_null_stats.tobytes()
+        got = CalibrationResult.load(path)
+        assert got.sorted_null_stats.dtype == np.float64
+        assert got.sorted_null_stats.tobytes() == cal.sorted_null_stats.tobytes()
+        for name in ("lambda_alpha", "alpha"):
+            assert np.float64(getattr(got, name)).tobytes() == \
+                np.float64(getattr(cal, name)).tobytes(), name
+        for name in ("m_draws", "seed", "statistic_id"):
+            got_v, want = getattr(got, name), getattr(cal, name)
+            assert type(got_v) is type(want) and got_v == want, name
+
+    def test_crlf_file_refused_and_rewritten(self, tmp_path):
+        # the middle draw's low byte is 0x0A, so a CRLF translation changes
+        # the draws as well as the header lines
+        cal = self._cal([0.5, 1.0 + 10 * 2.0**-52, 2.5])
+        assert b"\n" in cal.sorted_null_stats.tobytes()
+        path = tmp_path / "cal_key.txt"
+        cal.save(path)
+        good = path.read_bytes()
+        path.write_bytes(good.replace(b"\n", b"\r\n"))
+        with pytest.raises(ValueError):
+            CalibrationResult.load(path)
+        assert CalibrationCache(directory=str(tmp_path)).get_or_compute("key", lambda: cal) \
+            is cal
+        assert path.read_bytes() == good
 
 
 def _reference_draw(model, rng):

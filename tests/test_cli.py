@@ -390,6 +390,28 @@ class TestCmdCalibrate:
         assert cal.m_draws == 100
         assert cal.sorted_null_stats.shape == (100,)
 
+    def test_out_holds_the_in_process_draws(self, dataset, tmp_path):
+        from threshtest import (CalibrationResult, SubsetHypothesis, build_reduction,
+                                calibrate, gaussian_pivotal_null)
+
+        data, hyp = dataset
+        out = tmp_path / "cal.txt"
+        assert main(["calibrate", "--data", str(data), "--response", "y", "--intercept",
+                     "--hypothesis", str(hyp), "--mc", "100", "--seed", "3",
+                     "--out", str(out)]) == 0
+        header, values = _read_csv(str(data))
+        x = DesignMatrix(np.column_stack([np.ones(len(values)), values[:, 1:]]),
+                         intercept_column=0)
+        h0 = SubsetHypothesis(1, np.zeros(3)).expand(4)
+        model = gaussian_pivotal_null(x, h0, build_reduction(x, h0))
+        want = calibrate(StatisticSpec("sqrt_affine_lasso"), model, 100, 0.05, seed=3)
+        got = CalibrationResult.load(out)
+        assert header[0] == "y"
+        # the file ends in the draws themselves, as raw little-endian float64
+        assert out.read_bytes()[-800:] == want.sorted_null_stats.astype("<f8").tobytes()
+        assert got.sorted_null_stats.tobytes() == want.sorted_null_stats.tobytes()
+        assert (got.lambda_alpha, got.statistic_id) == (want.lambda_alpha, want.statistic_id)
+
 
 class TestStatisticNames:
     @pytest.mark.parametrize("command", ["test", "calibrate"])
@@ -781,8 +803,11 @@ class TestScenarioConfig:
           "statistics": ["glm_score_sup", "sqrt_affine_lasso"]}, 3, "needs gaussian responses"),
         ({"p": 3, "family": "bernoulli", "beta0": 0.0,
           "statistics": [{"family": "lad_sign"}]}, 3, "needs gaussian responses"),
+        ({"p": 3, "family": "poisson", "beta0": 0.5,
+          "statistics": [{"family": "glm_score_sup", "glm_family": "bernoulli"}]}, 3,
+         "scores bernoulli responses, not poisson"),
     ], ids=["fisher_at_p_n_minus_1", "lrt_at_p_n_minus_1", "affine_in_poisson",
-            "lad_in_bernoulli"])
+            "lad_in_bernoulli", "bernoulli_score_in_poisson"])
     def test_entry_the_study_cannot_run_is_refused(self, tmp_path, capsys, doc, code, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 10, "seed": 0, "m_calib": 19, "n_reps": 5, **doc}))

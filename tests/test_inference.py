@@ -1,6 +1,8 @@
 """End-to-end tests of run_test, run_composite, and confidence regions."""
 
+import dataclasses
 import gc
+import hashlib
 import os
 import sys
 import weakref
@@ -58,6 +60,17 @@ def dataset(rng):
     x = DesignMatrix(np.hstack([np.ones((n, 1)), x_cov]), intercept_column=0)
     hyp = SubsetHypothesis(1, np.zeros(4)).expand(5)
     return x, hyp
+
+
+def _split(data):
+    """A cache file of MC.m_draws draws as (header bytes, draw bytes)."""
+    return data[:-8 * MC.m_draws], data[-8 * MC.m_draws:]
+
+
+def _signed(head, draws):
+    """``head`` with its last line, the draws' digest, made that of ``draws``."""
+    head = head[:head.rindex(b"# draws_sha256=")]
+    return head + f"# draws_sha256={hashlib.sha256(draws).hexdigest()}\n".encode() + draws
 
 
 class TestRunTest:
@@ -194,11 +207,14 @@ class TestRunTest:
         assert len(cache._memory) == 2
 
     @pytest.mark.parametrize("damage", [
-        lambda lines: lines[:len(lines) // 2],
-        lambda lines: lines[:-1] + ["not a number\n"],
-        lambda lines: lines[:5] + lines[6:] + ["1e308\n"],
-        lambda lines: lines[:5] + [lines[6], lines[5]] + lines[7:],
-    ], ids=["truncated", "unparsable", "shifted", "unsorted"])
+        lambda head, draws: (head + draws)[:(len(head) + len(draws)) // 2],
+        lambda head, draws: head.replace(b"# m_draws=400\n", b"# m_draws=4o0\n") + draws,
+        lambda head, draws: head + draws[8:] + np.float64(1e308).tobytes(),
+        # a fresh digest: only is_consistent can tell
+        lambda head, draws: _signed(head, draws[8:16] + draws[:8] + draws[16:]),
+        lambda head, draws: head + draws + b"\n",
+        lambda head, draws: head + b"# note=1\n" + draws,
+    ], ids=["truncated", "unparsable", "shifted", "unsorted", "appended", "header_line"])
     def test_damaged_cache_file_recomputed(self, dataset, rng, tmp_path, damage):
         x, hyp = dataset
         y = x.values @ np.array([0.0, 0.3, 0.0, 0.0, 0.0]) + rng.standard_normal(x.n)
@@ -206,31 +222,65 @@ class TestRunTest:
         fresh = run_test(y, x, hyp, spec, mc=MC,
                          cache=CalibrationCache(directory=str(tmp_path)))
         (path,) = tmp_path.glob("cal_*.txt")
-        good = path.read_text()
-        path.write_text("".join(damage(good.splitlines(keepends=True))))
+        good = path.read_bytes()
+        damaged = damage(*_split(good))
+        assert damaged != good
+        path.write_bytes(damaged)
         again = run_test(y, x, hyp, spec, mc=MC,
                          cache=CalibrationCache(directory=str(tmp_path)))
         assert again == fresh
-        assert path.read_text() == good  # rewritten whole
+        assert path.read_bytes() == good  # rewritten whole
         assert list(tmp_path.iterdir()) == [path]  # no temporary file left
 
-    @pytest.mark.parametrize("extra", ["\n", "# note=1\n"], ids=["blank", "comment"])
-    def test_blank_or_comment_line_among_draws_recomputed(self, dataset, rng, tmp_path,
-                                                          extra):
-        # save writes neither, so the file was altered after it was written
+    def test_edited_draw_that_keeps_them_sorted_recomputed(self, dataset, rng, tmp_path,
+                                                           batches):
+        # the draw below the observed value raised to it: the draws stay
+        # sorted and lambda_alpha stays theirs, but the p-value would move
         x, hyp = dataset
         y = rng.standard_normal(x.n)
         spec = StatisticSpec("sqrt_affine_lasso")
         fresh = run_test(y, x, hyp, spec, mc=MC,
                          cache=CalibrationCache(directory=str(tmp_path)))
         (path,) = tmp_path.glob("cal_*.txt")
-        good = path.read_text()
-        lines = good.splitlines(keepends=True)
-        path.write_text("".join(lines[:50] + [extra] + lines[50:]))
+        good = path.read_bytes()
+        cal = CalibrationResult.load(path)
+        head, stored = _split(good)
+        assert stored == cal.sorted_null_stats.tobytes()
+        draws = cal.sorted_null_stats.copy()
+        i = int(np.searchsorted(draws, fresh.observed.value)) - 1
+        assert 0 <= i < calibration.order_stat_index(MC.m_draws, 0.05) - 1
+        draws[i] = fresh.observed.value
+        edited = dataclasses.replace(cal, sorted_null_stats=draws)
+        assert edited.is_consistent()
+        assert calibration.p_value(fresh.observed, edited) != fresh.p_value
+        path.write_bytes(head + draws.tobytes())
         again = run_test(y, x, hyp, spec, mc=MC,
                          cache=CalibrationCache(directory=str(tmp_path)))
+        assert batches == [0, 0]  # recomputed
         assert again == fresh
-        assert path.read_text() == good
+        assert path.read_bytes() == good
+
+    def test_text_file_of_earlier_releases_rewritten(self, dataset, rng, tmp_path, batches):
+        # the same calibration in the text format files had before the draws
+        # were stored raw, under the same name
+        x, hyp = dataset
+        y = rng.standard_normal(x.n)
+        spec = StatisticSpec("sqrt_affine_lasso")
+        fresh = run_test(y, x, hyp, spec, mc=MC,
+                         cache=CalibrationCache(directory=str(tmp_path)))
+        (path,) = tmp_path.glob("cal_*.txt")
+        good = path.read_bytes()
+        cal = CalibrationResult.load(path)
+        lines = [f"# statistic_id={cal.statistic_id}", f"# m_draws={cal.m_draws}",
+                 f"# alpha={cal.alpha!r}", f"# seed={cal.seed}",
+                 f"# lambda_alpha={cal.lambda_alpha!r}"]
+        lines += map(repr, cal.sorted_null_stats.tolist())
+        path.write_bytes(("\n".join(lines) + "\n").encode())
+        again = run_test(y, x, hyp, spec, mc=MC,
+                         cache=CalibrationCache(directory=str(tmp_path)))
+        assert batches == [0, 0]  # recomputed
+        assert again == fresh
+        assert path.read_bytes() == good
 
     @pytest.mark.parametrize("other", [
         dict(stat=StatisticSpec("sqrt_affine_group_lasso")),

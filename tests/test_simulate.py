@@ -210,6 +210,17 @@ class TestPowerGrid:
                           statistics=(StatisticSpec("sqrt_affine_lasso"),
                                       StatisticSpec("glm_score_sup", glm_family=family)))
 
+    def test_glm_score_of_another_family_refused(self, monkeypatch):
+        # a bernoulli score of poisson counts has a negative variance, so
+        # every replicate would be degenerate and the power read 0.0
+        monkeypatch.setattr(simulate, "_Harness", None)
+        for study, scored in (("poisson", "bernoulli"), ("bernoulli", "poisson"),
+                              ("gaussian", "poisson"), ("poisson", "gaussian")):
+            with pytest.raises(NotApplicable, match=f"scores {scored} responses, not {study}"):
+                self._cfg(family=study, beta0=0.5,
+                          statistics=(StatisticSpec("glm_score_sup", glm_family=study),
+                                      StatisticSpec("glm_score_group", glm_family=scored)))
+
     @pytest.mark.parametrize("family,beta0,stats", [
         ("gaussian", -2.0, (StatisticSpec("sqrt_affine_lasso"), "composite", "fisher")),
         ("poisson", 0.5, (StatisticSpec("glm_score_sup", glm_family="poisson"),
@@ -582,6 +593,19 @@ class TestBaselines:
         beta, dev = fit_glm_irls(x1, y, "poisson")
         np.testing.assert_allclose(beta, truth, atol=0.1)
         assert dev >= 0.0
+
+    def test_irls_on_responses_near_the_float_range_raises(self, rng):
+        x1 = np.hstack([np.ones((40, 1)), rng.standard_normal((40, 3))])
+        y = rng.standard_normal(40)
+        with pytest.raises(OverflowGuard):
+            fit_glm_irls(x1, 1e200 * y, "gaussian")
+        # at ordinary scales the guard changes no bit of the fit
+        for family, resp in (("gaussian", 1e150 * y), ("gaussian", y),
+                             ("poisson", np.floor(np.exp(y))), ("bernoulli", 1.0 * (y > 0))):
+            beta, dev = fit_glm_irls(x1, resp, family)
+            want_beta, want_dev = simulate._irls_batch(x1, resp[:, None], glm_family(family))
+            assert beta.tobytes() == want_beta[:, 0].tobytes()
+            assert dev == float(want_dev[0])
 
     def test_irls_recovers_bernoulli_coefficients(self, rng):
         n = 8000
