@@ -1,5 +1,8 @@
 """Monte-Carlo calibration: order statistics, p-values, reproducibility."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -280,6 +283,35 @@ class TestSaveLoad:
         assert np.float64(loaded.lambda_alpha).tobytes() == np.float64(cal.lambda_alpha).tobytes()
 
 
+def _write_line_by_line(cal, path):
+    """A reference cache-file writer: one write per header line, then one
+    ``struct.pack`` write per draw."""
+    draws = [struct.pack("<d", float(v)) for v in cal.sorted_null_stats]
+    with open(path, "xb") as fh:
+        for line in (f"# statistic_id={cal.statistic_id}\n",
+                     f"# m_draws={cal.m_draws}\n",
+                     f"# alpha={cal.alpha!r}\n",
+                     f"# seed={cal.seed}\n",
+                     f"# lambda_alpha={float(cal.lambda_alpha)!r}\n",
+                     f"# draws_sha256={hashlib.sha256(b''.join(draws)).hexdigest()}\n"):
+            fh.write(line.encode())
+        for d in draws:
+            fh.write(d)
+
+
+def _parse_line_by_line(path):
+    """A reference cache-file parser: ``readline`` per header line, then one
+    ``struct.unpack`` per draw."""
+    meta = {}
+    with open(path, "rb") as fh:
+        for _ in range(6):
+            key, _, val = fh.readline().decode().rstrip("\n")[2:].partition("=")
+            meta[key] = val
+        draws = [struct.unpack("<d", fh.read(8))[0] for _ in range(int(meta["m_draws"]))]
+        assert fh.read() == b""
+    return meta, np.asarray(draws)
+
+
 # finite floats of every magnitude (subnormals included), values that need
 # all 17 significant digits, and the +inf a degenerate draw is stored as
 _draw_values = st.one_of(
@@ -293,7 +325,7 @@ _draw_values = st.one_of(
 
 class TestBulkFileIo:
     """One write and one ``np.frombuffer`` per cache file, which holds the
-    draws exactly."""
+    draws exactly, with the bytes and values of a line-by-line reference."""
 
     @staticmethod
     def _cal(draws, alpha=0.05, seed=3, statistic_id="sqrt_affine_lasso"):
@@ -321,6 +353,31 @@ class TestBulkFileIo:
         for name in ("m_draws", "seed", "statistic_id"):
             got_v, want = getattr(got, name), getattr(cal, name)
             assert type(got_v) is type(want) and got_v == want, name
+
+    @settings(max_examples=60, deadline=None)
+    @given(draws=st.lists(_draw_values, min_size=1, max_size=60),
+           alpha=st.floats(1e-3, 0.999), seed=st.integers(0, 2**64))
+    def test_save_bytes_equal_line_by_line_writer(self, tmp_path_factory, draws, alpha,
+                                                  seed):
+        cal = self._cal(draws, alpha, seed)
+        tmp = tmp_path_factory.mktemp("cal")
+        cal.save(tmp / "bulk.txt")
+        _write_line_by_line(cal, tmp / "lines.txt")
+        assert (tmp / "bulk.txt").read_bytes() == (tmp / "lines.txt").read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(draws=st.lists(_draw_values, min_size=1, max_size=60))
+    def test_load_equals_line_by_line_parser(self, tmp_path_factory, draws):
+        path = tmp_path_factory.mktemp("cal") / "cal.txt"
+        _write_line_by_line(self._cal(draws), path)
+        meta, want = _parse_line_by_line(path)
+        got = CalibrationResult.load(path)
+        assert got.sorted_null_stats.dtype == want.dtype
+        assert got.sorted_null_stats.tobytes() == want.tobytes()
+        assert np.float64(got.lambda_alpha).tobytes() == \
+            np.float64(float(meta["lambda_alpha"])).tobytes()
+        assert (got.m_draws, got.seed, got.statistic_id) == \
+            (int(meta["m_draws"]), int(meta["seed"]), meta["statistic_id"])
 
     def test_crlf_file_refused_and_rewritten(self, tmp_path):
         # the middle draw's low byte is 0x0A, so a CRLF translation changes
