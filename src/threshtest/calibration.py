@@ -174,10 +174,16 @@ def gaussian_pivotal_null(design, hyp, reduced):
     return NullModel(kind="gaussian_pivotal", design=design, hyp=hyp, reduced=reduced)
 
 
-def _check_bernoulli(family, y):
-    """DomainError when a bernoulli response holds a value other than 0 or 1."""
+def _check_response(family, y):
+    """DomainError when a bernoulli response holds a value other than 0 or
+    1 (NaN included), or a finite poisson response is not a non-negative
+    integer. A poisson or gaussian NaN or inf is left to ``_as_response``."""
+    y = np.asarray(y, dtype=float)
     if family.tag == "bernoulli" and not np.all((y == 0.0) | (y == 1.0)):
         raise DomainError("bernoulli responses must be 0 or 1")
+    if family.tag == "poisson" and not np.all(
+            ((y >= 0.0) & (y == np.floor(y))) | ~np.isfinite(y)):
+        raise DomainError("poisson responses must be non-negative integers")
 
 
 def _plugin_null(design, family, mean):
@@ -195,10 +201,7 @@ def _plugin_null(design, family, mean):
 def glm_plugin_null(design, family, y_observed):
     """Plug-in null model with mean ybar (bernoulli clipped off {0, 1})."""
     y_observed = _as_response(y_observed, design.n)
-    _check_bernoulli(family, y_observed)
-    if family.tag == "poisson" and not np.all(
-            (y_observed >= 0.0) & (y_observed == np.floor(y_observed))):
-        raise DomainError("poisson responses must be non-negative integers")
+    _check_response(family, y_observed)
     return _plugin_null(design, family, float(np.mean(y_observed)))
 
 

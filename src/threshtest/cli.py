@@ -132,12 +132,12 @@ def _data_stat(args, hyp):
     return _resolve_stat(args.stat, args.family)
 
 
-def _write_record_csv(path, record):
+def _write_csv(path, header, rows):
+    """Write a header row and ``rows`` to ``path``, each line ending in a bare LF."""
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(record.keys()))
-        writer.writerow([repr(v) if isinstance(v, float) else v
-                         for v in record.values()])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _cmd_test(args):
@@ -148,7 +148,9 @@ def _cmd_test(args):
         result = run_composite(y, x, hyp, alpha=args.alpha, mc=mc)
     else:
         result = run_test(y, x, hyp, _data_stat(args, hyp), alpha=args.alpha, mc=mc)
-    _write_record_csv(args.out, result.to_record())
+    record = result.to_record()
+    _write_csv(args.out, list(record), [[repr(v) if isinstance(v, float) else v
+                                         for v in record.values()]])
     return _data_config(args)
 
 
@@ -188,16 +190,14 @@ def _cmd_region(args):
     points, lam = region.scan(
         np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, r))
     member = lam <= region.lambda_alpha
-    with open(args.out, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if r == 1:
-            writer.writerow(["c", "lambda_cr", "member"])
-            writer.writerows([repr(float(c)), repr(float(v)), int(m)]
-                             for (c,), v, m in zip(points, lam, member))
-        else:
-            writer.writerow(["c1", "c2", "member"])
-            writer.writerows([repr(float(c1)), repr(float(c2)), int(m)]
-                             for (c1, c2), m in zip(points, member))
+    if r == 1:
+        _write_csv(args.out, ["c", "lambda_cr", "member"],
+                   ([repr(float(c)), repr(float(v)), int(m)]
+                    for (c,), v, m in zip(points, lam, member)))
+    else:
+        _write_csv(args.out, ["c1", "c2", "member"],
+                   ([repr(float(c1)), repr(float(c2)), int(m)]
+                    for (c1, c2), m in zip(points, member)))
     if args.plot:
         _svg.line_panels([{
             "title": f"lambda_CR(c), threshold {region.lambda_alpha:.4g}",
@@ -314,14 +314,6 @@ def _scenarios(value):
     return scenarios
 
 
-def _write_power_csv(path, rows):
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(PowerRow.HEADER))
-        for row in rows:
-            writer.writerow(list(row.as_csv_row()))
-
-
 def _plot_power(rows, path):
     panels = []
     keys = sorted({(r.family, r.s) for r in rows})
@@ -353,7 +345,7 @@ def _cmd_power(args):
         rows = runner(cfg, threads=args.threads)
         all_rows.extend(rows)
         path = args.out if len(scenarios) == 1 else f"{args.out}.scenario{i + 1}.csv"
-        _write_power_csv(path, rows)
+        _write_csv(path, PowerRow.HEADER, (row.as_csv_row() for row in rows))
     if args.plot:
         _plot_power(all_rows, args.plot)
     return doc

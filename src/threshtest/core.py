@@ -468,8 +468,10 @@ _FAMILIES = {family.tag: family for family in (_GAUSSIAN, _BERNOULLI, _POISSON)}
 
 
 def glm_family(tag):
-    """Return the GlmFamily for one of {gaussian, bernoulli, poisson}; any
-    other tag, or a value that is not one, raises DomainError."""
+    """Return the GlmFamily for one of {gaussian, bernoulli, poisson}, or a
+    GlmFamily given as ``tag`` unchanged; any other value raises DomainError."""
+    if isinstance(tag, GlmFamily):
+        return tag
     try:
         return _FAMILIES[tag]
     except (KeyError, TypeError):

@@ -69,6 +69,7 @@ from .statistics import (
     _f_ppf,
     _f_sf,
     _fisher_batch,
+    _statistic_id,
     build_evaluator,
 )
 
@@ -193,15 +194,11 @@ class CalibrationCache:
         self._memory = OrderedDict()
         self._lock = threading.Lock()
 
-    def get_or_compute(self, key, compute):
+    def get_or_compute(self, key, compute, header=None):
         """The calibration stored under ``key``; on a miss ``compute()``
-        gives it, and it is stored."""
-        return self._get(key, compute, None)
-
-    def _get(self, key, compute, header):
-        """:meth:`get_or_compute`, where a file must also carry ``header``,
-        the (statistic_id, m_draws, alpha, seed) asked for, unless that is
-        None; a file that does not is recomputed and rewritten."""
+        gives it, and it is stored. Unless ``header`` is None, a file under
+        ``key`` must also carry that (statistic_id, m_draws, alpha, seed);
+        a file that does not is recomputed and rewritten."""
         with self._lock:
             cal = self._memory.get(key)
             if cal is not None:
@@ -259,8 +256,8 @@ def _calibrated(cache, x, a_matrix, c_vector, model, mc, alpha, evaluators, pair
                                                batch))
             return computed[i]
 
-        return [cache._get(key(stat), lambda i=i: compute(i),
-                           (stat.statistic_id, mc.m_draws, alpha, mc.seed))
+        return [cache.get_or_compute(key(stat), lambda i=i: compute(i),
+                                     (stat.statistic_id, mc.m_draws, alpha, mc.seed))
                 for i, stat in enumerate(statistics)]
 
     cals = cached(evaluators, 0)
@@ -269,22 +266,17 @@ def _calibrated(cache, x, a_matrix, c_vector, model, mc, alpha, evaluators, pair
     return cals, list(zip(composites, cached(composites, 1)))
 
 
-def _coerce_inputs(y, x, hyp):
-    """(y, X, hypothesis) checked: X as a DesignMatrix, a SubsetHypothesis
-    expanded to its P, and y a finite N-vector."""
+def _test_inputs(y, x, hyp):
+    """(y, X, hypothesis) of a test checked: X as a DesignMatrix, y a finite
+    N-vector, and the hypothesis a LinearHypothesis or a SubsetHypothesis,
+    which is expanded to its P; InvalidSpec for any other hypothesis."""
+    if not isinstance(hyp, (LinearHypothesis, SubsetHypothesis)):
+        raise InvalidSpec(f"a test needs a LinearHypothesis or a SubsetHypothesis, "
+                          f"got {type(hyp).__name__}")
     x = _as_design(x)
     if isinstance(hyp, SubsetHypothesis):
         hyp = hyp.expand(x.p)
     return _as_response(y, x.n), x, hyp
-
-
-def _test_inputs(y, x, hyp):
-    """:func:`_coerce_inputs` of a test, whose hypothesis must be a
-    LinearHypothesis or a SubsetHypothesis: InvalidSpec otherwise."""
-    if not isinstance(hyp, (LinearHypothesis, SubsetHypothesis)):
-        raise InvalidSpec(f"a test needs a LinearHypothesis or a SubsetHypothesis, "
-                          f"got {type(hyp).__name__}")
-    return _coerce_inputs(y, x, hyp)
 
 
 _DEGENERATE_NOTE = "statistic denominator vanished; conservative no-reject"
@@ -331,7 +323,8 @@ def _fisher_exact_test(y, x, hyp, stat, alpha):
     lam_alpha = float(np.sqrt(f_crit * fisher.s2[0] * fisher.df1))
     observed = StatValue(float(fisher.lam0[0]), degenerate=bool(fisher.degenerate[0]))
     p = float(_f_sf(fisher.f[0], fisher.df1, fisher.df2))
-    return _decide(observed, lam_alpha, p, alpha, stat.fingerprint() + "|exact_f")
+    return _decide(observed, lam_alpha, p, alpha,
+                   _statistic_id(stat.family, None, stat.glm_family) + "|exact_f")
 
 
 def _bind(stats, y, x, hyp):
@@ -404,7 +397,8 @@ def _region(y, x, a_matrix, stat, lambda_alpha, alpha=None, mc=None):
     or, when that is None, the threshold calibrated at c = 0 with ``alpha``
     and ``mc``."""
     _require_pivotal(stat)
-    y, x, _ = _coerce_inputs(y, x, None)
+    x = _as_design(x)
+    y = _as_response(y, x.n)
     a = np.atleast_2d(np.asarray(a_matrix, dtype=float))
     factor = factor_reduction(x, a)
     red0 = factor.at(np.zeros(factor.r))

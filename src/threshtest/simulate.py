@@ -23,6 +23,9 @@ The likelihood-ratio baseline fits the replicates of a cell together:
 the IRLS fit is batched over response columns (closed form for the
 gaussian family), and ``fit_glm_irls`` is its one-column case. Every
 family requires an intercept design of full column rank with P < N.
+``baseline_lrt`` and ``fit_glm_irls`` refuse a response as the GLM score
+tests do, with DomainError: a bernoulli value outside {0, 1}, or a poisson
+value that is not a non-negative integer.
 """
 
 import dataclasses
@@ -35,8 +38,8 @@ import numpy as np
 
 from .calibration import (
     _check_alpha,
-    _check_bernoulli,
     _check_count,
+    _check_response,
     _composite_pair,
     _plugin_null,
     _substreams,
@@ -163,10 +166,10 @@ class ExperimentConfig:
                                   f"got {entry!r}")
             elif entry.family not in GLM_FAMILIES:
                 if self.family != "gaussian":
-                    raise NotApplicable(f"{entry.fingerprint()} needs gaussian responses, "
+                    raise NotApplicable(f"{entry.family} needs gaussian responses, "
                                         f"not {self.family}: use a GLM score statistic")
             elif entry.glm_family.tag != self.family:
-                raise NotApplicable(f"{entry.fingerprint()} scores {entry.glm_family.tag} "
+                raise NotApplicable(f"{entry.family} scores {entry.glm_family.tag} "
                                     f"responses, not {self.family}")
 
 
@@ -234,8 +237,7 @@ def gen_response(x, beta0, beta, family, rng):
     if isinstance(x, DesignMatrix):
         x = x.tested_values()
     x = np.asarray(x, dtype=float)
-    if isinstance(family, str):
-        family = glm_family(family)
+    family = glm_family(family)
     eta = beta0 + x @ np.asarray(beta, dtype=float)
     if family.tag == "gaussian":
         return eta + rng.standard_normal(x.shape[0])
@@ -420,9 +422,13 @@ def _deviance(y, mu, tag):
 # P = 21) took 6.3 MB of temporaries, and the power study's two threads
 # fitting cells at once raised its peak RSS by 10%.
 _IRLS_BLOCK_BYTES = 1 << 18
+# a column settles when its deviance moves by at most _IRLS_TOL * (|dev| + 0.1)
+# in one update, and stops after _IRLS_MAX_ITER updates
+_IRLS_TOL = 1e-8
+_IRLS_MAX_ITER = 100
 
 
-def _irls_batch(x, y, family, tol=1e-8, max_iter=100):
+def _irls_batch(x, y, family):
     """Canonical-link GLM fits of every column of the N x M response y.
 
     Returns the P x M coefficients and the M deviances. The gaussian fit is
@@ -459,7 +465,7 @@ def _irls_batch(x, y, family, tol=1e-8, max_iter=100):
         ya = y[:, active]
         eta = np.clip(x @ beta[:, active], -_ETA_MAX, _ETA_MAX)
         mu = family.canonical_inverse_link(eta)
-        for _ in range(max_iter):
+        for _ in range(_IRLS_MAX_ITER):
             w = np.maximum(family.variance(mu), 1e-10)  # canonical: dmu/deta = V(mu)
             z = eta + (ya - mu) / w
             gram = (w.T @ xx).reshape(-1, p, p)
@@ -468,7 +474,7 @@ def _irls_batch(x, y, family, tol=1e-8, max_iter=100):
             eta = np.clip(x @ new_beta, -_ETA_MAX, _ETA_MAX)
             mu = family.canonical_inverse_link(eta)
             new_dev = _deviance(ya, mu, family.tag)
-            done = np.abs(dev[active] - new_dev) <= tol * (np.abs(new_dev) + 0.1)
+            done = np.abs(dev[active] - new_dev) <= _IRLS_TOL * (np.abs(new_dev) + 0.1)
             beta[:, active] = new_beta
             dev[active] = new_dev
             keep = ~done
@@ -478,21 +484,22 @@ def _irls_batch(x, y, family, tol=1e-8, max_iter=100):
     return beta, dev
 
 
-def fit_glm_irls(x, y, family, tol=1e-8, max_iter=100):
+def fit_glm_irls(x, y, family):
     """Canonical-link GLM fit by iteratively reweighted least squares.
 
     Returns (coefficients, deviance). This is the one-column case of the
     column-batched fit that the LRT baseline runs. Every family requires
     P < N and a design of full column rank: a rank-deficient x raises
-    RankDeficient, and a bernoulli y outside {0, 1} raises DomainError.
+    RankDeficient. As in ``baseline_lrt``, a bernoulli y outside {0, 1} or
+    a poisson y that is not a non-negative integer raises DomainError, and
+    any other y that is not a finite N-vector DimensionMismatch.
     """
-    if isinstance(family, str):
-        family = glm_family(family)
+    family = glm_family(family)
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    _check_bernoulli(family, y)
+    _check_response(family, y)
+    y = _as_response(y, x.shape[0])
     with _overflow_guard():
-        beta, dev = _irls_batch(x, y[:, None], family, tol, max_iter)
+        beta, dev = _irls_batch(x, y[:, None], family)
     return beta[:, 0], float(dev[0])
 
 
@@ -515,17 +522,17 @@ def _lrt_statistics(y, x1, family):
 
 def baseline_lrt(y, x, family, alpha=0.05):
     """Likelihood-ratio (deviance) test of H0: beta = 0 with a free intercept,
-    against the chi-squared reference with P degrees of freedom. A y that is
-    not a finite N-vector raises DimensionMismatch (a bernoulli y outside
-    {0, 1}, NaN included, DomainError)."""
+    against the chi-squared reference with P degrees of freedom. A bernoulli
+    y outside {0, 1}, NaN included, or a poisson y with a finite value that
+    is not a non-negative integer raises DomainError; any other y that is
+    not a finite N-vector, DimensionMismatch."""
     _check_alpha(alpha)
     if isinstance(x, DesignMatrix):
         x = x.tested_values()
     x = np.asarray(x, dtype=float)
-    if isinstance(family, str):
-        family = glm_family(family)
+    family = glm_family(family)
     # first, so that a bernoulli NaN is a value outside {0, 1}
-    _check_bernoulli(family, np.asarray(y, dtype=float))
+    _check_response(family, y)
     y = _as_response(y, x.shape[0])
     n, p = x.shape
     x1 = np.hstack([np.ones((n, 1)), x])

@@ -99,7 +99,7 @@ class StatisticSpec:
     def __post_init__(self):
         if self.family not in ALL_FAMILIES:
             raise NotApplicable(f"unknown statistic family {self.family!r}")
-        if self.glm_family is not None and not isinstance(self.glm_family, GlmFamily):
+        if self.glm_family is not None:
             object.__setattr__(self, "glm_family", glm_family(self.glm_family))
         if self.family in GLM_FAMILIES and self.glm_family is None:
             raise NotApplicable(f"{self.family} requires a glm_family")
@@ -114,10 +114,6 @@ class StatisticSpec:
     @property
     def is_sqrt(self):
         return self.family in SQRT_FAMILIES
-
-    def fingerprint(self):
-        return _statistic_id(self.family, self.row_partition if self.is_group else None,
-                             self.glm_family)
 
 
 def _statistic_id(family, blocks, glm_family):
@@ -353,8 +349,7 @@ def glm_score_stat(x, y, family, norm="sup", partition=None):
 
 def link_identity_residual(family, x_grid):
     """Pointwise {h'(x)}^2 - V(h(x)) on the pivotal link's domain."""
-    if isinstance(family, str):
-        family = glm_family(family)
+    family = glm_family(family)
     x_grid = family.check_pivotal_domain(x_grid)
     h = family.pivotal_inverse_link(x_grid)
     return family.pivotal_derivative(x_grid) ** 2 - family.variance(h)

@@ -739,9 +739,8 @@ class TestScenarioConfig:
                "s_values": [1.0, 2], "design": {"kind": "identity", "rho": "0", "standardize": 0},
                "statistics": ["glm_score_sup", "lrt"]}
         cfg = _scenario_config(doc, 8)
-        # a GlmFamily holds functions, so the statistics compare by fingerprint
-        glm, lrt = cfg.statistics
-        assert (glm.fingerprint(), lrt) == ("glm_score_sup|family=poisson", "lrt")
+        # one GlmFamily per tag, so equal specs compare equal
+        assert cfg.statistics == (StatisticSpec("glm_score_sup", glm_family="poisson"), "lrt")
         assert dataclasses.replace(cfg, statistics=()) == ExperimentConfig(
             n=30, p=3, family="poisson", beta0=1.0, alpha=0.1, m_calib=99, n_reps=40,
             theta_grid=(0.0, 1.5), s_values=(1, 2),

@@ -310,6 +310,11 @@ class TestGlmFamilies:
         with pytest.raises(DomainError, match="unknown family"):
             glm_family(tag)
 
+    @pytest.mark.parametrize("tag", ["gaussian", "bernoulli", "poisson"])
+    def test_a_family_is_returned_unchanged(self, tag):
+        family = glm_family(tag)
+        assert glm_family(family) is family
+
     @pytest.mark.parametrize("tag,grid", [
         ("gaussian", np.linspace(-5, 5, 101)),
         ("poisson", np.linspace(0, 20, 101)),

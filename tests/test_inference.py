@@ -420,6 +420,30 @@ class TestDefaultCache:
             cache.get_or_compute(key, lambda k=key: k)
         assert len(cache._memory) == inference._DEFAULT_CACHE_ENTRIES + 5
 
+    def test_file_with_another_header_is_recomputed_and_rewritten(self, tmp_path):
+        stored = CalibrationResult(sorted_null_stats=np.arange(1.0, 100.0), lambda_alpha=95.0,
+                                   alpha=0.05, m_draws=99, seed=0, statistic_id="t")
+        assert stored.is_consistent()
+        path = tmp_path / "cal_key.txt"
+        stored.save(path)
+
+        def never():
+            raise AssertionError("a consistent file was recomputed")
+
+        # with no header, any consistent file under the key is loaded
+        loaded = CalibrationCache(directory=str(tmp_path)).get_or_compute("key", never)
+        assert _same_calibration(loaded, stored)
+        # the same file where another statistic id is asked for
+        fresh = dataclasses.replace(stored, statistic_id="u")
+        got = CalibrationCache(directory=str(tmp_path)).get_or_compute(
+            "key", lambda: fresh, ("u", 99, 0.05, 0))
+        assert got is fresh
+        assert _same_calibration(CalibrationResult.load(path), fresh)
+        # the rewritten file carries that header, so it is loaded
+        loaded = CalibrationCache(directory=str(tmp_path)).get_or_compute(
+            "key", never, ("u", 99, 0.05, 0))
+        assert _same_calibration(loaded, fresh)
+
 
 def _bits(value):
     return np.float64(value).tobytes()

@@ -749,10 +749,13 @@ class TestBatchedIrls:
             assert np.max(np.abs(beta[:, m] - ref_beta)) <= 1e-8 * np.max(np.abs(ref_beta))
 
     @pytest.mark.parametrize("family,beta0", [("bernoulli", 0.0), ("poisson", 0.5)])
-    def test_column_active_at_max_iter_returns_last_deviance(self, family, beta0):
+    def test_column_active_at_max_iter_returns_last_deviance(self, family, beta0,
+                                                               monkeypatch):
         x1, y = _lrt_cell(family, beta0, 2, 1.0, 3, 5)
         fam = glm_family(family)
-        beta, dev = simulate._irls_batch(x1, y, fam, max_iter=2)
+        converged = simulate._irls_batch(x1, y, fam)[1]
+        monkeypatch.setattr(simulate, "_IRLS_MAX_ITER", 2)
+        beta, dev = simulate._irls_batch(x1, y, fam)
         for m in range(y.shape[1]):
             ref_beta, ref_dev = _reference_irls(x1, y[:, m], fam, max_iter=2)
             np.testing.assert_allclose(beta[:, m], ref_beta, rtol=1e-8, atol=1e-12)
@@ -760,10 +763,9 @@ class TestBatchedIrls:
             # the deviance of the last update, not of the one before it
             mu = fam.canonical_inverse_link(np.clip(x1 @ beta[:, m], -30.0, 30.0))
             assert dev[m] == pytest.approx(_deviance(y[:, m], mu, family), rel=1e-12)
-            assert fit_glm_irls(x1, y[:, m], family, max_iter=2)[1] == \
-                pytest.approx(ref_dev, rel=1e-10)
+            assert fit_glm_irls(x1, y[:, m], family)[1] == pytest.approx(ref_dev, rel=1e-10)
         # every column was still active: the converged fits reach lower deviances
-        assert np.all(dev > simulate._irls_batch(x1, y, fam)[1] + 1e-6)
+        assert np.all(dev > converged + 1e-6)
 
     @pytest.mark.parametrize("family", ["gaussian", "bernoulli", "poisson"])
     def test_rank_deficient_design_raises_for_every_family(self, family):
@@ -798,3 +800,38 @@ class TestBatchedIrls:
             t2 = np.where(y < 1, (1 - y) * np.log((1 - y) / (1 - mu)), 0.0)
         two_term = 2.0 * np.sum(t1 + t2, axis=0)
         assert simulate._deviance(y, mu, "bernoulli").tobytes() == two_term.tobytes()
+
+
+class TestOneResponseRule:
+    """The GLM score test, the LRT baseline and the IRLS fit judge a
+    response by one rule, so they refuse it with one exception type."""
+
+    @pytest.mark.parametrize("family, bad, error", [
+        ("bernoulli", 0.5, DomainError),
+        ("bernoulli", 2.0, DomainError),
+        ("bernoulli", -1.0, DomainError),
+        ("poisson", -1.0, DomainError),
+        ("poisson", 0.5, DomainError),
+        ("poisson", np.nan, DimensionMismatch),
+        ("gaussian", np.nan, DimensionMismatch),
+        ("bernoulli", "short", DimensionMismatch),
+        ("poisson", "short", DimensionMismatch),
+        ("gaussian", "short", DimensionMismatch),
+    ])
+    def test_every_path_raises_the_same_error(self, family, bad, error):
+        x1, y = _lrt_cell(family, 0.0, 1, 0.5, 7, 1)
+        good = y[:, 0]
+        y = good[:-1] if bad == "short" else np.where(np.arange(good.size) == 3, bad, good)
+        x = DesignMatrix(x1, intercept_column=0)
+        spec = StatisticSpec("glm_score_sup", glm_family=family)
+        calls = [
+            lambda y: run_test(y, x, SubsetHypothesis(1, np.zeros(x.p - 1)), spec,
+                               mc=McConfig(m_draws=99),
+                               cache=inference.CalibrationCache(directory=False)),
+            lambda y: baseline_lrt(y, x1[:, 1:], family),
+            lambda y: fit_glm_irls(x1, y, family),
+        ]
+        for call in calls:
+            call(good)  # the response as drawn is valid on every path
+            with pytest.raises(error):
+                call(y)
