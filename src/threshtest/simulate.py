@@ -9,6 +9,16 @@ the level estimate of the same configuration and results do not depend
 on thread count. A cell seeds all of its replicates' keys in one
 vectorised pass; each draws what ``substream`` with that key would.
 
+A cell's responses are drawn in batched passes over its generators: every
+replicate's support and signs into an n_reps x P coefficient matrix, then
+the linear predictors, then the link and the poisson exp(30) guard once
+over the whole cell, then one noise call per generator. Each generator
+makes the calls of ``gen_beta`` and ``gen_response``, in their order, and
+each linear predictor stays its own ``x @ beta``: one GEMM over the cell
+sums in another order and moves the last bits. So every response is
+bit-identical to the one-replicate functions, which are the passes' case
+of one generator.
+
 An ``ExperimentConfig`` refuses an entry its study cannot run: the fisher
 and lrt baselines unless p + 1 < n (InvalidSpec), and in a bernoulli or
 poisson study any statistic but a GLM score one (NotApplicable). The
@@ -25,7 +35,8 @@ gaussian family), and ``fit_glm_irls`` is its one-column case. Every
 family requires an intercept design of full column rank with P < N.
 ``baseline_lrt`` and ``fit_glm_irls`` refuse a response as the GLM score
 tests do, with DomainError: a bernoulli value outside {0, 1}, or a poisson
-value that is not a non-negative integer.
+value that is not a non-negative integer. Both refuse an x that is not a
+finite 2-d array of at least one column with DimensionMismatch.
 """
 
 import dataclasses
@@ -46,9 +57,10 @@ from .calibration import (
     gaussian_pivotal_null,
     substream,
 )
-from .core import (DesignMatrix, SubsetHypothesis, _as_response, _is_index, build_reduction,
-                   glm_family)
-from .exceptions import InvalidSpec, NotApplicable, OverflowGuard, RankDeficient
+from .core import (DesignMatrix, SubsetHypothesis, _as_2d, _as_response, _is_index,
+                   build_reduction, glm_family)
+from .exceptions import (DimensionMismatch, InvalidSpec, NotApplicable, OverflowGuard,
+                         RankDeficient)
 from .inference import (
     _DEGENERATE_NOTE,
     McConfig,
@@ -215,37 +227,70 @@ def gen_design(n, p, design_spec=DesignSpec(), rng=None, intercept=False):
     return DesignMatrix(z)
 
 
-def gen_beta(alt, p, rng):
-    """Coefficient vector with s entries of +-theta at random positions."""
+def _draw_betas(alt, p, rngs):
+    """One ``gen_beta`` row per generator, as a len(rngs) x P array. Each
+    generator draws its support (``permutation``), then its signs
+    (``integers``), with the calls and order of ``gen_beta``."""
     if alt.s > p:
         raise InvalidSpec(f"s = {alt.s} > p = {p}")
-    beta = np.zeros(p)
+    betas = np.zeros((len(rngs), p))
     if alt.s > 0:
-        positions = rng.permutation(p)[:alt.s]
-        signs = np.array([-1.0, 1.0])[rng.integers(0, 2, size=alt.s)]
-        beta[positions] = signs * alt.theta
-    return beta
+        signed = np.array([-alt.theta, alt.theta])  # the bits of -1 * theta and 1 * theta
+        for beta, rng in zip(betas, rngs):
+            # two statements: an assignment draws its right-hand side first
+            positions = rng.permutation(p)[:alt.s]
+            beta[positions] = signed[rng.integers(0, 2, size=alt.s)]
+    return betas
+
+
+def gen_beta(alt, p, rng):
+    """Coefficient vector with s entries of +-theta at random positions."""
+    return _draw_betas(alt, p, [rng])[0]
 
 
 # exp(30) guard: the poisson generator refuses a larger linear predictor
 # and the IRLS fits clip to it
 _ETA_MAX = 30.0
 
+# one replicate's noise call on its mean, the generator's last call
+_NOISE = {
+    "gaussian": lambda rng, mu: mu + rng.standard_normal(mu.size),
+    "bernoulli": lambda rng, mu: rng.binomial(1, mu),
+    "poisson": lambda rng, mu: rng.poisson(mu),
+}
+
+
+def _draw_responses(x, beta0, betas, family, rngs):
+    """One ``gen_response`` column per row of ``betas`` and generator, as a
+    C-ordered N x len(rngs) array.
+
+    The link and the poisson guard run once over all the linear predictors.
+    Each ``x @ beta`` stays a product of its own, as does each generator's
+    noise call: one GEMM over the rows of ``betas`` sums in another order
+    and differs in the last bits. A stacked matmul of x with each row as a
+    column makes, row by row, the call that ``x @ beta`` makes.
+    """
+    eta = np.matmul(x, betas[:, :, None])[:, :, 0]
+    eta += beta0
+    if family.tag == "poisson" and np.any(eta > _ETA_MAX):
+        raise OverflowGuard("poisson linear predictor exceeds the exp(30) guard")
+    # the means replace eta, so a cell holds two n_reps x N arrays: them and y
+    eta = family.canonical_inverse_link(eta)
+    noise = _NOISE[family.tag]
+    y = np.empty((x.shape[0], len(rngs)))
+    for j, (mu, rng) in enumerate(zip(eta, rngs)):
+        y[:, j] = noise(rng, mu)
+    return y
+
 
 def gen_response(x, beta0, beta, family, rng):
-    """Responses through the canonical link (gaussian noise sd = 1)."""
+    """Responses through the canonical link (gaussian noise sd = 1): the
+    one-replicate case of a cell's batched draw."""
     if isinstance(x, DesignMatrix):
         x = x.tested_values()
     x = np.asarray(x, dtype=float)
-    family = glm_family(family)
-    eta = beta0 + x @ np.asarray(beta, dtype=float)
-    if family.tag == "gaussian":
-        return eta + rng.standard_normal(x.shape[0])
-    if family.tag == "bernoulli":
-        return rng.binomial(1, family.canonical_inverse_link(eta)).astype(float)
-    if np.any(eta > _ETA_MAX):
-        raise OverflowGuard("poisson linear predictor exceeds the exp(30) guard")
-    return rng.poisson(np.exp(eta)).astype(float)
+    beta = np.asarray(beta, dtype=float)
+    return _draw_responses(x, beta0, beta[None, :], glm_family(family), [rng])[:, 0]
 
 
 def _theta_key(theta):
@@ -266,7 +311,11 @@ class _Harness:
     with the harness, a decision gives the replicates' rejections on a
     cell's responses, drawn on the covariates ``x_cov``. The Monte-Carlo
     statistics are calibrated in one ``_calibrated`` call and share one
-    ``evaluate_many`` pass per cell."""
+    ``evaluate_many`` pass per cell. A cell's responses come from batched
+    passes over its replicates' generators (see ``simulate_cell``): the
+    link runs once per cell, while each generator call and each ``x @ beta``
+    stays per replicate, so that the responses are bit-identical to
+    ``gen_beta`` and ``gen_response`` on each replicate's generator."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -307,14 +356,12 @@ class _Harness:
                     _Harness._exceeds, stat=stat, threshold=cal.lambda_alpha)))
 
     def simulate_cell(self, s, theta):
+        """The cell's N x n_reps responses: column m is what ``gen_beta`` and
+        ``gen_response`` draw from the generator keyed (seed, 1, s, theta, m)."""
         cfg = self.cfg
-        alt = AlternativeSpec(s, theta)
-        y = np.empty((cfg.n, cfg.n_reps))
-        rngs = _substreams(cfg.seed, 1, s, _theta_key(theta), count=cfg.n_reps)
-        for m, rng in enumerate(rngs):
-            beta = gen_beta(alt, cfg.p, rng)
-            y[:, m] = gen_response(self.x_cov, cfg.beta0, beta, self.family, rng)
-        return y
+        rngs = list(_substreams(cfg.seed, 1, s, _theta_key(theta), count=cfg.n_reps))
+        betas = _draw_betas(AlternativeSpec(s, theta), cfg.p, rngs)
+        return _draw_responses(self.x_cov.values, cfg.beta0, betas, self.family, rngs)
 
     def evaluate_cell(self, s, theta):
         """One row per column, an error row where the column fails on this cell."""
@@ -484,18 +531,29 @@ def _irls_batch(x, y, family):
     return beta, dev
 
 
+def _glm_design(x):
+    """``x`` as a finite 2-d float array of at least one column; else
+    DimensionMismatch."""
+    x = _as_2d(x, "x")
+    if x.shape[1] < 1:
+        raise DimensionMismatch(f"x needs at least one column, got shape {x.shape}")
+    return x
+
+
 def fit_glm_irls(x, y, family):
     """Canonical-link GLM fit by iteratively reweighted least squares.
 
     Returns (coefficients, deviance). This is the one-column case of the
     column-batched fit that the LRT baseline runs. Every family requires
     P < N and a design of full column rank: a rank-deficient x raises
-    RankDeficient. As in ``baseline_lrt``, a bernoulli y outside {0, 1} or
-    a poisson y that is not a non-negative integer raises DomainError, and
-    any other y that is not a finite N-vector DimensionMismatch.
+    RankDeficient, and an x that is not a finite 2-d array of at least one
+    column DimensionMismatch. As in ``baseline_lrt``, a bernoulli y outside
+    {0, 1} or a poisson y that is not a non-negative integer raises
+    DomainError, and any other y that is not a finite N-vector
+    DimensionMismatch.
     """
     family = glm_family(family)
-    x = np.asarray(x, dtype=float)
+    x = _glm_design(x)
     _check_response(family, y)
     y = _as_response(y, x.shape[0])
     with _overflow_guard():
@@ -525,11 +583,12 @@ def baseline_lrt(y, x, family, alpha=0.05):
     against the chi-squared reference with P degrees of freedom. A bernoulli
     y outside {0, 1}, NaN included, or a poisson y with a finite value that
     is not a non-negative integer raises DomainError; any other y that is
-    not a finite N-vector, DimensionMismatch."""
+    not a finite N-vector, DimensionMismatch, as does an x that is not a
+    finite 2-d array of at least one column."""
     _check_alpha(alpha)
     if isinstance(x, DesignMatrix):
         x = x.tested_values()
-    x = np.asarray(x, dtype=float)
+    x = _glm_design(x)
     family = glm_family(family)
     # first, so that a bernoulli NaN is a value outside {0, 1}
     _check_response(family, y)

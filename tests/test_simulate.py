@@ -152,6 +152,57 @@ class TestGenResponse:
         with pytest.raises(OverflowGuard):
             gen_response(x, 0.0, np.array([50.0]), "poisson", rng)
 
+    @pytest.mark.parametrize("family,beta0", [("gaussian", -2.0), ("bernoulli", 0.0),
+                                              ("poisson", 0.5)])
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    def test_draws_the_one_replicate_formula(self, family, beta0, layout):
+        # beta0 + x @ beta through the canonical link, then one noise call:
+        # the values and the generator state of the per-replicate loop
+        for seed in range(20):
+            wide = np.random.default_rng(seed).standard_normal((40, 10))
+            x = wide[:, ::2] if layout == "strided" else np.ascontiguousarray(wide[:, ::2])
+            beta = np.random.default_rng(seed + 1).uniform(-0.7, 0.7, 5)
+            rng, ref = np.random.default_rng(seed + 2), np.random.default_rng(seed + 2)
+            got = gen_response(x, beta0, beta, family, rng)
+            eta = beta0 + x @ beta
+            if family == "gaussian":
+                want = eta + ref.standard_normal(40)
+            elif family == "bernoulli":
+                want = ref.binomial(1, 1.0 / (1.0 + np.exp(-eta))).astype(float)
+            else:
+                want = ref.poisson(np.exp(eta)).astype(float)
+            assert got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class TestCellResponses:
+    """A cell's responses are the one-replicate generators' column by column."""
+
+    @pytest.mark.parametrize("family,beta0", [("gaussian", -2.0), ("bernoulli", 0.0),
+                                              ("poisson", 0.5)])
+    @pytest.mark.parametrize("s", [0, 1, 5])
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_cell_equals_per_replicate_draws(self, family, beta0, s, theta):
+        cfg = ExperimentConfig(n=40, p=5, family=family, beta0=beta0, n_reps=30, seed=11,
+                               s_values=(s,), theta_grid=(theta,), statistics=("lrt",))
+        harness = _Harness(cfg)
+        y = harness.simulate_cell(s, theta)
+        alt = AlternativeSpec(s, theta)
+        reference = np.column_stack([
+            gen_response(harness.x_cov, beta0, gen_beta(alt, cfg.p, rng), family, rng)
+            for rng in (substream(cfg.seed, 1, s, simulate._theta_key(theta), m)
+                        for m in range(cfg.n_reps))])
+        assert y.shape == (cfg.n, cfg.n_reps) and y.flags.c_contiguous
+        assert y.tobytes() == reference.tobytes()
+
+    def test_poisson_cell_above_the_guard_raises(self):
+        cfg = ExperimentConfig(n=40, p=5, family="poisson", beta0=0.0, n_reps=30,
+                               s_values=(5,), theta_grid=(20.0,), statistics=("lrt",))
+        with pytest.raises(OverflowGuard, match="exp\\(30\\) guard"):
+            _Harness(cfg).simulate_cell(5, 20.0)
+        with pytest.raises(OverflowGuard):
+            estimate_power(cfg)
+
 
 class TestPowerGrid:
     def _cfg(self, **kw):
@@ -835,3 +886,27 @@ class TestOneResponseRule:
             call(good)  # the response as drawn is valid on every path
             with pytest.raises(error):
                 call(y)
+
+
+class TestGlmDesignRule:
+    """The LRT baseline and the IRLS fit take x as a finite 2-d array of at
+    least one column, and refuse any other x with DimensionMismatch."""
+
+    @pytest.mark.parametrize("family", ["gaussian", "bernoulli", "poisson"])
+    @pytest.mark.parametrize("bad", ["no_columns", "1d", "3d", "nan"])
+    def test_bad_x_raises_dimension_mismatch(self, family, bad):
+        x1, y = _lrt_cell(family, 0.0, 1, 0.5, 9, 1, n=40)
+        y = y[:, 0]
+        x = {"no_columns": x1[:, :0], "1d": x1[:, 1], "3d": x1[:, :, None],
+             "nan": np.where(np.arange(40)[:, None] == 3, np.nan, x1)}[bad]
+        baseline_lrt(y, x1[:, 1:], family)  # the drawn design is valid on both paths
+        fit_glm_irls(x1, y, family)
+        with pytest.raises(DimensionMismatch):
+            baseline_lrt(y, x, family)
+        with pytest.raises(DimensionMismatch):
+            fit_glm_irls(x, y, family)
+
+    def test_design_of_only_an_intercept_leaves_no_tested_column(self):
+        x1, y = _lrt_cell("poisson", 0.0, 1, 0.5, 9, 1, n=40)
+        with pytest.raises(DimensionMismatch, match="at least one column"):
+            baseline_lrt(y[:, 0], DesignMatrix(x1[:, :1], intercept_column=0), "poisson")
