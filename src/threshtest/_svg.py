@@ -7,13 +7,14 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
 
 _W, _H = 420, 320
 _ML, _MR, _MT, _MB = 55, 15, 30, 45
+_TICKS = 5  # per axis
 
 
-def _ticks(lo, hi, count=5):
+def _ticks(lo, hi):
     if hi <= lo:
         hi = lo + 1.0
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    step = (hi - lo) / (_TICKS - 1)
+    return [lo + i * step for i in range(_TICKS)]
 
 
 def _panel_svg(panel, ox, oy):

@@ -40,6 +40,7 @@ included; ``_check_count``, a seed or draw count that is not an integer >= 0.
 
 import hashlib
 import math
+import numbers
 import operator
 import os
 import uuid
@@ -56,7 +57,8 @@ from .core import (
     _as_response,
     _is_index,
 )
-from .exceptions import DomainError, InsufficientDraws, InvalidSpec, StatisticMismatch
+from .exceptions import (DimensionMismatch, DomainError, InsufficientDraws, InvalidSpec,
+                         StatisticMismatch)
 from .statistics import (
     Composite,
     StatisticSpec,
@@ -366,7 +368,10 @@ class CompositeCalibration:
 
 
 def _check_alpha(alpha):
-    """InsufficientDraws unless 0 < alpha < 1; NaN is refused too."""
+    """InvalidSpec unless alpha is a real number; InsufficientDraws unless
+    0 < alpha < 1, so NaN is refused too."""
+    if not isinstance(alpha, numbers.Real):
+        raise InvalidSpec(f"alpha must be a number, got {alpha!r}")
     if not 0.0 < alpha < 1.0:
         raise InsufficientDraws(f"alpha must be in (0,1), got {alpha}")
 
@@ -435,7 +440,8 @@ def p_value(observed, cal, statistic_id=None):
     """Monte-Carlo p-value (1 + #{draws >= observed}) / (M + 1).
 
     The draws are the sorted null draws of a CalibrationResult; for a
-    CompositeCalibration they are its composite values.
+    CompositeCalibration they are its composite values. A NaN observed
+    value raises DimensionMismatch, as a non-finite response does.
     """
     if statistic_id is not None and statistic_id != cal.statistic_id:
         raise StatisticMismatch(
@@ -443,6 +449,8 @@ def p_value(observed, cal, statistic_id=None):
         )
     if isinstance(observed, StatValue):
         observed = observed.value
+    if math.isnan(observed):
+        raise DimensionMismatch("the observed statistic is NaN")
     count = cal.m_draws - int(np.searchsorted(cal.sorted_null_stats, observed, side="left"))
     return (1 + count) / (cal.m_draws + 1)
 

@@ -193,10 +193,6 @@ class LinearHypothesis:
     def r(self):
         return self.a_matrix.shape[0]
 
-    @property
-    def p(self):
-        return self.a_matrix.shape[1]
-
 
 @dataclass(frozen=True)
 class SubsetHypothesis:

@@ -17,7 +17,9 @@ reduction factor itself is kept on the DesignMatrix, so a test and then
 its region, or many responses tested on one design and one A, factor
 (X, A) once. ``run_test``, ``run_composite`` and ``baseline_f_test`` refuse
 a hypothesis that is not a LinearHypothesis or a SubsetHypothesis with
-InvalidSpec.
+InvalidSpec, as every test and region refuses a statistic that is not a
+StatisticSpec (``run_test`` also takes a family name) and an ``mc`` that is
+not a McConfig.
 
 Every Monte-Carlo calibration goes through one ``CalibrationCache`` under
 one key function, ``_calibration_key``, by one helper, ``_calibrated``.
@@ -31,6 +33,7 @@ keys ``run_test`` gives them, and its composite values.
 """
 
 import hashlib
+import math
 import os
 import threading
 from collections import OrderedDict
@@ -58,7 +61,7 @@ from .core import (
     build_reduction,
     factor_reduction,
 )
-from .exceptions import InvalidSpec, NotApplicable, UnsupportedDimension
+from .exceptions import DimensionMismatch, InvalidSpec, NotApplicable, UnsupportedDimension
 from .statistics import (
     GLM_FAMILIES,
     SQRT_FAMILIES,
@@ -136,10 +139,10 @@ def _update(hasher, *parts):
         hasher.update(b"|")
 
 
-def _calibration_key(x, a_matrix, c_vector, model, mc, alpha):
+def _calibration_key(a_matrix, c_vector, model, mc, alpha):
     """The function that maps an Evaluator or a Composite to the cache key of
-    its calibration on design ``x`` under H0: A beta = c with null model
-    ``model``.
+    its calibration under H0: A beta = c with null model ``model``, on that
+    model's design X.
 
     A key digests the statistic id and its components' block ids. A group
     statistic's id names its blocks, so the block ids tell apart no two
@@ -148,6 +151,7 @@ def _calibration_key(x, a_matrix, c_vector, model, mc, alpha):
     centering without changing its id, so it is keyed too.
     (X, its intercept column, A, c) is hashed once, for every key.
     """
+    x = model.design
     prefix = hashlib.sha256()
     _update(prefix, x.values, x.intercept_column, a_matrix, c_vector)
 
@@ -166,7 +170,7 @@ def _load_consistent(path, header):
     (statistic_id, m_draws, alpha, seed)."""
     try:
         cal = CalibrationResult.load(path)
-    except (OSError, ValueError, KeyError):
+    except (OSError, ValueError):
         return None
     if header is not None and header != (cal.statistic_id, cal.m_draws, cal.alpha, cal.seed):
         return None
@@ -235,35 +239,43 @@ def _get_default_cache():
     return _default_cache
 
 
-def _calibrated(cache, x, a_matrix, c_vector, model, mc, alpha, evaluators, pairs=()):
-    """The batch-0 calibration of each evaluator on design ``x`` under
-    H0: A beta = c with null model ``model``, and for each (ev1, ev2) pair
-    of them the Composite at their thresholds with its batch-1 calibration,
-    each read from, or stored in, ``cache`` under its :func:`_calibration_key`.
+def _calibrated(cache, a_matrix, c_vector, model, mc, alpha, statistics):
+    """One (statistic, calibration) per item of ``statistics``, in order,
+    under H0: A beta = c with null model ``model``. An item is an Evaluator,
+    which comes back with its batch-0 calibration, or an (ev1, ev2) pair,
+    which comes back as the Composite at the components' batch-0 thresholds
+    with its batch-1 calibration. Every calibration, a pair's components'
+    too, is read from, or stored in, ``cache`` under its
+    :func:`_calibration_key`.
 
     The first miss of a batch calibrates all of that batch's statistics in
     one ``calibrate_many`` call; by ``evaluate_many``'s contract each equals
     the statistic's own calibration bit for bit.
     """
-    key = _calibration_key(x, a_matrix, c_vector, model, mc, alpha)
+    if not isinstance(mc, McConfig):
+        raise InvalidSpec(f"mc must be a McConfig, got {mc!r}")
+    key = _calibration_key(a_matrix, c_vector, model, mc, alpha)
 
-    def cached(statistics, batch):
+    def cached(stats, batch):
         computed = []
 
         def compute(i):
             if not computed:
-                computed.extend(calibrate_many(statistics, model, mc.m_draws, alpha, mc.seed,
-                                               batch))
+                computed.extend(calibrate_many(stats, model, mc.m_draws, alpha, mc.seed, batch))
             return computed[i]
 
         return [cache.get_or_compute(key(stat), lambda i=i: compute(i),
                                      (stat.statistic_id, mc.m_draws, alpha, mc.seed))
-                for i, stat in enumerate(statistics)]
+                for i, stat in enumerate(stats)]
 
-    cals = cached(evaluators, 0)
-    threshold = {ev: cal.lambda_alpha for ev, cal in zip(evaluators, cals)}
-    composites = [Composite(ev1, ev2, threshold[ev1], threshold[ev2]) for ev1, ev2 in pairs]
-    return cals, list(zip(composites, cached(composites, 1)))
+    evaluators = [ev for item in statistics
+                  for ev in (item if isinstance(item, tuple) else (item,))]
+    cals = dict(zip(evaluators, cached(evaluators, 0)))
+    composites = [Composite(ev1, ev2, cals[ev1].lambda_alpha, cals[ev2].lambda_alpha)
+                  for ev1, ev2 in (item for item in statistics if isinstance(item, tuple))]
+    kappa = zip(composites, cached(composites, 1))
+    return [next(kappa) if isinstance(item, tuple) else (item, cals[item])
+            for item in statistics]
 
 
 def _test_inputs(y, x, hyp):
@@ -327,14 +339,22 @@ def _fisher_exact_test(y, x, hyp, stat, alpha):
                    _statistic_id(stat.family, None, stat.glm_family) + "|exact_f")
 
 
+def _check_spec(stat):
+    if not isinstance(stat, StatisticSpec):
+        raise InvalidSpec(f"a statistic is a StatisticSpec, got {stat!r}")
+
+
 def _bind(stats, y, x, hyp):
     """The evaluators of ``stats`` on (X, hypothesis) and the null model
     they share.
 
     GLM score statistics share the plug-in null of the first one's family
     and need no reduction; every other statistic shares the gaussian
-    pivotal null over the one reduction of (X, hypothesis).
+    pivotal null over the one reduction of (X, hypothesis). Anything but a
+    StatisticSpec in ``stats`` raises InvalidSpec.
     """
+    for stat in stats:
+        _check_spec(stat)
     glm = [stat.family in GLM_FAMILIES for stat in stats]
     if any(glm) != all(glm):
         raise NotApplicable("cannot mix gaussian and glm null models")
@@ -350,18 +370,19 @@ def run_test(y, x, hyp, stat, alpha=0.05, mc=McConfig(), cache=None):
 
     Degenerate observed statistics give a conservative no-reject with an
     explanatory note rather than an error. `stat` may be a StatisticSpec
-    or a bare family name.
+    or a bare family name; anything else raises InvalidSpec, as an ``mc``
+    that is not a McConfig does.
     """
     if isinstance(stat, str):
         stat = StatisticSpec(stat)
+    _check_spec(stat)
     y, x, hyp = _test_inputs(y, x, hyp)
     if stat.family == "fisher_weighted":
         return _fisher_exact_test(y, x, hyp, stat, alpha)
     (evaluator,), model = _bind([stat], y, x, hyp)
     if cache is None:
         cache = _get_default_cache()
-    (cal,), _ = _calibrated(cache, x, hyp.a_matrix, hyp.c_vector, model, mc, alpha,
-                            [evaluator])
+    ((_, cal),) = _calibrated(cache, hyp.a_matrix, hyp.c_vector, model, mc, alpha, [evaluator])
     return _decide_calibrated(evaluator, cal, y, alpha, mc)
 
 
@@ -379,12 +400,13 @@ def run_composite(y, x, hyp, stat1=None, stat2=None, alpha=0.05, mc=McConfig()):
     y, x, hyp = _test_inputs(y, x, hyp)
     default1, default2 = _composite_pair()
     evaluators, model = _bind([stat1 or default1, stat2 or default2], y, x, hyp)
-    _, ((composite, cal),) = _calibrated(_get_default_cache(), x, hyp.a_matrix, hyp.c_vector,
-                                         model, mc, alpha, evaluators, [tuple(evaluators)])
+    ((composite, cal),) = _calibrated(_get_default_cache(), hyp.a_matrix, hyp.c_vector, model,
+                                      mc, alpha, [tuple(evaluators)])
     return _decide_calibrated(composite, cal, y, alpha, mc, _COMPONENT_NOTE)
 
 
 def _require_pivotal(stat):
+    _check_spec(stat)
     if stat.family not in SQRT_FAMILIES:
         raise NotApplicable(
             "confidence regions need a statistic pivotal in (beta, sigma); "
@@ -395,8 +417,10 @@ def _require_pivotal(stat):
 def _region(y, x, a_matrix, stat, lambda_alpha, alpha=None, mc=None):
     """The region of ``stat`` for (y, X, A) with threshold ``lambda_alpha``,
     or, when that is None, the threshold calibrated at c = 0 with ``alpha``
-    and ``mc``."""
+    and ``mc``. A NaN threshold raises DimensionMismatch."""
     _require_pivotal(stat)
+    if lambda_alpha is not None and math.isnan(lambda_alpha):
+        raise DimensionMismatch("the threshold lambda_alpha is NaN")
     x = _as_design(x)
     y = _as_response(y, x.n)
     a = np.atleast_2d(np.asarray(a_matrix, dtype=float))
@@ -407,8 +431,8 @@ def _region(y, x, a_matrix, stat, lambda_alpha, alpha=None, mc=None):
         # the test of H0: A beta = 0 has this evaluator, null model and draws
         # (X beta_0 = 0), so the region shares its cache entry
         model = gaussian_pivotal_null(x, None, red0)
-        (cal,), _ = _calibrated(_get_default_cache(), x, a, np.zeros(factor.r), model, mc,
-                                alpha, [evaluator])
+        ((_, cal),) = _calibrated(_get_default_cache(), a, np.zeros(factor.r), model, mc,
+                                  alpha, [evaluator])
         lambda_alpha = cal.lambda_alpha
     return ConfidenceRegion(lambda_alpha, factor, y, evaluator)
 
@@ -465,15 +489,18 @@ class ConfidenceRegion:
 
     def scan(self, grid):
         """(points, lambda_CR at each point) for a grid as :func:`cr_grid`
-        takes it; the points are a (G, R) array."""
+        takes it: (G, R) points, or for R = 1 also a (G,) vector. The points
+        come back as a (G, R) array; a grid of any other shape raises
+        UnsupportedDimension."""
         r = self.factor.r
         if r > 2:
             raise UnsupportedDimension(f"grids support R <= 2, got R = {r}")
         points = np.asarray(grid, dtype=float)
-        if r == 1 or points.size == 0:
+        if points.size == 0 or points.ndim == r == 1:
             points = points.reshape(-1, r)
-        elif points.ndim != 2 or points.shape[1] != 2:
-            raise UnsupportedDimension("R = 2 grids must be (G, 2) arrays of points")
+        elif points.ndim != 2 or points.shape[1] != r:
+            raise UnsupportedDimension(f"R = {r} grids must be (G, {r}) arrays of points"
+                                       + (" or (G,) vectors" if r == 1 else ""))
         return points, np.array([self.lambda_cr(c) for c in points])
 
 

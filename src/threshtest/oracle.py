@@ -21,6 +21,12 @@ __all__ = [
 
 _MAX_N = 200
 _MAX_P = 50
+# FISTA stops at a KKT residual of _KKT_TOL, or fails after _MAX_ITER steps;
+# A beta - c is zero up to _ACT_TOL; bisection stops at a _BISECT_TOL bracket
+_KKT_TOL = 1e-9
+_MAX_ITER = 200000
+_ACT_TOL = 1e-8
+_BISECT_TOL = 1e-6
 
 
 class UnsupportedScale(ThreshTestError):
@@ -64,7 +70,7 @@ def _penalty(d, blocks, j):
     return float(sum(np.linalg.norm(d[b]) for b in blocks))
 
 
-def _kkt_residual(x, y, a, beta, c, lam, blocks, j, act_tol=1e-8):
+def _kkt_residual(x, y, a, beta, c, lam, blocks, j):
     """Stationarity violation for 0 in X^T(X beta - y) + lam A^T s."""
     g = x.T @ (x @ beta - y)
     scale = max(1.0, float(np.max(np.abs(x.T @ y))))
@@ -80,21 +86,20 @@ def _kkt_residual(x, y, a, beta, c, lam, blocks, j, act_tol=1e-8):
         sb = s[b]
         if j == 1:
             for r in range(db.shape[0]):
-                if abs(db[r]) > act_tol:
+                if abs(db[r]) > _ACT_TOL:
                     viol = max(viol, abs(sb[r] - np.sign(db[r])))
                 else:
                     viol = max(viol, abs(sb[r]) - 1.0)
         else:
             nrm = np.linalg.norm(db)
-            if nrm > act_tol:
+            if nrm > _ACT_TOL:
                 viol = max(viol, float(np.max(np.abs(sb - db / nrm))))
             else:
                 viol = max(viol, float(np.linalg.norm(sb)) - 1.0)
     return max(res, viol)
 
 
-def solve_affine_lasso(x, y, a_matrix, c, lam, j=1, partition=None,
-                       tol=1e-9, max_iter=200000, init=None):
+def solve_affine_lasso(x, y, a_matrix, c, lam, j=1, partition=None, init=None):
     """Solve min 0.5||y - X beta||^2 + lam sum_l ||A^{H_l} beta - c_{H_l}||_j.
 
     Uses FISTA after the change of variables beta = K_A u + A^+ (c + d),
@@ -131,7 +136,7 @@ def solve_affine_lasso(x, y, a_matrix, c, lam, j=1, partition=None,
     t = 1.0
     check_every = 50
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         grad = grad_mat @ z - grad_rhs
         w_new = z - step * grad
         w_new[p - r:] = _prox(w_new[p - r:], step * lam, blocks, j)
@@ -145,7 +150,7 @@ def solve_affine_lasso(x, y, a_matrix, c, lam, j=1, partition=None,
         w, t = w_new, t_new
         if it % check_every == 0 or moved <= 1e-15:
             beta = basis[:, :p - r] @ w[:p - r] + a_pinv @ (c + w[p - r:])
-            if _kkt_residual(x, y, a, beta, c, lam, blocks, j) <= tol:
+            if _kkt_residual(x, y, a, beta, c, lam, blocks, j) <= _KKT_TOL:
                 break
             if moved <= 1e-15:
                 # machine-precision fixed point of the prox-gradient map:
@@ -154,8 +159,8 @@ def solve_affine_lasso(x, y, a_matrix, c, lam, j=1, partition=None,
                 break
     else:
         beta = basis[:, :p - r] @ w[:p - r] + a_pinv @ (c + w[p - r:])
-        if _kkt_residual(x, y, a, beta, c, lam, blocks, j) > np.sqrt(tol):
-            raise NoConvergence(f"no convergence after {max_iter} iterations")
+        if _kkt_residual(x, y, a, beta, c, lam, blocks, j) > np.sqrt(_KKT_TOL):
+            raise NoConvergence(f"no convergence after {_MAX_ITER} iterations")
     beta = basis[:, :p - r] @ w[:p - r] + a_pinv @ (c + w[p - r:])
     obj = 0.5 * np.sum((y - x @ beta) ** 2) + lam * _penalty(a @ beta - c, blocks, j)
     report = SolveReport(
@@ -168,8 +173,7 @@ def solve_affine_lasso(x, y, a_matrix, c, lam, j=1, partition=None,
     return report
 
 
-def oracle_zero_threshold(x, y, a_matrix, c, j=1, partition=None,
-                          tol=1e-6, act_tol=1e-8):
+def oracle_zero_threshold(x, y, a_matrix, c, j=1, partition=None):
     """Bisection estimate of the smallest lambda with A beta_hat = c."""
     a = np.atleast_2d(np.asarray(a_matrix, dtype=float))
     c = np.atleast_1d(np.asarray(c, dtype=float))
@@ -180,7 +184,7 @@ def oracle_zero_threshold(x, y, a_matrix, c, j=1, partition=None,
         rep = solve_affine_lasso(x, y, a, c, lam, j=j, partition=partition,
                                  init=warm["w"])
         warm["w"] = rep._w
-        return np.max(np.abs(a @ rep.beta_hat - c)) <= act_tol
+        return np.max(np.abs(a @ rep.beta_hat - c)) <= _ACT_TOL
 
     if reached(0.0):
         return 0.0
@@ -192,7 +196,7 @@ def oracle_zero_threshold(x, y, a_matrix, c, j=1, partition=None,
     else:
         raise NoConvergence("could not bracket the zero threshold")
     lo = 0.0
-    while hi - lo > tol:
+    while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if reached(mid):
             hi = mid

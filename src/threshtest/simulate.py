@@ -35,12 +35,15 @@ gaussian family), and ``fit_glm_irls`` is its one-column case. Every
 family requires an intercept design of full column rank with P < N.
 ``baseline_lrt`` and ``fit_glm_irls`` refuse a response as the GLM score
 tests do, with DomainError: a bernoulli value outside {0, 1}, or a poisson
-value that is not a non-negative integer. Both refuse an x that is not a
-finite 2-d array of at least one column with DimensionMismatch.
+value that is not a non-negative integer. Both, and ``gen_response``,
+refuse an x that is not a finite 2-d array of at least one column with
+DimensionMismatch. A spec, a count or a number of the wrong type given to
+a public entry raises InvalidSpec, not an error from inside numpy.
 """
 
 import dataclasses
 import functools
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -57,7 +60,7 @@ from .calibration import (
     gaussian_pivotal_null,
     substream,
 )
-from .core import (DesignMatrix, SubsetHypothesis, _as_2d, _as_response, _is_index,
+from .core import (DesignMatrix, SubsetHypothesis, _as_1d, _as_2d, _as_response, _is_index,
                    build_reduction, glm_family)
 from .exceptions import (DimensionMismatch, InvalidSpec, NotApplicable, OverflowGuard,
                          RankDeficient)
@@ -107,8 +110,15 @@ class AlternativeSpec:
     theta: float
 
     def __post_init__(self):
-        if self.s < 0 or not 0 <= self.theta < np.inf:
-            raise InvalidSpec("need s >= 0 and a finite theta >= 0")
+        _check_count("s", self.s)
+        if not isinstance(self.theta, numbers.Real) or not 0 <= self.theta < np.inf:
+            raise InvalidSpec(f"need a finite theta >= 0, got {self.theta!r}")
+
+
+def _check_finite(name, value):
+    """InvalidSpec unless ``value`` is a finite real number."""
+    if not isinstance(value, numbers.Real) or not np.isfinite(value):
+        raise InvalidSpec(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -154,8 +164,9 @@ class ExperimentConfig:
             _check_count(name, getattr(self, name))
         if self.n_reps < 1:
             raise InvalidSpec(f"n_reps must be at least 1, got {self.n_reps}")
-        if not np.isfinite(self.beta0):
-            raise InvalidSpec("beta0 must be finite")
+        _check_finite("beta0", self.beta0)
+        if not isinstance(self.design_spec, DesignSpec):
+            raise InvalidSpec(f"design_spec must be a DesignSpec, got {self.design_spec!r}")
         if self.family == "poisson" and self.beta0 > _ETA_MAX:
             raise OverflowGuard(f"poisson beta0 = {self.beta0} exceeds the exp(30) guard")
         if len(self.theta_grid) == 0 or len(self.s_values) == 0:
@@ -205,13 +216,15 @@ class PowerRow:
                 str(self.n_reps), self.status)
 
 
-def gen_design(n, p, design_spec=DesignSpec(), rng=None, intercept=False):
-    """Rows i.i.d. N(0, Sigma); optionally standardized columns and an
-    all-ones intercept column prepended."""
+def gen_design(n, p, design_spec, rng, intercept=False):
+    """Rows i.i.d. N(0, Sigma) drawn from ``rng``; optionally standardized
+    columns and an all-ones intercept column prepended."""
+    _check_count("n", n)
+    _check_count("p", p)
     if n < 1 or p < 1:
         raise InvalidSpec("need n, p >= 1")
-    if rng is None:
-        rng = np.random.default_rng()
+    if not isinstance(design_spec, DesignSpec):
+        raise InvalidSpec(f"design_spec must be a DesignSpec, got {design_spec!r}")
     z = rng.standard_normal((n, p))
     if design_spec.kind == "ar1" and design_spec.rho != 0.0 and p > 1:
         idx = np.arange(p)
@@ -245,6 +258,9 @@ def _draw_betas(alt, p, rngs):
 
 def gen_beta(alt, p, rng):
     """Coefficient vector with s entries of +-theta at random positions."""
+    if not isinstance(alt, AlternativeSpec):
+        raise InvalidSpec(f"alt must be an AlternativeSpec, got {alt!r}")
+    _check_count("p", p)
     return _draw_betas(alt, p, [rng])[0]
 
 
@@ -285,11 +301,19 @@ def _draw_responses(x, beta0, betas, family, rngs):
 
 def gen_response(x, beta0, beta, family, rng):
     """Responses through the canonical link (gaussian noise sd = 1): the
-    one-replicate case of a cell's batched draw."""
+    one-replicate case of a cell's batched draw.
+
+    x is taken as ``baseline_lrt`` takes it, a DesignMatrix giving its
+    tested columns, and beta must be a finite vector of one entry per
+    column of x; else DimensionMismatch. A beta0 that is not a finite
+    number raises InvalidSpec."""
     if isinstance(x, DesignMatrix):
         x = x.tested_values()
-    x = np.asarray(x, dtype=float)
-    beta = np.asarray(beta, dtype=float)
+    x = _glm_design(x)
+    beta = _as_1d(beta, "beta")
+    if beta.shape[0] != x.shape[1]:
+        raise DimensionMismatch(f"beta has length {beta.shape[0]}, x has {x.shape[1]} columns")
+    _check_finite("beta0", beta0)
     return _draw_responses(x, beta0, beta[None, :], glm_family(family), [rng])[:, 0]
 
 
@@ -309,21 +333,22 @@ class _Harness:
     """A study's columns: each entry bound once, to the intercept design
     ``x_full`` and H0: beta_1..P = 0, into (statistic id, decision). Called
     with the harness, a decision gives the replicates' rejections on a
-    cell's responses, drawn on the covariates ``x_cov``. The Monte-Carlo
-    statistics are calibrated in one ``_calibrated`` call and share one
-    ``evaluate_many`` pass per cell. A cell's responses come from batched
-    passes over its replicates' generators (see ``simulate_cell``): the
-    link runs once per cell, while each generator call and each ``x @ beta``
-    stays per replicate, so that the responses are bit-identical to
-    ``gen_beta`` and ``gen_response`` on each replicate's generator."""
+    cell's responses, drawn on the covariates ``x_cov``, the tested columns
+    of ``x_full``. The Monte-Carlo columns are one ``_calibrated`` request,
+    an Evaluator per spec and a pair per composite, answered in column
+    order, and they share one ``evaluate_many`` pass per cell. A cell's
+    responses come from batched passes over its replicates' generators (see
+    ``simulate_cell``): the link runs once per cell, while each generator
+    call and each ``x @ beta`` stays per replicate, so that the responses
+    are bit-identical to ``gen_beta`` and ``gen_response`` on each
+    replicate's generator."""
 
     def __init__(self, cfg):
         self.cfg = cfg
-        rng = substream(cfg.seed, 0)
-        self.x_cov = gen_design(cfg.n, cfg.p, cfg.design_spec, rng, intercept=False)
+        self.x_full = gen_design(cfg.n, cfg.p, cfg.design_spec, substream(cfg.seed, 0),
+                                 intercept=True)
+        self.x_cov = DesignMatrix(self.x_full.tested_values())
         self.family = glm_family(cfg.family)
-        self.x_full = DesignMatrix(np.hstack([np.ones((cfg.n, 1)), self.x_cov.values]),
-                                   intercept_column=0)
         self.hyp = SubsetHypothesis(1, np.zeros(cfg.p)).expand(cfg.p + 1)
         # a bernoulli or poisson config holds GLM score statistics: no reduction
         gaussian = cfg.family == "gaussian"
@@ -332,17 +357,11 @@ class _Harness:
                  else _glm_true_null(self.x_full, cfg.family, cfg.beta0))
         pair = _composite_pair(None if gaussian else cfg.family)
         bind = functools.partial(build_evaluator, x=self.x_full, hyp=self.hyp, red=red)
-        # a pair of Evaluators per composite and a 1-tuple per spec
-        bound = [tuple(map(bind, pair)) if entry == "composite" else (bind(entry),)
+        # a pair of Evaluators per composite and an Evaluator per spec
+        items = [tuple(map(bind, pair)) if entry == "composite" else bind(entry)
                  for entry in cfg.statistics if entry not in ("fisher", "lrt")]
-        pairs = [item for item in bound if len(item) == 2]
-        evaluators = [ev for item in bound for ev in item]
-        cals, composites = _calibrated(
-            _get_default_cache(), self.x_full, self.hyp.a_matrix, self.hyp.c_vector, model,
-            McConfig(cfg.m_calib, cfg.seed), cfg.alpha, evaluators, pairs)
-        calibrated = dict(zip(pairs, composites))
-        calibrated.update(((ev,), (ev, cal)) for ev, cal in zip(evaluators, cals))
-        mc = iter(calibrated[item] for item in bound)
+        mc = iter(_calibrated(_get_default_cache(), self.hyp.a_matrix, self.hyp.c_vector, model,
+                              McConfig(cfg.m_calib, cfg.seed), cfg.alpha, items))
         self._mc, self.columns = [], []  # _mc: each Monte-Carlo column's statistic
         # unbound decisions: a column that held the harness would delay its freeing
         for entry in cfg.statistics:

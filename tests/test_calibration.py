@@ -32,7 +32,7 @@ from threshtest.calibration import (
 )
 from threshtest.inference import CalibrationCache
 from threshtest.simulate import _theta_key
-from threshtest.statistics import StatisticSpec
+from threshtest.statistics import StatisticSpec, StatValue
 from threshtest.exceptions import (
     DimensionMismatch,
     DomainError,
@@ -104,6 +104,12 @@ class TestPValue:
     def test_statistic_mismatch(self):
         with pytest.raises(StatisticMismatch):
             p_value(1.0, self._cal(), statistic_id="other")
+
+    @pytest.mark.parametrize("observed", [np.nan, StatValue(np.nan)], ids=["float", "value"])
+    def test_nan_observed_is_refused(self, observed):
+        # counted as exceeding no draw, it would read as the smallest p-value
+        with pytest.raises(DimensionMismatch, match="NaN"):
+            p_value(observed, self._cal())
 
 
 class TestSimulateNull:

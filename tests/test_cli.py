@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 import threshtest
 from threshtest import (DesignMatrix, DesignSpec, ExperimentConfig, McConfig,
                         confidence_region, cr_grid)
-from threshtest.cli import _read_csv, _scenario_config, build_parser, main
+from threshtest import cli
+from threshtest.cli import _read_csv, _resolve_stat, _scenario_config, build_parser, main
 from threshtest import exceptions
 from threshtest.exceptions import InvalidSpec, ThreshTestError
 from threshtest.statistics import StatisticSpec, build_evaluator
@@ -726,6 +727,44 @@ class TestManifestDigest:
             manifest = json.loads((tmp_path / f"run{i}.out.manifest.json").read_text())
             digests.append(manifest["config_digest"])
         assert digests[0] != digests[1]
+
+
+@pytest.mark.parametrize("call, command, flags, config, message", [
+    (lambda: _resolve_stat("glm_score_sup", None), "test", ["--stat", "glm_score_sup"], None,
+     "glm_score_sup requires --family"),
+    (lambda: _scenario_config({"p": 3, "seed": 0}, None), "power", [],
+     {"p": 3, "seed": 0, "statistics": ["lrt"]}, "config lacks n"),
+], ids=["glm_score_without_family", "study_without_n"])
+def test_each_refusal_is_invalid_spec_and_exit_2(dataset, tmp_path, capsys, call, command,
+                                                 flags, config, message):
+    with pytest.raises(InvalidSpec, match=message):
+        call()
+    data, hyp = dataset
+    if config is None:
+        argv = [command, "--data", str(data), "--response", "y", "--intercept",
+                "--hypothesis", str(hyp), "--mc", "100", *flags]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = [command, "--config", str(path)]
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_unexpected_error_is_an_internal_error_exit_4(dataset, tmp_path, capsys,
+                                                         monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken")
+
+    monkeypatch.setattr(cli, "run_test", broken)
+    data, hyp = dataset
+    out = tmp_path / "o.csv"
+    assert main(["test", "--data", str(data), "--response", "y", "--intercept",
+                 "--hypothesis", str(hyp), "--out", str(out)]) == 4
+    assert "internal error: broken" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestScenarioConfig:

@@ -325,3 +325,22 @@ class TestGlmFamilies:
         h = fam.pivotal_inverse_link(grid)
         resid = fam.pivotal_derivative(grid) ** 2 - fam.variance(h)
         np.testing.assert_allclose(resid, 0.0, atol=1e-12)
+
+
+_X = DesignMatrix(np.arange(12.0).reshape(4, 3) ** 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DesignMatrix(np.ones((3, 2)), intercept_column=2), "intercept_column out of range"),
+    (lambda: LinearHypothesis(np.eye(2), np.zeros(3)), "c has length 3, expected 2"),
+    (lambda: SubsetHypothesis(-1, np.zeros(2)), "j0 must be nonnegative"),
+    (lambda: SubsetHypothesis(5, np.zeros(1)).expand(3), "j0=5 incompatible with P=3"),
+    (lambda: min_norm_solution(np.eye(2), np.zeros(3)), "c has length 3, expected 2"),
+    (lambda: factor_reduction(_X, np.eye(2)), "A has 2 columns, X has P = 3"),
+    (lambda: residual(build_reduction(_X, LinearHypothesis(np.eye(3)[1:], np.zeros(2))), _X,
+                      np.zeros(5)), "y has length 5, expected N = 4"),
+], ids=["intercept_column", "hypothesis_c", "negative_j0", "j0_beyond_p", "min_norm_c",
+        "a_columns", "residual_y"])
+def test_each_shape_refusal_is_a_dimension_mismatch(call, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        call()

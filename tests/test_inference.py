@@ -1066,3 +1066,65 @@ class TestRegionIsOneInterval:
             assert endpoints == (grid[members[0]], grid[members[-1]])
         else:
             assert endpoints is None
+
+
+class TestCalibratedRequest:
+    """``_calibrated`` answers a list of evaluators and pairs with one
+    (statistic, calibration) per item, in order."""
+
+    def test_items_come_back_in_order_as_their_own_calibrations(self, dataset):
+        x, hyp = dataset
+        red = build_reduction(x, hyp)
+        model = gaussian_pivotal_null(x, hyp, red)
+        lasso, group, affine = (build_evaluator(StatisticSpec(name), x, hyp=hyp, red=red)
+                                for name in ("sqrt_affine_lasso", "sqrt_affine_group_lasso",
+                                             "affine_lasso"))
+        items = [affine, (lasso, group), lasso, (group, affine)]
+        cache = CalibrationCache(directory=False)
+        got = inference._calibrated(cache, hyp.a_matrix, hyp.c_vector, model, MC, 0.05, items)
+        assert [stat for stat, _ in got][::2] == [affine, lasso]
+        batch0 = dict(zip((affine, lasso, group), calibration.calibrate_many(
+            [affine, lasso, group], model, MC.m_draws, 0.05, MC.seed)))
+        assert _same_calibration(got[0][1], batch0[affine])
+        assert _same_calibration(got[2][1], batch0[lasso])
+        for (composite, cal), pair in zip(got[1::2], items[1::2]):
+            assert composite.components == pair
+            assert composite.thresholds == tuple(batch0[ev].lambda_alpha for ev in pair)
+            ref = calibrate_composite(*pair, model, MC.m_draws, 0.05, MC.seed)
+            assert _same_calibration(cal, ref.cal_kappa)
+        # a second request reads the same calibrations from the cache
+        again = inference._calibrated(cache, hyp.a_matrix, hyp.c_vector, model, MC, 0.05,
+                                      items)
+        assert all(cal is cached for (_, cal), (_, cached) in zip(again, got))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda y, x, hyp: run_test(y, x, hyp, 5, mc=MC), InvalidSpec, "StatisticSpec, got 5"),
+    (lambda y, x, hyp: run_test(y, x, hyp, "sqrt_affine_lasso", mc=5), InvalidSpec,
+     "mc must be a McConfig"),
+    (lambda y, x, hyp: run_composite(y, x, hyp, "sqrt_affine_lasso",
+                                     "sqrt_affine_group_lasso", mc=MC),
+     InvalidSpec, "StatisticSpec, got 'sqrt_affine_lasso'"),
+    (lambda y, x, hyp: confidence_region(y, x, np.eye(5)[1:2], mc=5), InvalidSpec,
+     "mc must be a McConfig"),
+    (lambda y, x, hyp: confidence_region(y, x, np.eye(5)[1:2], stat="sqrt_affine_lasso"),
+     InvalidSpec, "StatisticSpec, got 'sqrt_affine_lasso'"),
+    (lambda y, x, hyp: cr_member(np.array([0.0]), y, x, np.eye(5)[1:2],
+                                 StatisticSpec("sqrt_affine_lasso"), np.nan),
+     DimensionMismatch, "threshold lambda_alpha is NaN"),
+    (lambda y, x, hyp: cr_grid(y, x, np.eye(5)[1:2], StatisticSpec("sqrt_affine_lasso"),
+                               np.nan, np.linspace(-1.0, 1.0, 5)),
+     DimensionMismatch, "threshold lambda_alpha is NaN"),
+    (lambda y, x, hyp: cr_grid(y, x, np.eye(5)[1:2], StatisticSpec("sqrt_affine_lasso"),
+                               2.0, np.zeros((3, 2))),
+     UnsupportedDimension, r"R = 1 grids must be \(G, 1\) arrays"),
+    (lambda y, x, hyp: cr_grid(y, x, np.eye(5)[1:3], StatisticSpec("sqrt_affine_lasso"),
+                               2.0, np.zeros((3, 3))),
+     UnsupportedDimension, r"R = 2 grids must be \(G, 2\) arrays"),
+], ids=["run_test_stat", "run_test_mc", "run_composite_names", "region_mc", "region_stat",
+        "cr_member_nan_threshold", "cr_grid_nan_threshold", "r1_grid_of_pairs",
+        "r2_grid_of_triples"])
+def test_each_refusal_is_typed(dataset, rng, call, error, message):
+    x, hyp = dataset
+    with pytest.raises(error, match=message):
+        call(rng.standard_normal(x.n), x, hyp)

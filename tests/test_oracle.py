@@ -13,8 +13,9 @@ from threshtest import (
     zt_affine_group_lasso,
     zt_affine_lasso,
 )
+from threshtest import oracle
 from threshtest.oracle import UnsupportedScale
-from threshtest.exceptions import DimensionMismatch
+from threshtest.exceptions import DimensionMismatch, NoConvergence, SingularSystem
 
 
 @pytest.fixture
@@ -162,3 +163,34 @@ class TestConstrainedLs:
         beta_hat, _ = constrained_ls(x_vals, y, a, c)
         expected = red.x_fit_c + red.project(y - red.x_fit_c)
         np.testing.assert_allclose(x_vals @ beta_hat, expected, atol=1e-8)
+
+
+def _refusal_problem():
+    rng = np.random.default_rng(31)
+    return rng.standard_normal((8, 3)), rng.standard_normal(8), np.eye(3)[1:], np.zeros(2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda x, y, a, c: solve_affine_lasso(x, y, a, c, lam=-1.0), DimensionMismatch,
+     "lambda must be nonnegative"),
+    (lambda x, y, a, c: solve_affine_lasso(x, y, a, c, lam=0.1), NoConvergence,
+     "no convergence after 1 iterations"),
+    # the threshold is of order 1e30, beyond the bracket's 2^80
+    (lambda x, y, a, c: oracle_zero_threshold(x, 1e30 * y, a, c), NoConvergence,
+     "could not bracket"),
+    (lambda x, y, a, c: constrained_ls(x, y[:5], a, c), DimensionMismatch,
+     "inconsistent shapes in constrained_ls"),
+    (lambda x, y, a, c: constrained_ls(np.zeros((5, 2)), y[:5], np.zeros((1, 2)), c[:1]),
+     SingularSystem, "KKT block system is singular"),
+    (lambda x, y, a, c: constrained_ls(np.column_stack([np.ones(5), 1e-9 * np.arange(5.0)]),
+                                       y[:5], np.eye(2)[:1], c[:1]),
+     SingularSystem, "KKT block system is numerically singular"),
+], ids=["negative_lambda", "iteration_cap", "no_bracket", "ls_shapes", "ls_singular",
+        "ls_ill_conditioned"])
+def test_each_refusal_is_typed(monkeypatch, call, error, message):
+    # one FISTA step cannot reach the KKT tolerance; the other cases keep
+    # the full cap, since their solves must converge
+    if message.startswith("no convergence"):
+        monkeypatch.setattr(oracle, "_MAX_ITER", 1)
+    with pytest.raises(error, match=message):
+        call(*_refusal_problem())

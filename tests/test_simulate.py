@@ -910,3 +910,57 @@ class TestGlmDesignRule:
         x1, y = _lrt_cell("poisson", 0.0, 1, 0.5, 9, 1, n=40)
         with pytest.raises(DimensionMismatch, match="at least one column"):
             baseline_lrt(y[:, 0], DesignMatrix(x1[:, :1], intercept_column=0), "poisson")
+
+
+_X53 = np.arange(15.0).reshape(5, 3) / 7.0
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda rng: gen_response(_X53, 0.0, np.ones(2), "gaussian", rng), DimensionMismatch,
+     "beta has length 2, x has 3 columns"),
+    (lambda rng: gen_response(np.where(_X53 == _X53[2, 1], np.nan, _X53), 0.0, np.ones(3),
+                              "gaussian", rng), DimensionMismatch, "non-finite"),
+    (lambda rng: gen_response(_X53[:, 0], 0.0, np.ones(1), "gaussian", rng), DimensionMismatch,
+     "must be 2-d"),
+    (lambda rng: gen_response(_X53, np.nan, np.ones(3), "bernoulli", rng), InvalidSpec,
+     "beta0 must be a finite number"),
+    (lambda rng: AlternativeSpec(1.5, 0.3), InvalidSpec, "s must be a non-negative integer"),
+    (lambda rng: AlternativeSpec(True, 0.3), InvalidSpec, "s must be a non-negative integer"),
+    (lambda rng: AlternativeSpec(1, "0.3"), InvalidSpec, "finite theta"),
+    (lambda rng: gen_beta(AlternativeSpec(1, 0.3), 2.5, rng), InvalidSpec,
+     "p must be a non-negative integer"),
+    (lambda rng: gen_beta((1, 0.3), 3, rng), InvalidSpec, "alt must be an AlternativeSpec"),
+    (lambda rng: gen_design(10.5, 3, DesignSpec(), rng), InvalidSpec,
+     "n must be a non-negative integer"),
+    (lambda rng: gen_design(10, 3, None, rng), InvalidSpec, "design_spec must be a DesignSpec"),
+    (lambda rng: gen_design(0, 3, DesignSpec(), rng), InvalidSpec, "need n, p >= 1"),
+    (lambda rng: ExperimentConfig(n=20, p=3, alpha="0.05"), InvalidSpec,
+     "alpha must be a number"),
+    (lambda rng: ExperimentConfig(n=20, p=3, beta0="1"), InvalidSpec,
+     "beta0 must be a finite number"),
+    (lambda rng: ExperimentConfig(n=20, p=3, theta_grid=("0.1",)), InvalidSpec,
+     "finite theta"),
+    (lambda rng: ExperimentConfig(n=20, p=3, design_spec=None), InvalidSpec,
+     "design_spec must be a DesignSpec"),
+    (lambda rng: ExperimentConfig(n=20, p=3, s_values=(4,)), InvalidSpec,
+     r"s = 4 outside \[0, 3\]"),
+    (lambda rng: ExperimentConfig(n=20, p=3, statistics=("bogus",)), InvalidSpec,
+     "unknown statistic tag 'bogus'"),
+    (lambda rng: fit_glm_irls(_X53[:3], np.array([0.0, 1.0, 2.0]), "poisson"), NotApplicable,
+     "the IRLS fit needs P < N"),
+], ids=["response_beta_length", "response_nan_x", "response_1d_x", "response_nan_beta0",
+        "alternative_fractional_s", "alternative_bool_s", "alternative_string_theta",
+        "beta_fractional_p", "beta_not_a_spec", "design_fractional_n", "design_no_spec",
+        "design_no_rows", "config_string_alpha", "config_string_beta0",
+        "config_string_theta", "config_no_design_spec", "config_s_beyond_p",
+        "config_unknown_tag", "irls_p_not_below_n"])
+def test_each_refusal_is_typed(call, error, message):
+    with pytest.raises(error, match=message):
+        call(np.random.default_rng(0))
+
+
+def test_response_on_a_design_matrix_draws_on_its_tested_columns():
+    x = DesignMatrix(np.column_stack([np.ones(5), _X53]), intercept_column=0)
+    got = gen_response(x, 0.5, np.ones(3), "poisson", np.random.default_rng(1))
+    want = gen_response(_X53, 0.5, np.ones(3), "poisson", np.random.default_rng(1))
+    assert got.tobytes() == want.tobytes()

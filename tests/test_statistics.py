@@ -36,6 +36,7 @@ from threshtest.exceptions import (
     DimensionMismatch,
     DomainError,
     NotApplicable,
+    RankDeficient,
 )
 
 
@@ -730,3 +731,29 @@ class TestPivotality:
         scaled = ev.evaluate(fit + s * (y - fit)).value
         want = base.value if ev.spec.is_sqrt else s * base.value
         assert scaled == pytest.approx(want, rel=1e-10)
+
+
+def _refusal_problem():
+    x, hyp, red = _random_problem(np.random.default_rng(3))
+    return x, hyp, red, np.random.default_rng(4).standard_normal(x.n)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda x, hyp, red, y: zt_sqrt_variant(red, x, y, base="ridge"), NotApplicable,
+     "unknown base 'ridge'"),
+    (lambda x, hyp, red, y: zt_fisher_weighted(
+        DesignMatrix(np.repeat(x.values[:, :1], 3, axis=1)), hyp, y), RankDeficient,
+     "column-rank deficient"),
+    (lambda x, hyp, red, y: zt_lad(x, y, center="mean"), NotApplicable,
+     "unknown centering 'mean'"),
+    (lambda x, hyp, red, y: glm_score_stat(x, y, "gaussian", norm="l1"), NotApplicable,
+     "unknown norm 'l1'"),
+    (lambda x, hyp, red, y: build_evaluator(StatisticSpec("affine_lasso"), x), NotApplicable,
+     "affine_lasso requires a hypothesis or a reduction"),
+    (lambda x, hyp, red, y: build_evaluator(StatisticSpec("fisher_weighted"), x, red=red),
+     NotApplicable, "fisher_weighted requires a hypothesis"),
+], ids=["sqrt_base", "fisher_rank", "lad_centering", "glm_norm", "affine_unbound",
+        "fisher_unbound"])
+def test_each_refusal_is_typed(call, error, message):
+    with pytest.raises(error, match=message):
+        call(*_refusal_problem())
