@@ -53,7 +53,7 @@ def _as_1d(v, name):
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise DimensionMismatch(f"{name} must be 1-d, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise DimensionMismatch(f"{name} contains non-finite entries")
     return v
 
@@ -255,16 +255,25 @@ class ReductionFactor:
             return np.zeros_like(v)
         return q @ (q.T @ v)
 
-    def at(self, c_vector):
-        """The ReducedProblem for H0: A beta = c; c must be finite of length R."""
+    def _fit(self, c_vector):
+        """(beta_c, X beta_c) for H0: A beta = c; c must be finite of length R.
+
+        The one place either is computed, so a candidate of a confidence
+        region, which needs only X beta_c, gets the bits :meth:`at` gives.
+        """
         c = _as_1d(c_vector, "c")
         if c.shape[0] != self.r:
             raise DimensionMismatch(f"c has length {c.shape[0]}, expected {self.r}")
         beta_c = self.pseudo_vt.T @ (self.pseudo_u.T @ c / self.pseudo_s)
+        return beta_c, self.design.values @ beta_c
+
+    def at(self, c_vector):
+        """The ReducedProblem for H0: A beta = c; c must be finite of length R."""
+        beta_c, x_fit_c = self._fit(c_vector)
         return ReducedProblem(
             **{f.name: getattr(self, f.name) for f in fields(ReductionFactor)},
             beta_c=beta_c,
-            x_fit_c=self.design.values @ beta_c,
+            x_fit_c=x_fit_c,
         )
 
 

@@ -11,15 +11,16 @@ it exceeds its threshold. Confidence regions invert the
 square-root (scale-pivotal) tests, so one calibration at c = 0 serves
 every candidate c. A ``ConfidenceRegion`` is the one place lambda_CR(c) is
 evaluated: it keeps the reduction factor of (X, A) and the evaluator it
-calibrated at c = 0, and each candidate adds only ``beta_c``, ``X beta_c``
-and one residual pass of y - X beta_c through that evaluator. The
+calibrated at c = 0, and each candidate costs only ``X beta_c`` (from
+``beta_c``) and one pass of y - X beta_c through that evaluator. The
 reduction factor itself is kept on the DesignMatrix, so a test and then
 its region, or many responses tested on one design and one A, factor
 (X, A) once. ``run_test``, ``run_composite`` and ``baseline_f_test`` refuse
 a hypothesis that is not a LinearHypothesis or a SubsetHypothesis with
 InvalidSpec, as every test and region refuses a statistic that is not a
 StatisticSpec (``run_test`` also takes a family name) and an ``mc`` that is
-not a McConfig.
+not a McConfig. ``cr_member`` and ``cr_grid`` refuse a threshold that is
+not a real number, None included, with InvalidSpec.
 
 Every Monte-Carlo calibration goes through one ``CalibrationCache`` under
 one key function, ``_calibration_key``, by one helper, ``_calibrated``.
@@ -414,13 +415,30 @@ def _require_pivotal(stat):
         )
 
 
+def _check_threshold(lambda_alpha):
+    """``lambda_alpha`` unchanged: InvalidSpec unless it is a real scalar, a
+    number or a 0-d array (None is refused too, as a given threshold is
+    calibrated by nothing), and DimensionMismatch when it is NaN."""
+    value = None
+    if lambda_alpha is not None and not isinstance(lambda_alpha, (str, bytes)):
+        try:
+            if np.ndim(lambda_alpha) == 0 and np.isrealobj(lambda_alpha):
+                value = float(lambda_alpha)
+        except (TypeError, ValueError):  # a ragged list, or no float at all
+            pass
+    if value is None:
+        raise InvalidSpec(f"the threshold lambda_alpha must be a real number, "
+                          f"got {lambda_alpha!r}")
+    if math.isnan(value):
+        raise DimensionMismatch("the threshold lambda_alpha is NaN")
+    return lambda_alpha
+
+
 def _region(y, x, a_matrix, stat, lambda_alpha, alpha=None, mc=None):
     """The region of ``stat`` for (y, X, A) with threshold ``lambda_alpha``,
     or, when that is None, the threshold calibrated at c = 0 with ``alpha``
-    and ``mc``. A NaN threshold raises DimensionMismatch."""
+    and ``mc``."""
     _require_pivotal(stat)
-    if lambda_alpha is not None and math.isnan(lambda_alpha):
-        raise DimensionMismatch("the threshold lambda_alpha is NaN")
     x = _as_design(x)
     y = _as_response(y, x.n)
     a = np.atleast_2d(np.asarray(a_matrix, dtype=float))
@@ -439,7 +457,7 @@ def _region(y, x, a_matrix, stat, lambda_alpha, alpha=None, mc=None):
 
 def cr_member(c, y, x, a_matrix, stat, lambda_alpha):
     """Membership of c in the test-inversion region: lambda_CR(c; y) <= lambda_alpha."""
-    return _region(y, x, a_matrix, stat, lambda_alpha).member(c)
+    return _region(y, x, a_matrix, stat, _check_threshold(lambda_alpha)).member(c)
 
 
 def cr_grid(y, x, a_matrix, stat, lambda_alpha, grid):
@@ -452,7 +470,7 @@ def cr_grid(y, x, a_matrix, stat, lambda_alpha, grid):
     with h = (I - P) X A^+ and r(c) = r(0) - c h, so it is the whole line
     or, below ||h||, the sublevel set of a convex quadratic in c.
     """
-    region = _region(y, x, a_matrix, stat, lambda_alpha)
+    region = _region(y, x, a_matrix, stat, _check_threshold(lambda_alpha))
     points, values = region.scan(grid)
     mask = values <= lambda_alpha
     if region.factor.r == 2:
@@ -470,7 +488,8 @@ class ConfidenceRegion:
     Binds one evaluator: the statistic on the reduction of (X, A) at
     c = 0, the one its threshold was calibrated with. X beta_0 = 0, so
     lambda_CR(c; y) is that evaluator's statistic of y - X beta_c, and each
-    candidate c costs ``factor.at(c)`` and one residual pass.
+    candidate c costs ``X beta_c`` and one pass of that evaluator: no
+    ReducedProblem is built per candidate.
     """
 
     lambda_alpha: float
@@ -480,7 +499,8 @@ class ConfidenceRegion:
 
     def lambda_cr(self, c):
         """lambda_CR(c; y), the statistic of H0: A beta = c (0 when degenerate)."""
-        val = self.evaluator.evaluate(self.y - self.factor.at(np.atleast_1d(c)).x_fit_c)
+        _, x_fit_c = self.factor._fit(np.atleast_1d(c))
+        val = self.evaluator.evaluate(self.y - x_fit_c)
         # a vanished r means y sits in the null fit space at c: lambda_0 = 0
         return 0.0 if val.degenerate else val.value
 

@@ -169,6 +169,12 @@ class ExperimentConfig:
             raise InvalidSpec(f"design_spec must be a DesignSpec, got {self.design_spec!r}")
         if self.family == "poisson" and self.beta0 > _ETA_MAX:
             raise OverflowGuard(f"poisson beta0 = {self.beta0} exceeds the exp(30) guard")
+        for name in ("theta_grid", "s_values", "statistics"):
+            value = getattr(self, name)
+            try:
+                len(value)
+            except TypeError:
+                raise InvalidSpec(f"{name} must be a sequence, got {value!r}") from None
         if len(self.theta_grid) == 0 or len(self.s_values) == 0:
             raise InvalidSpec("theta_grid and s_values must each hold at least one value")
         for s in self.s_values:

@@ -173,7 +173,7 @@ def _affine_parts(red, x, y_mat, with_norm):
     denom = _kernels.norm_cols(r_mat)
     # a y in the null fit space leaves only rounding noise in r, so ||r|| is
     # judged against ||y - X beta_c||^2 = ||r||^2 + ||Q^T v||^2
-    scale = np.sqrt(denom * denom + np.sum(qtv * qtv, axis=0))
+    scale = np.sqrt(denom * denom + (qtv * qtv).sum(axis=0))
     return z, denom, denom <= max(x.n, x.p) * np.finfo(float).eps * scale
 
 
@@ -406,9 +406,13 @@ class Evaluator:
         self.statistic_id = _statistic_id(fam, blocks, spec.glm_family)
 
     def evaluate_batch(self, y_mat):
-        """Return (values, degenerate_mask) for an N x M response matrix; a
-        batch of another shape raises DimensionMismatch."""
-        return evaluate_many([self], y_mat)[0]
+        """Return (values, degenerate_mask) for an N x M response matrix: one
+        pass and its reduction, under the overflow guard. A batch of another
+        shape raises DimensionMismatch."""
+        y_mat = np.asarray(y_mat, dtype=float)
+        _check_responses(self, y_mat)
+        with _overflow_guard():
+            return self._reduce(self._parts(y_mat))
 
     def evaluate(self, y):
         vals, degen = self.evaluate_batch(np.asarray(y, dtype=float)[:, None])
@@ -470,8 +474,11 @@ class Composite:
         self.thresholds = (threshold1, threshold2)
         self.statistic_id = f"composite({ev1.statistic_id},{ev2.statistic_id})"
 
-    # evaluated as an Evaluator is: through evaluate_many, with its own _combine
-    evaluate_batch = Evaluator.evaluate_batch
+    def evaluate_batch(self, y_mat):
+        """(values, degenerate mask) through ``evaluate_many``, which gives
+        the components one shared pass and applies ``_combine``."""
+        return evaluate_many([self], y_mat)[0]
+
     evaluate = Evaluator.evaluate
 
     def _combine(self, results):
@@ -479,6 +486,13 @@ class Composite:
         ratio1, ratio2 = (np.divide(vals, t, out=np.zeros_like(vals), where=~degen)
                           for (vals, _), t in zip(results, self.thresholds))
         return np.maximum(ratio1, ratio2), degen
+
+
+def _check_responses(ev, y_mat):
+    """DimensionMismatch unless ``y_mat`` is N x M for the N of ``ev``'s design."""
+    if y_mat.ndim != 2 or y_mat.shape[0] != ev.x.n:
+        raise DimensionMismatch(
+            f"responses must be N x M with N = {ev.x.n}, got shape {y_mat.shape}")
 
 
 def evaluate_many(evaluators, y_mat):
@@ -499,9 +513,7 @@ def evaluate_many(evaluators, y_mat):
     y_mat = np.asarray(y_mat, dtype=float)
     bound = list(dict.fromkeys(ev for item in evaluators for ev in item.components))
     for ev in bound:
-        if y_mat.ndim != 2 or y_mat.shape[0] != ev.x.n:
-            raise DimensionMismatch(
-                f"responses must be N x M with N = {ev.x.n}, got shape {y_mat.shape}")
+        _check_responses(ev, y_mat)
     groups = {}
     for ev in bound:
         groups.setdefault(ev._share_key, []).append(ev)

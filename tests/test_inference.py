@@ -876,7 +876,7 @@ class TestRegionSharesOneReduction:
         x = DesignMatrix(rng.standard_normal((30, 4)))
         a = np.array([[1.0, -1.0, 0.0, 0.0]])
         y = x.values @ np.array([0.5, 0.1, -0.2, 0.3]) + rng.standard_normal(30)
-        calls = {"factor": 0, "build": 0, "svd": 0}
+        calls = {"factor": 0, "build": 0, "svd": 0, "at": 0, "many": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -890,15 +890,37 @@ class TestRegionSharesOneReduction:
             monkeypatch.setattr(module, "build_reduction",
                                 counting("build", core.build_reduction))
         monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        # a candidate builds no ReducedProblem and takes no evaluate_many layer
+        monkeypatch.setattr(core.ReductionFactor, "at",
+                            counting("at", core.ReductionFactor.at))
+        monkeypatch.setattr(statistics, "evaluate_many",
+                            counting("many", statistics.evaluate_many))
         stat = StatisticSpec("sqrt_affine_lasso")
         grid = np.linspace(-2.0, 2.0, 41)
         region = confidence_region(y, x, a, stat=stat, mc=MC)
         for c in grid:
             region.member(np.array([c]))
-        assert calls == {"factor": 1, "build": 0, "svd": 2}  # the SVDs of A and X K_A
+        # the SVDs of A and X K_A, and the reduction at c = 0
+        assert calls == {"factor": 1, "build": 0, "svd": 2, "at": 1, "many": 0}
         cr_grid(y, x, a, stat, region.lambda_alpha, grid)
         # the design kept the factor of this A
-        assert calls == {"factor": 2, "build": 0, "svd": 2}
+        assert calls == {"factor": 2, "build": 0, "svd": 2, "at": 2, "many": 0}
+
+    def test_squares_beyond_the_float_range(self, rng):
+        # 1e200 is finite but its square is not: every candidate's pass keeps
+        # the overflow guard, so no lambda_CR reads inf or 0
+        x = DesignMatrix(rng.standard_normal((30, 4)))
+        a = np.array([[1.0, -1.0, 0.0, 0.0]])
+        y = 1e200 * rng.standard_normal(30)
+        stat = StatisticSpec("sqrt_affine_lasso")
+        region = confidence_region(y, x, a, stat=stat, mc=MC)
+        grid = np.linspace(-2.0, 2.0, 5)
+        for call in (lambda: region.lambda_cr(np.array([0.5])),
+                     lambda: region.scan(grid),
+                     lambda: cr_member(np.array([0.5]), y, x, a, stat, region.lambda_alpha),
+                     lambda: cr_grid(y, x, a, stat, region.lambda_alpha, grid)):
+            with pytest.raises(OverflowGuard, match="too large"):
+                call()
 
     @pytest.mark.parametrize("r", [1, 2])
     @pytest.mark.parametrize("g", [1, 9, 40])
@@ -1115,6 +1137,18 @@ class TestCalibratedRequest:
     (lambda y, x, hyp: cr_grid(y, x, np.eye(5)[1:2], StatisticSpec("sqrt_affine_lasso"),
                                np.nan, np.linspace(-1.0, 1.0, 5)),
      DimensionMismatch, "threshold lambda_alpha is NaN"),
+    (lambda y, x, hyp: cr_member(np.array([0.0]), y, x, np.eye(5)[1:2],
+                                 StatisticSpec("sqrt_affine_lasso"), "x"),
+     InvalidSpec, "threshold lambda_alpha must be a real number, got 'x'"),
+    (lambda y, x, hyp: cr_grid(y, x, np.eye(5)[1:2], StatisticSpec("sqrt_affine_lasso"),
+                               [1.0], np.linspace(-1.0, 1.0, 5)),
+     InvalidSpec, r"threshold lambda_alpha must be a real number, got \[1.0\]"),
+    (lambda y, x, hyp: cr_member(np.array([0.0]), y, x, np.eye(5)[1:2],
+                                 StatisticSpec("sqrt_affine_lasso"), None),
+     InvalidSpec, "threshold lambda_alpha must be a real number, got None"),
+    (lambda y, x, hyp: cr_member(np.array([0.0]), y, x, np.eye(5)[1:2],
+                                 StatisticSpec("sqrt_affine_lasso"), np.array([2.0])),
+     InvalidSpec, r"threshold lambda_alpha must be a real number, got array\(\[2\.\]\)"),
     (lambda y, x, hyp: cr_grid(y, x, np.eye(5)[1:2], StatisticSpec("sqrt_affine_lasso"),
                                2.0, np.zeros((3, 2))),
      UnsupportedDimension, r"R = 1 grids must be \(G, 1\) arrays"),
@@ -1122,9 +1156,26 @@ class TestCalibratedRequest:
                                2.0, np.zeros((3, 3))),
      UnsupportedDimension, r"R = 2 grids must be \(G, 2\) arrays"),
 ], ids=["run_test_stat", "run_test_mc", "run_composite_names", "region_mc", "region_stat",
-        "cr_member_nan_threshold", "cr_grid_nan_threshold", "r1_grid_of_pairs",
+        "cr_member_nan_threshold", "cr_grid_nan_threshold", "cr_member_string_threshold",
+        "cr_grid_list_threshold", "cr_member_no_threshold", "cr_member_array_threshold",
+        "r1_grid_of_pairs",
         "r2_grid_of_triples"])
 def test_each_refusal_is_typed(dataset, rng, call, error, message):
     x, hyp = dataset
     with pytest.raises(error, match=message):
         call(rng.standard_normal(x.n), x, hyp)
+
+
+@pytest.mark.parametrize("threshold", [np.array(1.5), np.float32(1.5), 1.5])
+def test_a_real_scalar_threshold_is_its_value(dataset, rng, threshold):
+    x, _ = dataset
+    y = rng.standard_normal(x.n)
+    a, stat = np.eye(5)[1:2], StatisticSpec("sqrt_affine_lasso")
+    grid = np.linspace(-3.0, 3.0, 61)
+    mask, ends = cr_grid(y, x, a, stat, threshold, grid)
+    want_mask, want_ends = cr_grid(y, x, a, stat, 1.5, grid)
+    assert mask.tobytes() == want_mask.tobytes() and ends == want_ends
+    assert 0 < mask.sum() < grid.size  # the threshold cuts the grid
+    for c in grid[::10]:
+        assert cr_member(np.array([c]), y, x, a, stat, threshold) == \
+            cr_member(np.array([c]), y, x, a, stat, 1.5)

@@ -57,6 +57,8 @@ class TestKernelAgreement:
         z = rng.standard_normal((11, 7))
         np.testing.assert_allclose(_kernels.norm_cols(z),
                                    np.linalg.norm(z, axis=0), rtol=1e-12)
+        # the same reduction as np.sum's, bit for bit
+        np.testing.assert_array_equal(_kernels.norm_cols(z), np.sqrt(np.sum(z * z, axis=0)))
 
     def test_noncontiguous_input(self, rng):
         z = rng.standard_normal((10, 10))[::2, ::2]

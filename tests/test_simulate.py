@@ -946,6 +946,12 @@ _X53 = np.arange(15.0).reshape(5, 3) / 7.0
      r"s = 4 outside \[0, 3\]"),
     (lambda rng: ExperimentConfig(n=20, p=3, statistics=("bogus",)), InvalidSpec,
      "unknown statistic tag 'bogus'"),
+    (lambda rng: ExperimentConfig(n=20, p=3, statistics=5), InvalidSpec,
+     "statistics must be a sequence, got 5"),
+    (lambda rng: ExperimentConfig(n=20, p=3, theta_grid=0.5), InvalidSpec,
+     "theta_grid must be a sequence, got 0.5"),
+    (lambda rng: ExperimentConfig(n=20, p=3, s_values=1), InvalidSpec,
+     "s_values must be a sequence, got 1"),
     (lambda rng: fit_glm_irls(_X53[:3], np.array([0.0, 1.0, 2.0]), "poisson"), NotApplicable,
      "the IRLS fit needs P < N"),
 ], ids=["response_beta_length", "response_nan_x", "response_1d_x", "response_nan_beta0",
@@ -953,7 +959,8 @@ _X53 = np.arange(15.0).reshape(5, 3) / 7.0
         "beta_fractional_p", "beta_not_a_spec", "design_fractional_n", "design_no_spec",
         "design_no_rows", "config_string_alpha", "config_string_beta0",
         "config_string_theta", "config_no_design_spec", "config_s_beyond_p",
-        "config_unknown_tag", "irls_p_not_below_n"])
+        "config_unknown_tag", "config_scalar_statistics", "config_scalar_theta_grid",
+        "config_scalar_s_values", "irls_p_not_below_n"])
 def test_each_refusal_is_typed(call, error, message):
     with pytest.raises(error, match=message):
         call(np.random.default_rng(0))
