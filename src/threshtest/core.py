@@ -58,6 +58,19 @@ def _as_1d(v, name):
     return v
 
 
+def _as_candidates(c_block, r):
+    """``c_block`` as a C-ordered float (G, R) block of right-hand sides c;
+    DimensionMismatch unless each is finite of length R."""
+    c = np.ascontiguousarray(c_block, dtype=float)
+    if c.ndim != 2:
+        raise DimensionMismatch(f"c must be a (G, R) block, got shape {c.shape}")
+    if not np.isfinite(c).all():
+        raise DimensionMismatch("c contains non-finite entries")
+    if c.shape[1] != r:
+        raise DimensionMismatch(f"c has length {c.shape[1]}, expected {r}")
+    return c
+
+
 @dataclass(frozen=True)
 class DesignMatrix:
     """Dense N x P covariate matrix, optionally with an all-ones intercept column.
@@ -245,8 +258,9 @@ class ReductionFactor:
         return self.pseudo_s.shape[0]
 
     def apply_pseudo(self, w):
-        """(A A^T)^{-1} A w for a vector or a P x M batch."""
-        return self.pseudo_u @ ((self.pseudo_vt @ w).T / self.pseudo_s).T
+        """(A A^T)^{-1} A w for a P x M batch or a (G, P, M) stack, acting on
+        the last two axes."""
+        return self.pseudo_u @ (self.pseudo_vt @ w / self.pseudo_s[:, None])
 
     def project(self, v):
         """P_{X K_A} v for a vector or an N x M batch."""
@@ -255,25 +269,26 @@ class ReductionFactor:
             return np.zeros_like(v)
         return q @ (q.T @ v)
 
-    def _fit(self, c_vector):
-        """(beta_c, X beta_c) for H0: A beta = c; c must be finite of length R.
+    def _fit(self, c_block):
+        """(beta_c, X beta_c) as (G, P, 1) and (G, N, 1) stacks, one item for
+        each row c of a (G, R) block; every c must be finite of length R.
 
-        The one place either is computed, so a candidate of a confidence
-        region, which needs only X beta_c, gets the bits :meth:`at` gives.
+        The one place either is computed. Each item of a stacked product is
+        the matrix-vector product that one c on its own takes, so a
+        candidate of a confidence region, which needs only X beta_c, gets
+        the bits :meth:`at` gives, in a block of any size.
         """
-        c = _as_1d(c_vector, "c")
-        if c.shape[0] != self.r:
-            raise DimensionMismatch(f"c has length {c.shape[0]}, expected {self.r}")
-        beta_c = self.pseudo_vt.T @ (self.pseudo_u.T @ c / self.pseudo_s)
+        c = _as_candidates(c_block, self.r)
+        beta_c = self.pseudo_vt.T @ (self.pseudo_u.T @ c[:, :, None] / self.pseudo_s[:, None])
         return beta_c, self.design.values @ beta_c
 
     def at(self, c_vector):
         """The ReducedProblem for H0: A beta = c; c must be finite of length R."""
-        beta_c, x_fit_c = self._fit(c_vector)
+        beta_c, x_fit_c = self._fit(_as_1d(c_vector, "c")[None])
         return ReducedProblem(
             **{f.name: getattr(self, f.name) for f in fields(ReductionFactor)},
-            beta_c=beta_c,
-            x_fit_c=x_fit_c,
+            beta_c=beta_c[0, :, 0],
+            x_fit_c=x_fit_c[0, :, 0],
         )
 
 
@@ -377,16 +392,20 @@ def build_reduction(x, hyp):
 
 
 def residual_parts(red, x, y):
-    """(r, Q^T v) for v = y - X beta_c and r = (I - Q Q^T) v.
+    """(r, Q^T v) for v = y - X beta_c and r = (I - Q Q^T) v, for an
+    N-vector, an N x M batch or a (G, N, M) stack y, acting on the last two
+    axes of a batch or a stack.
 
     r is orthogonal to range(Q), so ``||v||^2 = ||r||^2 + ||Q^T v||^2``
     gives the size of v per column without another pass over it. r is
-    formed in v's place, so a batch holds one N x M temporary besides r.
+    formed in v's place, so a batch holds one temporary of y's shape
+    besides r.
     """
     x = _as_design(x)
     y = np.asarray(y, dtype=float)
-    if y.shape[0] != x.n:
-        raise DimensionMismatch(f"y has length {y.shape[0]}, expected N = {x.n}")
+    rows = y.shape[-2] if y.ndim > 1 else len(y)
+    if rows != x.n:
+        raise DimensionMismatch(f"y has length {rows}, expected N = {x.n}")
     if y.ndim == 1:
         v = y - red.x_fit_c
     else:

@@ -11,8 +11,9 @@ it exceeds its threshold. Confidence regions invert the
 square-root (scale-pivotal) tests, so one calibration at c = 0 serves
 every candidate c. A ``ConfidenceRegion`` is the one place lambda_CR(c) is
 evaluated: it keeps the reduction factor of (X, A) and the evaluator it
-calibrated at c = 0, and each candidate costs only ``X beta_c`` (from
-``beta_c``) and one pass of y - X beta_c through that evaluator. The
+calibrated at c = 0, and candidates go through that evaluator in stacked
+passes of up to 256, each candidate costing only ``X beta_c`` (from
+``beta_c``) and its share of a pass of y - X beta_c. The
 reduction factor itself is kept on the DesignMatrix, so a test and then
 its region, or many responses tested on one design and one A, factor
 (X, A) once. ``run_test``, ``run_composite`` and ``baseline_f_test`` refuse
@@ -57,6 +58,8 @@ from .core import (
     LinearHypothesis,
     ReductionFactor,
     SubsetHypothesis,
+    _as_1d,
+    _as_candidates,
     _as_design,
     _as_response,
     build_reduction,
@@ -481,15 +484,24 @@ def cr_grid(y, x, a_matrix, stat, lambda_alpha, grid):
     return mask, (float(points[members[0], 0]), float(points[members[-1], 0]))
 
 
+# candidates per stacked pass of a region's evaluator: a pass holds a few
+# (256, N, 1) stacks, so a scan's memory is O(256 N) for any grid size
+_SCAN_BLOCK = 256
+
+
 @dataclass(frozen=True)
 class ConfidenceRegion:
     """Test-inversion region {c : lambda_CR(c; y) <= lambda_alpha}.
 
     Binds one evaluator: the statistic on the reduction of (X, A) at
     c = 0, the one its threshold was calibrated with. X beta_0 = 0, so
-    lambda_CR(c; y) is that evaluator's statistic of y - X beta_c, and each
-    candidate c costs ``X beta_c`` and one pass of that evaluator: no
-    ReducedProblem is built per candidate.
+    lambda_CR(c; y) is that evaluator's statistic of y - X beta_c, and no
+    ReducedProblem is built per candidate. Candidates go through it in
+    blocks of up to 256: one stacked product gives the block's
+    ``X beta_c`` as a (G, N, 1) stack, and one pass of the evaluator over
+    the last two axes of y - X beta_c gives its values. Each candidate
+    gets the bits it gets on its own, and a scan holds O(256 N) floats
+    for any grid size. :meth:`lambda_cr` is the one-candidate case.
     """
 
     lambda_alpha: float
@@ -497,12 +509,23 @@ class ConfidenceRegion:
     y: np.ndarray
     evaluator: Evaluator
 
+    def _values(self, points):
+        """lambda_CR at each row c of a (G, R) block of candidates (0 where
+        degenerate). A candidate that is not finite or not of length R
+        raises DimensionMismatch before any pass."""
+        points = _as_candidates(points, self.factor.r)
+        values = np.empty(len(points))
+        for start in range(0, len(points), _SCAN_BLOCK):
+            _, x_fit = self.factor._fit(points[start:start + _SCAN_BLOCK])
+            # a vanished r means y sits in the null fit space at c: the
+            # evaluator's value there is lambda_0 = 0
+            vals, _ = self.evaluator.evaluate_batch(self.y[:, None] - x_fit)
+            values[start:start + _SCAN_BLOCK] = vals[:, 0]
+        return values
+
     def lambda_cr(self, c):
         """lambda_CR(c; y), the statistic of H0: A beta = c (0 when degenerate)."""
-        _, x_fit_c = self.factor._fit(np.atleast_1d(c))
-        val = self.evaluator.evaluate(self.y - x_fit_c)
-        # a vanished r means y sits in the null fit space at c: lambda_0 = 0
-        return 0.0 if val.degenerate else val.value
+        return float(self._values(_as_1d(np.atleast_1d(c), "c")[None])[0])
 
     def member(self, c):
         return self.lambda_cr(c) <= self.lambda_alpha
@@ -511,7 +534,8 @@ class ConfidenceRegion:
         """(points, lambda_CR at each point) for a grid as :func:`cr_grid`
         takes it: (G, R) points, or for R = 1 also a (G,) vector. The points
         come back as a (G, R) array; a grid of any other shape raises
-        UnsupportedDimension."""
+        UnsupportedDimension. The grid goes through the evaluator in
+        stacked passes of up to 256 candidates."""
         r = self.factor.r
         if r > 2:
             raise UnsupportedDimension(f"grids support R <= 2, got R = {r}")
@@ -521,7 +545,7 @@ class ConfidenceRegion:
         elif points.ndim != 2 or points.shape[1] != r:
             raise UnsupportedDimension(f"R = {r} grids must be (G, {r}) arrays of points"
                                        + (" or (G,) vectors" if r == 1 else ""))
-        return points, np.array([self.lambda_cr(c) for c in points])
+        return points, self._values(points)
 
 
 def confidence_region(y, x, a_matrix, stat=None, alpha=0.05, mc=McConfig()):

@@ -3,8 +3,11 @@
 Each statistic is a pure function of the data; the affine family also
 needs the precomputed :class:`~threshtest.core.ReducedProblem`. An
 :class:`Evaluator` binds a :class:`StatisticSpec` to its design and
-evaluates N x M response batches for the Monte-Carlo calibration; the
-scalar statistic functions below are its one-column case.
+evaluates N x M response batches for the Monte-Carlo calibration, and, for
+the affine families, (G, N, M) stacks of them for a confidence region's
+candidates: the affine pass and the reductions act on the last two axes,
+so both take the same code. The scalar statistic functions below are its
+one-column case.
 
 Every statistic is a norm of one score vector z, divided by a scale for
 the square-root, Fisher and GLM score families. An evaluator's batch pass
@@ -163,9 +166,11 @@ def _overflow_guard():
 
 
 def _affine_parts(red, x, y_mat, with_norm):
-    """(z, ||r||, degenerate mask) for each column y of an N x M batch, with
-    v = y - X beta_c, r = (I - Q Q^T) v and z = (A A^T)^{-1} A X^T r;
-    ``||r||`` and the mask are None unless ``with_norm``."""
+    """(z, ||r||, degenerate mask) for each column y of an N x M batch or of
+    a (G, N, M) stack, acting on the last two axes, with v = y - X beta_c,
+    r = (I - Q Q^T) v and z = (A A^T)^{-1} A X^T r; ``||r||`` and the mask
+    are None unless ``with_norm``. A stack takes the products of a batch
+    item by item, so each column of it gets the bits it gets on its own."""
     r_mat, qtv = residual_parts(red, x, y_mat)
     z = red.apply_pseudo(x.values.T @ r_mat)
     if not with_norm:
@@ -173,7 +178,7 @@ def _affine_parts(red, x, y_mat, with_norm):
     denom = _kernels.norm_cols(r_mat)
     # a y in the null fit space leaves only rounding noise in r, so ||r|| is
     # judged against ||y - X beta_c||^2 = ||r||^2 + ||Q^T v||^2
-    scale = np.sqrt(denom * denom + (qtv * qtv).sum(axis=0))
+    scale = np.sqrt(denom * denom + (qtv * qtv).sum(axis=-2))
     return z, denom, denom <= max(x.n, x.p) * np.finfo(float).eps * scale
 
 
@@ -406,9 +411,10 @@ class Evaluator:
         self.statistic_id = _statistic_id(fam, blocks, spec.glm_family)
 
     def evaluate_batch(self, y_mat):
-        """Return (values, degenerate_mask) for an N x M response matrix: one
-        pass and its reduction, under the overflow guard. A batch of another
-        shape raises DimensionMismatch."""
+        """Return (values, degenerate_mask) for an N x M response matrix, or
+        (G, M) ones for a (G, N, M) stack of an affine family: one pass and
+        its reduction, under the overflow guard. Responses of another shape
+        raise DimensionMismatch."""
         y_mat = np.asarray(y_mat, dtype=float)
         _check_responses(self, y_mat)
         with _overflow_guard():
@@ -489,10 +495,13 @@ class Composite:
 
 
 def _check_responses(ev, y_mat):
-    """DimensionMismatch unless ``y_mat`` is N x M for the N of ``ev``'s design."""
-    if y_mat.ndim != 2 or y_mat.shape[0] != ev.x.n:
+    """DimensionMismatch unless ``y_mat`` is N x M for the N of ``ev``'s
+    design, or, for an affine family, a (G, N, M) stack of such batches."""
+    affine = ev.spec.family in AFFINE_FAMILIES
+    if y_mat.ndim not in ((2, 3) if affine else (2,)) or y_mat.shape[-2] != ev.x.n:
         raise DimensionMismatch(
-            f"responses must be N x M with N = {ev.x.n}, got shape {y_mat.shape}")
+            f"responses must be N x M with N = {ev.x.n}"
+            f"{', or a (G, N, M) stack of them' if affine else ''}, got shape {y_mat.shape}")
 
 
 def evaluate_many(evaluators, y_mat):
@@ -506,9 +515,9 @@ def evaluate_many(evaluators, y_mat):
     Fisher and lad_sign evaluators each make their own pass. A group's
     parts come from a square-root member when it has one, so they carry
     ||r||; the other members ignore it. Every value equals the evaluator's
-    own ``evaluate_batch`` bit for bit. A batch that is not N x M for the N
-    of every evaluator's design raises DimensionMismatch, and one whose
-    values overflow a pass or a reduction raises OverflowGuard.
+    own ``evaluate_batch`` bit for bit. A batch of a shape that any
+    evaluator's ``evaluate_batch`` refuses raises DimensionMismatch, and one
+    whose values overflow a pass or a reduction raises OverflowGuard.
     """
     y_mat = np.asarray(y_mat, dtype=float)
     bound = list(dict.fromkeys(ev for item in evaluators for ev in item.components))

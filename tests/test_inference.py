@@ -3,8 +3,10 @@
 import dataclasses
 import gc
 import hashlib
+import math
 import os
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -876,7 +878,7 @@ class TestRegionSharesOneReduction:
         x = DesignMatrix(rng.standard_normal((30, 4)))
         a = np.array([[1.0, -1.0, 0.0, 0.0]])
         y = x.values @ np.array([0.5, 0.1, -0.2, 0.3]) + rng.standard_normal(30)
-        calls = {"factor": 0, "build": 0, "svd": 0, "at": 0, "many": 0}
+        calls = {"factor": 0, "build": 0, "svd": 0, "at": 0, "many": 0, "batch": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -895,16 +897,64 @@ class TestRegionSharesOneReduction:
                             counting("at", core.ReductionFactor.at))
         monkeypatch.setattr(statistics, "evaluate_many",
                             counting("many", statistics.evaluate_many))
+        # a scan makes one pass per block of 256 candidates, not one per candidate
+        monkeypatch.setattr(statistics.Evaluator, "evaluate_batch",
+                            counting("batch", statistics.Evaluator.evaluate_batch))
         stat = StatisticSpec("sqrt_affine_lasso")
         grid = np.linspace(-2.0, 2.0, 41)
         region = confidence_region(y, x, a, stat=stat, mc=MC)
         for c in grid:
             region.member(np.array([c]))
         # the SVDs of A and X K_A, and the reduction at c = 0
-        assert calls == {"factor": 1, "build": 0, "svd": 2, "at": 1, "many": 0}
+        assert calls == {"factor": 1, "build": 0, "svd": 2, "at": 1, "many": 0, "batch": 41}
         cr_grid(y, x, a, stat, region.lambda_alpha, grid)
         # the design kept the factor of this A
-        assert calls == {"factor": 2, "build": 0, "svd": 2, "at": 2, "many": 0}
+        assert calls == {"factor": 2, "build": 0, "svd": 2, "at": 2, "many": 0, "batch": 42}
+        for g, passes in ((256, 1), (257, 2), (600, 3)):
+            before = calls["batch"]
+            region.scan(np.linspace(-2.0, 2.0, g))
+            assert calls["batch"] - before == passes == math.ceil(g / inference._SCAN_BLOCK)
+
+    def test_a_scan_holds_one_block_at_a_time(self, rng):
+        # an R = 2 grid of 201 x 201 points on a 500 x 51 design: a stack of
+        # every candidate's y - X beta_c would take 40401 * 500 * 8 bytes,
+        # about 160 MB per array; a block of 256 takes about 1 MB
+        x = DesignMatrix(np.column_stack([np.ones(500), rng.standard_normal((500, 50))]),
+                         intercept_column=0)
+        a = np.eye(51)[1:3]
+        y = x.values @ rng.standard_normal(51) + rng.standard_normal(500)
+        region = inference._region(y, x, a, StatisticSpec("sqrt_affine_lasso"), 2.0)
+        axis = np.linspace(-1.0, 1.0, 201)
+        grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        tracemalloc.start()
+        try:
+            _, values = region.scan(grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (201 * 201,)
+        assert peak < 16 * 2 ** 20
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_candidate_is_refused_before_any_pass(self, monkeypatch, rng, bad):
+        x = DesignMatrix(rng.standard_normal((30, 4)))
+        a = np.array([[1.0, -1.0, 0.0, 0.0]])
+        y = rng.standard_normal(30)
+        stat = StatisticSpec("sqrt_affine_lasso")
+        region = inference._region(y, x, a, stat, 1.0)
+        passes = []
+        batch = statistics.Evaluator.evaluate_batch
+        monkeypatch.setattr(statistics.Evaluator, "evaluate_batch",
+                            lambda ev, y_mat: passes.append(ev) or batch(ev, y_mat))
+        grid = np.linspace(-2.0, 2.0, 600)
+        grid[-1] = bad  # in the last of three blocks
+        for call in (lambda: region.scan(grid),
+                     lambda: cr_grid(y, x, a, stat, 1.0, grid),
+                     lambda: cr_member(np.array([bad]), y, x, a, stat, 1.0),
+                     lambda: region.lambda_cr(bad)):
+            with pytest.raises(DimensionMismatch, match="c contains non-finite entries"):
+                call()
+        assert passes == []
 
     def test_squares_beyond_the_float_range(self, rng):
         # 1e200 is finite but its square is not: every candidate's pass keeps
@@ -955,6 +1005,53 @@ class TestRegionSharesOneReduction:
         run_test(y, x, SubsetHypothesis(2, np.zeros(4)), StatisticSpec("sqrt_affine_lasso"),
                  mc=MC, cache=CalibrationCache(directory=False))
         assert calls == [(4, 6), (50, 2)]  # A, when the hypothesis is expanded, and X K_A
+
+
+@st.composite
+def scan_problems(draw):
+    """A region problem with a grid of 0, 1 or several blocks of candidates:
+    R in {1, 2}, the square-root lasso or group lasso with one block or, for
+    R = 2, two, on a design with P < N or, of rank N - 1, P > N."""
+    r = draw(st.integers(1, 2))
+    n = draw(st.integers(8, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        values = rng.standard_normal((n, draw(st.integers(r + 1, 6))))
+    else:  # rank N - 1, so that rank(X K_A) < N
+        z = rng.standard_normal((n, n - 1))
+        values = np.hstack([z, z[:, :r + 1]])
+    x = DesignMatrix(values)
+    a = rng.standard_normal((r, x.p))
+    y = x.values @ rng.standard_normal(x.p) + rng.standard_normal(n)
+    family = draw(st.sampled_from(["sqrt_affine_lasso", "sqrt_affine_group_lasso"]))
+    blocks = None
+    if family == "sqrt_affine_group_lasso" and r == 2:
+        blocks = draw(st.sampled_from([None, ((0,), (1,))]))
+    g = draw(st.sampled_from([0, 1, 255, 256, 257, 600]))
+    points = 3.0 * rng.standard_normal((g, r))
+    return y, x, a, StatisticSpec(family, row_partition=blocks), points
+
+
+class TestScanIsEveryCandidateOnItsOwn:
+    @settings(max_examples=24, deadline=None)
+    @given(scan_problems())
+    def test_scan_matches_per_point_reduction_bitwise(self, problem):
+        y, x, a, stat, points = problem
+        want = np.array([_per_point_lambda(y, x, a, stat, c) for c in points])
+        # a threshold equal to a value makes membership bit-sensitive there
+        threshold = float(np.median(want)) if len(want) else 1.0
+        region = inference._region(y, x, a, stat, threshold)
+        got_points, got = region.scan(points)
+        assert got.dtype == np.float64 and got.shape == (len(points),)
+        assert got_points.tobytes() == points.tobytes()
+        assert got.tobytes() == want.tobytes()
+        # the candidates at the ends of the blocks, and one more
+        picks = {k for k in (0, 255, 256, 599, len(points) // 3) if k < len(points)}
+        for k in sorted(picks):
+            c = points[k]
+            assert _bits(region.lambda_cr(c)) == _bits(got[k])
+            assert region.member(c) == (got[k] <= threshold)
+            assert cr_member(c, y, x, a, stat, threshold) == (got[k] <= threshold)
 
 
 def _same_factor(got, want):
@@ -1155,11 +1252,19 @@ class TestCalibratedRequest:
     (lambda y, x, hyp: cr_grid(y, x, np.eye(5)[1:3], StatisticSpec("sqrt_affine_lasso"),
                                2.0, np.zeros((3, 3))),
      UnsupportedDimension, r"R = 2 grids must be \(G, 2\) arrays"),
+    # a (G, N, M) stack is an affine family's only
+    (lambda y, x, hyp: build_evaluator(StatisticSpec("fisher_weighted"), x, hyp=hyp)
+     .evaluate_batch(np.zeros((2, x.n, 3))), DimensionMismatch, "responses must be N x M"),
+    (lambda y, x, hyp: build_evaluator(StatisticSpec("glm_score_sup", glm_family="gaussian"),
+                                       x, hyp=hyp).evaluate_batch(np.zeros((2, x.n, 3))),
+     DimensionMismatch, "responses must be N x M"),
+    (lambda y, x, hyp: build_evaluator(StatisticSpec("lad_sign"), x, hyp=hyp)
+     .evaluate_batch(np.zeros((2, x.n, 3))), DimensionMismatch, "responses must be N x M"),
 ], ids=["run_test_stat", "run_test_mc", "run_composite_names", "region_mc", "region_stat",
         "cr_member_nan_threshold", "cr_grid_nan_threshold", "cr_member_string_threshold",
         "cr_grid_list_threshold", "cr_member_no_threshold", "cr_member_array_threshold",
         "r1_grid_of_pairs",
-        "r2_grid_of_triples"])
+        "r2_grid_of_triples", "fisher_stack", "glm_score_stack", "lad_sign_stack"])
 def test_each_refusal_is_typed(dataset, rng, call, error, message):
     x, hyp = dataset
     with pytest.raises(error, match=message):
