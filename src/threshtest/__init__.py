@@ -11,7 +11,6 @@ from .core import (
     factor_reduction,
     glm_family,
     kernel_basis,
-    min_norm_solution,
     residual,
 )
 from .statistics import (
@@ -19,12 +18,10 @@ from .statistics import (
     StatisticSpec,
     build_evaluator,
     fisher_F,
-    glm_score_stat,
     link_identity_residual,
     sign_test,
     zt_affine_group_lasso,
     zt_affine_lasso,
-    zt_fisher_weighted,
     zt_lad,
     zt_sqrt_variant,
 )

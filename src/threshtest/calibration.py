@@ -57,8 +57,7 @@ from .core import (
     _as_response,
     _is_index,
 )
-from .exceptions import (DimensionMismatch, DomainError, InsufficientDraws, InvalidSpec,
-                         StatisticMismatch)
+from .exceptions import DimensionMismatch, DomainError, InsufficientDraws, InvalidSpec
 from .statistics import (
     Composite,
     StatisticSpec,
@@ -361,10 +360,7 @@ class CompositeCalibration:
     sorted_composite_stats = _of_kappa("sorted_null_stats")
     # the draws p_value counts, as for a CalibrationResult
     sorted_null_stats = sorted_composite_stats
-    statistic_id = _of_kappa("statistic_id")
-    alpha = _of_kappa("alpha")
     m_draws = _of_kappa("m_draws")
-    seed = _of_kappa("seed")
 
 
 def _check_alpha(alpha):
@@ -436,17 +432,13 @@ def _order_stat(draws, k):
     return draws, float(draws[k - 1])
 
 
-def p_value(observed, cal, statistic_id=None):
+def p_value(observed, cal):
     """Monte-Carlo p-value (1 + #{draws >= observed}) / (M + 1).
 
     The draws are the sorted null draws of a CalibrationResult; for a
     CompositeCalibration they are its composite values. A NaN observed
     value raises DimensionMismatch, as a non-finite response does.
     """
-    if statistic_id is not None and statistic_id != cal.statistic_id:
-        raise StatisticMismatch(
-            f"observed statistic {statistic_id!r} vs calibration {cal.statistic_id!r}"
-        )
     if isinstance(observed, StatValue):
         observed = observed.value
     if math.isnan(observed):

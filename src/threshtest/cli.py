@@ -351,44 +351,40 @@ def _cmd_power(args):
     return doc
 
 
-def _add_data_command(sub, name, func):
-    """A command on a CSV data file and a hypothesis file."""
-    parser = sub.add_parser(name)
-    parser.add_argument("--data", required=True, help="CSV data file with header")
-    parser.add_argument("--response", required=True, help="response column name")
-    parser.add_argument("--intercept", action="store_true",
-                        help="prepend an unpenalized all-ones column")
-    parser.add_argument("--hypothesis", required=True, help="hypothesis JSON file")
-    parser.add_argument("--stat", default="sqrt_affine_lasso")
-    parser.add_argument("--family", default=None,
-                        help="glm family for glm_score statistics")
-    parser.add_argument("--alpha", type=float, default=0.05)
-    parser.add_argument("--mc", type=int, default=2000,
-                        help="number of Monte-Carlo calibration draws")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", required=True)
-    parser.set_defaults(func=func)
-    return parser
-
-
 def build_parser():
+    # the options every data command and every study command shares
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", required=True, help="CSV data file with header")
+    data.add_argument("--response", required=True, help="response column name")
+    data.add_argument("--intercept", action="store_true",
+                      help="prepend an unpenalized all-ones column")
+    data.add_argument("--hypothesis", required=True, help="hypothesis JSON file")
+    data.add_argument("--stat", default="sqrt_affine_lasso")
+    data.add_argument("--family", default=None, help="glm family for glm_score statistics")
+    data.add_argument("--alpha", type=float, default=0.05)
+    data.add_argument("--mc", type=int, default=2000,
+                      help="number of Monte-Carlo calibration draws")
+    data.add_argument("--seed", type=int, default=0)
+    data.add_argument("--out", required=True)
+    study = argparse.ArgumentParser(add_help=False)
+    study.add_argument("--config", required=True, help="experiment config JSON")
+    study.add_argument("--seed", type=int, default=None,
+                       help="replaces the seed of every scenario")
+    study.add_argument("--out", required=True)
+    study.add_argument("--threads", type=int, default=1)
+    study.add_argument("--plot", default=None, help="optional SVG output path")
+
     parser = argparse.ArgumentParser(prog="threshtest")
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_data_command(sub, "test", _cmd_test)
-    _add_data_command(sub, "calibrate", _cmd_calibrate)
-    region = _add_data_command(sub, "region", _cmd_region)
+    sub.add_parser("test", parents=[data]).set_defaults(func=_cmd_test)
+    sub.add_parser("calibrate", parents=[data]).set_defaults(func=_cmd_calibrate)
+    region = sub.add_parser("region", parents=[data])
     region.add_argument("--grid", action="append", default=[],
                         help="axis as lo:hi:count (repeat for R = 2)")
     region.add_argument("--plot", default=None, help="optional SVG output path")
+    region.set_defaults(func=_cmd_region)
     for name in ("power", "level"):
-        study = sub.add_parser(name)
-        study.add_argument("--config", required=True, help="experiment config JSON")
-        study.add_argument("--seed", type=int, default=None,
-                           help="replaces the seed of every scenario")
-        study.add_argument("--out", required=True)
-        study.add_argument("--threads", type=int, default=1)
-        study.add_argument("--plot", default=None, help="optional SVG output path")
-        study.set_defaults(func=_cmd_power)
+        sub.add_parser(name, parents=[study]).set_defaults(func=_cmd_power)
     return parser
 
 

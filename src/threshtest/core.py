@@ -32,7 +32,6 @@ __all__ = [
     "GlmFamily",
     "glm_family",
     "kernel_basis",
-    "min_norm_solution",
     "factor_reduction",
     "build_reduction",
     "residual_parts",
@@ -327,17 +326,6 @@ def kernel_basis(a_matrix):
     a = _as_2d(a_matrix, "A")
     _, _, vh = _full_row_rank_svd(a)
     return vh[a.shape[0]:].T
-
-
-def min_norm_solution(a_matrix, c_vector):
-    """beta_c = A^T (A A^T)^{-1} c, the minimum l2-norm solution of A beta = c."""
-    a = _as_2d(a_matrix, "A")
-    c = _as_1d(c_vector, "c")
-    r = a.shape[0]
-    if c.shape[0] != r:
-        raise DimensionMismatch(f"c has length {c.shape[0]}, expected {r}")
-    u, s, vh = _full_row_rank_svd(a)
-    return vh[:r].T @ (u.T @ c / s)
 
 
 def factor_reduction(x, a_matrix):

@@ -39,10 +39,6 @@ class InsufficientDraws(ThreshTestError):
     """M is too small for the requested quantile order statistic."""
 
 
-class StatisticMismatch(ThreshTestError):
-    """A calibration is being combined with a different statistic."""
-
-
 class InvalidSpec(ThreshTestError):
     """A configuration object is ill-formed."""
 

@@ -21,7 +21,9 @@ of one generator.
 
 An ``ExperimentConfig`` refuses an entry its study cannot run: the fisher
 and lrt baselines unless p + 1 < n (InvalidSpec), and in a bernoulli or
-poisson study any statistic but a GLM score one (NotApplicable). The
+poisson study any statistic but a GLM score one (NotApplicable). It also
+refuses ``StatisticSpec("fisher_weighted")`` (InvalidSpec): its test is the
+exact F-test of the "fisher" tag, so a study has one F column. The
 harness binds each entry once, to the intercept design and H0, and takes
 its calibration from the process cache of ``inference``, keyed as
 ``run_test`` keys the same test. The grid and n_reps change no
@@ -193,6 +195,9 @@ class ExperimentConfig:
             elif not isinstance(entry, StatisticSpec):
                 raise InvalidSpec(f"a statistics entry is a tag or a StatisticSpec, "
                                   f"got {entry!r}")
+            elif entry.family == "fisher_weighted":
+                raise InvalidSpec("use the \"fisher\" tag for fisher_weighted: a study "
+                                  "decides the F-test by the exact F, not by Monte Carlo")
             elif entry.family not in GLM_FAMILIES:
                 if self.family != "gaussian":
                     raise NotApplicable(f"{entry.family} needs gaussian responses, "
@@ -353,7 +358,7 @@ class _Harness:
         self.cfg = cfg
         self.x_full = gen_design(cfg.n, cfg.p, cfg.design_spec, substream(cfg.seed, 0),
                                  intercept=True)
-        self.x_cov = DesignMatrix(self.x_full.tested_values())
+        self.x_cov = self.x_full.tested_values()
         self.family = glm_family(cfg.family)
         self.hyp = SubsetHypothesis(1, np.zeros(cfg.p)).expand(cfg.p + 1)
         # a bernoulli or poisson config holds GLM score statistics: no reduction
@@ -386,7 +391,7 @@ class _Harness:
         cfg = self.cfg
         rngs = list(_substreams(cfg.seed, 1, s, _theta_key(theta), count=cfg.n_reps))
         betas = _draw_betas(AlternativeSpec(s, theta), cfg.p, rngs)
-        return _draw_responses(self.x_cov.values, cfg.beta0, betas, self.family, rngs)
+        return _draw_responses(self.x_cov, cfg.beta0, betas, self.family, rngs)
 
     def evaluate_cell(self, s, theta):
         """One row per column, an error row where the column fails on this cell."""
@@ -414,12 +419,12 @@ class _Harness:
         vals, degen = shared[stat]
         return ~degen & (vals > threshold)
 
-    def _fisher_rejects(self, y, _shared=None):
+    def _fisher_rejects(self, y, _shared):
         """F-test rejections; a degenerate replicate has F = 0 and p = 1."""
         fisher = _fisher_batch(self.x_full, self.hyp, y)
         return _f_sf(fisher.f, fisher.df1, fisher.df2) <= self.cfg.alpha
 
-    def _lrt_rejects(self, y, _shared=None):
+    def _lrt_rejects(self, y, _shared):
         stats = _lrt_statistics(y, self.x_full.values, self.family)
         return _chi2_sf(stats, self.cfg.p) <= self.cfg.alpha
 

@@ -56,11 +56,9 @@ __all__ = [
     "zt_affine_lasso",
     "zt_affine_group_lasso",
     "zt_sqrt_variant",
-    "zt_fisher_weighted",
     "fisher_F",
     "zt_lad",
     "sign_test",
-    "glm_score_stat",
     "link_identity_residual",
     "build_evaluator",
     "Composite",
@@ -271,12 +269,6 @@ def _chi2_ppf(q, df):
     return 2 * special.gammaincinv(df / 2, q)
 
 
-def zt_fisher_weighted(x, hyp, y):
-    """Fisher-weighted statistic: lambda_0^2 = RSS_{H0} - RSS."""
-    fisher = _fisher_batch(x, hyp, np.asarray(y, dtype=float)[:, None])
-    return StatValue(float(fisher.lam0[0]))
-
-
 def fisher_F(x, hyp, y):
     """Classical F statistic computed through the thresholding route.
 
@@ -290,20 +282,10 @@ def fisher_F(x, hyp, y):
     return float(fisher.f[0]), fisher.df1, fisher.df2
 
 
-def zt_lad(x, y, center="none"):
-    """LAD-lasso sign statistic ||X^T sign(y)||_inf.
-
-    With ``center="median"`` the response is centered by its sample
-    median first (the l1 fit of the intercept-only null model) and x
-    should contain the tested columns only. sign(0) = 0.
-    """
-    if center not in ("none", "median"):
-        raise NotApplicable(f"unknown centering {center!r}")
-    if isinstance(x, DesignMatrix):
-        x = x.values
-    x = np.asarray(x, dtype=float)
-    if center == "median":  # a marked intercept makes the evaluator center
-        x = DesignMatrix(np.column_stack([np.ones(x.shape[0]), x]), intercept_column=0)
+def zt_lad(x, y):
+    """LAD-lasso sign statistic ||X^T sign(y)||_inf over every column of x,
+    with sign(0) = 0."""
+    x = x.values if isinstance(x, DesignMatrix) else x
     return Evaluator(StatisticSpec("lad_sign"), x).evaluate(y)
 
 
@@ -334,22 +316,6 @@ def _glm_parts(x_mat, y_mat, family):
         xi = ybar * (1.0 - ybar) if family.tag == "bernoulli" else ybar
         degen = xi <= 0.0
     return z, np.sqrt(n * np.where(degen, 1.0, xi)), degen
-
-
-def glm_score_stat(x, y, family, norm="sup", partition=None):
-    """T(y) = ||X^T (y - ybar 1)|| / sqrt(N xi_hat), sup or max-of-block-2-norms.
-
-    ``xi_hat`` is the family's null variance estimate from ybar
-    (gaussian: unbiased sample variance). Degenerate when xi_hat = 0, or for
-    the gaussian family when it is rounding noise against the scale of y.
-    X holds the tested columns (a DesignMatrix drops its intercept column).
-    ``norm="group"`` with ``partition=None`` means one block over all tested
-    columns.
-    """
-    if norm not in ("sup", "group"):
-        raise NotApplicable(f"unknown norm {norm!r}")
-    spec = StatisticSpec(f"glm_score_{norm}", row_partition=partition, glm_family=family)
-    return Evaluator(spec, x).evaluate(y)
 
 
 def link_identity_residual(family, x_grid):

@@ -38,7 +38,6 @@ from threshtest.exceptions import (
     DomainError,
     InsufficientDraws,
     InvalidSpec,
-    StatisticMismatch,
 )
 
 
@@ -100,10 +99,6 @@ class TestPValue:
         cal = self._cal()
         for obs in (10.0, 94.5, 95.5, 99.5):
             assert (p_value(obs, cal) <= cal.alpha) == (obs > cal.lambda_alpha)
-
-    def test_statistic_mismatch(self):
-        with pytest.raises(StatisticMismatch):
-            p_value(1.0, self._cal(), statistic_id="other")
 
     @pytest.mark.parametrize("observed", [np.nan, StatValue(np.nan)], ids=["float", "value"])
     def test_nan_observed_is_refused(self, observed):

@@ -59,8 +59,55 @@ _DATA_FLAGS = ["--alpha", "--data", "--family", "--hypothesis", "--intercept", "
                "--out", "--response", "--seed", "--stat"]
 _STUDY_FLAGS = ["--config", "--out", "--plot", "--seed", "--threads"]
 
+# each option of a command in parser order: (flag, default, required, type,
+# action, help)
+_DATA_OPTIONS = [
+    ("--data", None, True, None, "store", "CSV data file with header"),
+    ("--response", None, True, None, "store", "response column name"),
+    ("--intercept", False, False, None, "store_true",
+     "prepend an unpenalized all-ones column"),
+    ("--hypothesis", None, True, None, "store", "hypothesis JSON file"),
+    ("--stat", "sqrt_affine_lasso", False, None, "store", None),
+    ("--family", None, False, None, "store", "glm family for glm_score statistics"),
+    ("--alpha", 0.05, False, float, "store", None),
+    ("--mc", 2000, False, int, "store", "number of Monte-Carlo calibration draws"),
+    ("--seed", 0, False, int, "store", None),
+    ("--out", None, True, None, "store", None),
+]
+_STUDY_OPTIONS = [
+    ("--config", None, True, None, "store", "experiment config JSON"),
+    ("--seed", None, False, int, "store", "replaces the seed of every scenario"),
+    ("--out", None, True, None, "store", None),
+    ("--threads", 1, False, int, "store", None),
+    ("--plot", None, False, None, "store", "optional SVG output path"),
+]
+_ACTION_NAMES = {argparse._StoreAction: "store", argparse._StoreTrueAction: "store_true",
+                 argparse._AppendAction: "append"}
+
 
 class TestParser:
+    def test_each_command_keeps_its_options_and_defaults(self):
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        options = {name: [(flag, action.default, action.required, action.type,
+                           _ACTION_NAMES[type(action)], action.help)
+                          for action in cmd._actions for flag in action.option_strings
+                          if flag not in ("-h", "--help")]
+                   for name, cmd in sub.choices.items()}
+        assert options == {
+            "test": _DATA_OPTIONS,
+            "calibrate": _DATA_OPTIONS,
+            "region": _DATA_OPTIONS + [
+                ("--grid", [], False, None, "append", "axis as lo:hi:count (repeat for R = 2)"),
+                ("--plot", None, False, None, "store", "optional SVG output path")],
+            "power": _STUDY_OPTIONS,
+            "level": _STUDY_OPTIONS,
+        }
+        assert {name: cmd._defaults for name, cmd in sub.choices.items()} == {
+            "test": {"func": cli._cmd_test}, "calibrate": {"func": cli._cmd_calibrate},
+            "region": {"func": cli._cmd_region}, "power": {"func": cli._cmd_power},
+            "level": {"func": cli._cmd_power}}
+
     def test_each_command_takes_the_flags_it_reads(self):
         parser = build_parser()
         (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -185,7 +232,7 @@ class TestCmdTest:
 _EXIT_CODES = {
     "ThreshTestError": 2, "DimensionMismatch": 2, "RankDeficient": 2, "Untestable": 3,
     "NotApplicable": 3, "DegenerateStatistic": 2, "InsufficientDraws": 2,
-    "StatisticMismatch": 2, "InvalidSpec": 2, "NoConvergence": 2, "SingularSystem": 2,
+    "InvalidSpec": 2, "NoConvergence": 2, "SingularSystem": 2,
     "UnsupportedDimension": 2, "DomainError": 2, "OverflowGuard": 2,
 }
 
@@ -201,7 +248,7 @@ class TestExitCodes:
             assert cls.exit_code == cls("message").exit_code == _EXIT_CODES[name], name
 
     # one run per error type a command can raise; Untestable is
-    # TestCmdTest::test_untestable_exit_3, and StatisticMismatch is not reachable
+    # TestCmdTest::test_untestable_exit_3
     @pytest.mark.parametrize("error, command, hypothesis, flags, message", [
         ("InvalidSpec", "test", None, ["--response", "nope"], "response column 'nope'"),
         ("DimensionMismatch", "test", {"subset": {"j0": 1, "c": [0.0]}}, [],
@@ -844,8 +891,10 @@ class TestScenarioConfig:
         ({"p": 3, "family": "poisson", "beta0": 0.5,
           "statistics": [{"family": "glm_score_sup", "glm_family": "bernoulli"}]}, 3,
          "scores bernoulli responses, not poisson"),
+        ({"p": 3, "statistics": ["fisher", "fisher_weighted"]}, 2,
+         'use the "fisher" tag for fisher_weighted'),
     ], ids=["fisher_at_p_n_minus_1", "lrt_at_p_n_minus_1", "affine_in_poisson",
-            "lad_in_bernoulli", "bernoulli_score_in_poisson"])
+            "lad_in_bernoulli", "bernoulli_score_in_poisson", "fisher_weighted"])
     def test_entry_the_study_cannot_run_is_refused(self, tmp_path, capsys, doc, code, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 10, "seed": 0, "m_calib": 19, "n_reps": 5, **doc}))

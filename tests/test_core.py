@@ -15,7 +15,6 @@ from threshtest import (
     factor_reduction,
     glm_family,
     kernel_basis,
-    min_norm_solution,
     residual,
 )
 from threshtest.exceptions import DimensionMismatch, DomainError, RankDeficient, Untestable
@@ -58,10 +57,9 @@ class TestKernelBasis:
 
 @pytest.mark.parametrize("call", [
     kernel_basis,
-    lambda a: min_norm_solution(a, np.zeros(a.shape[0])),
     lambda a: factor_reduction(np.arange(12.0 * a.shape[1]).reshape(12, -1) ** 0.5, a),
     lambda a: LinearHypothesis(a, np.zeros(a.shape[0])),
-], ids=["kernel_basis", "min_norm_solution", "factor_reduction", "LinearHypothesis"])
+], ids=["kernel_basis", "factor_reduction", "LinearHypothesis"])
 @pytest.mark.parametrize("a,message", [
     (np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]), "numerical row rank 1 < R = 2"),
     (np.ones((3, 2)), "3x2: cannot have full row rank"),
@@ -71,35 +69,42 @@ def test_one_row_rank_check(call, a, message):
         call(a)
 
 
+def _beta_c(a, c):
+    """The minimum-norm solution of A beta = c, as a reduction takes it."""
+    a = np.asarray(a, dtype=float)
+    x = DesignMatrix(np.random.default_rng(5).standard_normal((10, a.shape[1])))
+    return factor_reduction(x, a).at(c).beta_c
+
+
 class TestMinNormSolution:
     def test_zero_rhs(self):
-        np.testing.assert_allclose(
-            min_norm_solution(np.array([[1.0, 2.0]]), [0.0]), np.zeros(2))
+        np.testing.assert_allclose(_beta_c([[1.0, 2.0]], [0.0]), np.zeros(2))
 
     def test_identity(self, rng):
         c = rng.standard_normal(4)
-        np.testing.assert_allclose(min_norm_solution(np.eye(4), c), c)
+        np.testing.assert_allclose(_beta_c(np.eye(4), c), c)
 
     def test_symmetry(self):
-        np.testing.assert_allclose(
-            min_norm_solution(np.array([[1.0, 1.0]]), [2.0]), [1.0, 1.0])
+        np.testing.assert_allclose(_beta_c([[1.0, 1.0]], [2.0]), [1.0, 1.0])
 
     def test_orthogonal_to_kernel(self, rng):
         a = rng.standard_normal((2, 5))
         c = rng.standard_normal(2)
-        beta_c = min_norm_solution(a, c)
+        beta_c = _beta_c(a, c)
         np.testing.assert_allclose(a @ beta_c, c, atol=1e-10)
         k = kernel_basis(a)
         np.testing.assert_allclose(k.T @ beta_c, 0.0, atol=1e-10)
 
     def test_equals_reduction_beta_c_bitwise(self, rng):
-        # both take beta_c from the same full SVD of A
+        # beta_c depends on (A, c) alone: every design and both entry points
+        # take it from the same full SVD of A
         for r, p in [(1, 4), (2, 5), (3, 3)]:
             a = rng.standard_normal((r, p))
             c = rng.standard_normal(r)
             x = DesignMatrix(rng.standard_normal((10, p)))
-            assert (min_norm_solution(a, c).tobytes()
-                    == factor_reduction(x, a).at(c).beta_c.tobytes())
+            assert (_beta_c(a, c).tobytes()
+                    == factor_reduction(x, a).at(c).beta_c.tobytes()
+                    == build_reduction(x, LinearHypothesis(a, c)).beta_c.tobytes())
 
 
 class TestBuildReduction:
@@ -335,7 +340,7 @@ _X = DesignMatrix(np.arange(12.0).reshape(4, 3) ** 2)
     (lambda: LinearHypothesis(np.eye(2), np.zeros(3)), "c has length 3, expected 2"),
     (lambda: SubsetHypothesis(-1, np.zeros(2)), "j0 must be nonnegative"),
     (lambda: SubsetHypothesis(5, np.zeros(1)).expand(3), "j0=5 incompatible with P=3"),
-    (lambda: min_norm_solution(np.eye(2), np.zeros(3)), "c has length 3, expected 2"),
+    (lambda: factor_reduction(_X, np.eye(3)[1:]).at(np.zeros(3)), "c has length 3, expected 2"),
     (lambda: factor_reduction(_X, np.eye(2)), "A has 2 columns, X has P = 3"),
     (lambda: residual(build_reduction(_X, LinearHypothesis(np.eye(3)[1:], np.zeros(2))), _X,
                       np.zeros(5)), "y has length 5, expected N = 4"),

@@ -732,7 +732,7 @@ class TestComposite:
                for spec in calibration._composite_pair()]
         comp = calibrate_composite(*evs, gaussian_pivotal_null(x, hyp, red),
                                    MC.m_draws, 0.05, MC.seed)
-        assert res.statistic_id == comp.statistic_id == (
+        assert res.statistic_id == comp.cal_kappa.statistic_id == (
             f"composite({comp.cal_1.statistic_id},{comp.cal_2.statistic_id})")
         exceed = np.sum(comp.sorted_composite_stats >= res.observed.value)
         assert res.p_value == (1 + exceed) / (MC.m_draws + 1)

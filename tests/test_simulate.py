@@ -410,7 +410,7 @@ class TestPowerGrid:
         y = harness.simulate_cell(1, 0.5)
         results = [baseline_lrt(y[:, m], harness.x_cov, family, cfg.alpha)
                    for m in range(cfg.n_reps)]
-        rejects = harness._lrt_rejects(y)
+        rejects = harness._lrt_rejects(y, {})
         assert rejects.tolist() == [res.reject for res in results]
         assert 0 < rejects.sum() < cfg.n_reps
         # one vectorised chi2.sf call gives the scalar calls' p-values bit for bit
@@ -533,11 +533,11 @@ class TestPowerGrid:
         in_span = [0, 7, 100]
         coef = np.random.default_rng(1).standard_normal((cfg.p + 1, len(in_span)))
         y[:, in_span] = harness.x_full.values @ coef
-        x = DesignMatrix(np.hstack([np.ones((cfg.n, 1)), harness.x_cov.values]),
+        x = DesignMatrix(np.hstack([np.ones((cfg.n, 1)), harness.x_cov]),
                          intercept_column=0)
         hyp = SubsetHypothesis(1, np.zeros(cfg.p))
         results = [baseline_f_test(y[:, m], x, hyp, cfg.alpha) for m in range(cfg.n_reps)]
-        rejects = harness._fisher_rejects(y)
+        rejects = harness._fisher_rejects(y, {})
         assert rejects.tolist() == [res.reject for res in results]
         assert [results[m].observed.degenerate for m in in_span] == [True] * 3
         assert not rejects[in_span].any() and 0 < rejects.sum()
@@ -946,6 +946,8 @@ _X53 = np.arange(15.0).reshape(5, 3) / 7.0
      r"s = 4 outside \[0, 3\]"),
     (lambda rng: ExperimentConfig(n=20, p=3, statistics=("bogus",)), InvalidSpec,
      "unknown statistic tag 'bogus'"),
+    (lambda rng: ExperimentConfig(n=20, p=3, statistics=(StatisticSpec("fisher_weighted"),)),
+     InvalidSpec, 'use the "fisher" tag for fisher_weighted'),
     (lambda rng: ExperimentConfig(n=20, p=3, statistics=5), InvalidSpec,
      "statistics must be a sequence, got 5"),
     (lambda rng: ExperimentConfig(n=20, p=3, theta_grid=0.5), InvalidSpec,
@@ -959,7 +961,7 @@ _X53 = np.arange(15.0).reshape(5, 3) / 7.0
         "beta_fractional_p", "beta_not_a_spec", "design_fractional_n", "design_no_spec",
         "design_no_rows", "config_string_alpha", "config_string_beta0",
         "config_string_theta", "config_no_design_spec", "config_s_beyond_p",
-        "config_unknown_tag", "config_scalar_statistics", "config_scalar_theta_grid",
+        "config_unknown_tag", "config_fisher_weighted", "config_scalar_statistics", "config_scalar_theta_grid",
         "config_scalar_s_values", "irls_p_not_below_n"])
 def test_each_refusal_is_typed(call, error, message):
     with pytest.raises(error, match=message):
