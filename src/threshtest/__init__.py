@@ -19,7 +19,6 @@ from .statistics import (
     build_evaluator,
     fisher_F,
     link_identity_residual,
-    sign_test,
     zt_affine_group_lasso,
     zt_affine_lasso,
     zt_lad,

@@ -11,9 +11,12 @@ replicates in one vectorised pass (``_substreams``): every replicate's
 ``SeedSequence`` state words are computed together, and each generator
 draws exactly what ``substream`` with the same key would.
 
-``_fill_draws`` is the one definition of a draw: replicates fill the rows
-of a reused block, which is added to the null mean into its columns of the
-batch. ``simulate_null`` is its one-replicate case. Each batch is drawn
+``_fill_draws`` is the one definition of a response draw, for null batches
+and the power cells of ``simulate`` alike: replicates fill the rows of a
+reused block, which is added to its means (gaussian) or copied (bernoulli,
+poisson) into its columns of the batch. A null model draws in the gaussian
+family at X beta_c, or in its family at its plug-in mean (``_null_draw``).
+``simulate_null`` is the one-replicate case. Each batch is drawn
 once and evaluated by ``evaluate_many``, so statistics that share a
 reduction (or a GLM design and family) share one residual/score pass.
 
@@ -26,8 +29,8 @@ that calibration's threshold is kappa_alpha and its statistic id is
 ``composite(id1,id2)``. Each is a ``CalibrationResult`` from one
 sort/order-statistic step (``_order_stat``). A ``CompositeCalibration``
 holds the three, and ``p_value`` counts the draws of a
-``CalibrationResult`` or the composite values of a
-``CompositeCalibration`` alike.
+``CalibrationResult`` only: a composite's p-value counts its
+``cal_kappa``.
 
 ``CalibrationResult.save`` writes a calibration file: six ``#`` header
 lines, the last the SHA-256 of the draws, then the draws as raw
@@ -39,6 +42,7 @@ included; ``_check_count``, a seed or draw count that is not an integer >= 0.
 """
 
 import hashlib
+import itertools
 import math
 import numbers
 import operator
@@ -56,6 +60,7 @@ from .core import (
     ReducedProblem,
     _as_response,
     _is_index,
+    glm_family,
 )
 from .exceptions import DimensionMismatch, DomainError, InsufficientDraws, InvalidSpec
 from .statistics import (
@@ -206,56 +211,66 @@ def glm_plugin_null(design, family, y_observed):
     return _plugin_null(design, family, float(np.mean(y_observed)))
 
 
-# replicates drawn into one row block before it is added into its columns
+# replicates drawn into one row block before it is written into their columns
 _DRAW_BLOCK = 64
 
 
-def _fill_draws(model, rngs, out):
-    """Write the draw of the m-th generator of ``rngs`` into column m of the
-    N x M array ``out``.
+def _fill_draws(family, mean, rngs, out):
+    """Write the response that the m-th generator of ``rngs`` draws in
+    ``family`` into column m of the N x M array ``out``: the one definition
+    of a response draw, for null batches and power cells alike.
 
-    Each replicate fills one row of a reused (_DRAW_BLOCK, N) block: its
-    standard normal noise for the gaussian nulls, its whole response for
-    the others. A filled block is then added to the null mean (X beta_c, or
-    ybar for the gaussian plug-in) once, into its columns of ``out``.
+    ``mean`` is one mean shared by every column (a number, or an N-vector
+    such as X beta_c) or an M x N array whose row m is column m's mean.
+    Each replicate fills one row of a reused (_DRAW_BLOCK, N) block with one
+    generator call: its standard normal noise in the gaussian family (unit
+    variance), its whole binomial or poisson response in the others. A
+    filled gaussian block is then added to its means once, into its columns
+    of ``out``; any other is copied in.
     """
     n, m_draws = out.shape
-    if model.kind == "gaussian_pivotal":
-        shift = model.reduced.x_fit_c[:, None]
-    elif model.family.tag == "gaussian":
-        # unit variance: the gaussian score statistic is location/scale
-        # invariant, so the choice is immaterial
-        shift = model.null_mean
-    else:
-        shift = None
+    mean = np.asarray(mean, dtype=float)
+    per_column = mean.ndim == 2
+    # a whole response per call; None for the gaussian family's noise
+    draw = {"bernoulli": lambda rng, mu: rng.binomial(1, mu, size=n),
+            "poisson": lambda rng, mu: rng.poisson(mu, size=n)}.get(family.tag)
+    row_means = iter(mean) if per_column else itertools.repeat(mean)
     block = np.empty((min(_DRAW_BLOCK, m_draws), n))
     rngs = iter(rngs)
     for start in range(0, m_draws, _DRAW_BLOCK):
         rows = block[:min(_DRAW_BLOCK, m_draws - start)]
-        for row in rows:
-            rng = next(rngs)
-            if shift is not None:
+        stop = start + rows.shape[0]
+        cols = out[:, start:stop].T  # a view of out, shaped as rows
+        # zip takes a row first, so it stops without taking a generator or a mean
+        if draw is None:
+            for row, rng in zip(rows, rngs):
                 rng.standard_normal(out=row)
-            elif model.family.tag == "bernoulli":
-                row[:] = rng.binomial(1, model.null_mean, size=n)
-            else:
-                row[:] = rng.poisson(model.null_mean, size=n)
-        cols = out[:, start:start + rows.shape[0]]
-        if shift is None:
-            cols[...] = rows.T
+            np.add(mean[start:stop] if per_column else mean, rows, out=cols)
         else:
-            np.add(shift, rows.T, out=cols)
+            for row, rng, mu in zip(rows, rngs, row_means):
+                row[:] = draw(rng, mu)
+            cols[...] = rows
     return out
+
+
+def _null_draw(model):
+    """The (family, mean) of a null model's draws: gaussian at X beta_c, or
+    its family at the plug-in mean. A gaussian plug-in draw has unit
+    variance: the gaussian score statistic is location/scale invariant, so
+    the choice is immaterial."""
+    if model.kind == "gaussian_pivotal":
+        return glm_family("gaussian"), model.reduced.x_fit_c
+    return model.family, model.null_mean
 
 
 def simulate_null(model, rng):
     """One draw of Y0 under the null model."""
-    return _fill_draws(model, [rng], np.empty((model.design.n, 1)))[:, 0]
+    return _fill_draws(*_null_draw(model), [rng], np.empty((model.design.n, 1)))[:, 0]
 
 
 def _simulate_batch(model, seed, m_draws, batch):
     """N x M null draws; column m is drawn from ``substream(seed, batch, m)``."""
-    return _fill_draws(model, _substreams(seed, batch, count=m_draws),
+    return _fill_draws(*_null_draw(model), _substreams(seed, batch, count=m_draws),
                        np.empty((model.design.n, m_draws)))
 
 
@@ -358,9 +373,6 @@ class CompositeCalibration:
 
     kappa_alpha = _of_kappa("lambda_alpha")
     sorted_composite_stats = _of_kappa("sorted_null_stats")
-    # the draws p_value counts, as for a CalibrationResult
-    sorted_null_stats = sorted_composite_stats
-    m_draws = _of_kappa("m_draws")
 
 
 def _check_alpha(alpha):
@@ -435,10 +447,15 @@ def _order_stat(draws, k):
 def p_value(observed, cal):
     """Monte-Carlo p-value (1 + #{draws >= observed}) / (M + 1).
 
-    The draws are the sorted null draws of a CalibrationResult; for a
-    CompositeCalibration they are its composite values. A NaN observed
-    value raises DimensionMismatch, as a non-finite response does.
+    The draws are the sorted null draws of a CalibrationResult; a
+    composite's are those of its ``cal_kappa``. Any other ``cal`` raises
+    InvalidSpec. A NaN observed value raises DimensionMismatch, as a
+    non-finite response does.
     """
+    if not isinstance(cal, CalibrationResult):
+        hint = ": pass its cal_kappa" if isinstance(cal, CompositeCalibration) else ""
+        raise InvalidSpec(
+            f"p_value counts the draws of a CalibrationResult, got {type(cal).__name__}{hint}")
     if isinstance(observed, StatValue):
         observed = observed.value
     if math.isnan(observed):

@@ -6,13 +6,16 @@ positions, canonical-link response generation, and per-cell rejection
 rates with Monte-Carlo standard errors. Replicate substreams are keyed
 by (seed, 1, s, theta, rep), so a theta = 0 power row is bit-identical to
 the level estimate of the same configuration and results do not depend
-on thread count. A cell seeds all of its replicates' keys in one
+on the worker thread count. A cell seeds all of its replicates' keys in one
 vectorised pass; each draws what ``substream`` with that key would.
 
 A cell's responses are drawn in batched passes over its generators: every
 replicate's support and signs into an n_reps x P coefficient matrix, then
 the linear predictors, then the link and the poisson exp(30) guard once
-over the whole cell, then one noise call per generator. Each generator
+over the whole cell, then one noise call per generator through
+``calibration._fill_draws``, the one definition of a response draw that
+also draws the null batches; so a level replicate (s = 0) is bit for bit
+the ``simulate_null`` draw of the study's true null. Each generator
 makes the calls of ``gen_beta`` and ``gen_response``, in their order, and
 each linear predictor stays its own ``x @ beta``: one GEMM over the cell
 sums in another order and moves the last bits. So every response is
@@ -57,6 +60,7 @@ from .calibration import (
     _check_count,
     _check_response,
     _composite_pair,
+    _fill_draws,
     _plugin_null,
     _substreams,
     gaussian_pivotal_null,
@@ -279,23 +283,17 @@ def gen_beta(alt, p, rng):
 # and the IRLS fits clip to it
 _ETA_MAX = 30.0
 
-# one replicate's noise call on its mean, the generator's last call
-_NOISE = {
-    "gaussian": lambda rng, mu: mu + rng.standard_normal(mu.size),
-    "bernoulli": lambda rng, mu: rng.binomial(1, mu),
-    "poisson": lambda rng, mu: rng.poisson(mu),
-}
-
 
 def _draw_responses(x, beta0, betas, family, rngs):
     """One ``gen_response`` column per row of ``betas`` and generator, as a
     C-ordered N x len(rngs) array.
 
-    The link and the poisson guard run once over all the linear predictors.
-    Each ``x @ beta`` stays a product of its own, as does each generator's
-    noise call: one GEMM over the rows of ``betas`` sums in another order
-    and differs in the last bits. A stacked matmul of x with each row as a
-    column makes, row by row, the call that ``x @ beta`` makes.
+    The link and the poisson guard run once over all the linear predictors,
+    and ``_fill_draws`` draws each column at its means, as it draws a null
+    batch. Each ``x @ beta`` stays a product of its own: one GEMM over the
+    rows of ``betas`` sums in another order and differs in the last bits. A
+    stacked matmul of x with each row as a column makes, row by row, the
+    call that ``x @ beta`` makes.
     """
     eta = np.matmul(x, betas[:, :, None])[:, :, 0]
     eta += beta0
@@ -303,11 +301,7 @@ def _draw_responses(x, beta0, betas, family, rngs):
         raise OverflowGuard("poisson linear predictor exceeds the exp(30) guard")
     # the means replace eta, so a cell holds two n_reps x N arrays: them and y
     eta = family.canonical_inverse_link(eta)
-    noise = _NOISE[family.tag]
-    y = np.empty((x.shape[0], len(rngs)))
-    for j, (mu, rng) in enumerate(zip(eta, rngs)):
-        y[:, j] = noise(rng, mu)
-    return y
+    return _fill_draws(family, eta, rngs, np.empty((x.shape[0], len(rngs))))
 
 
 def gen_response(x, beta0, beta, family, rng):

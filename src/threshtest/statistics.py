@@ -58,7 +58,6 @@ __all__ = [
     "zt_sqrt_variant",
     "fisher_F",
     "zt_lad",
-    "sign_test",
     "link_identity_residual",
     "build_evaluator",
     "Composite",
@@ -287,16 +286,6 @@ def zt_lad(x, y):
     with sign(0) = 0."""
     x = x.values if isinstance(x, DesignMatrix) else x
     return Evaluator(StatisticSpec("lad_sign"), x).evaluate(y)
-
-
-def sign_test(u, v):
-    """Paired sign statistic: B = #{n : v_n > u_n} and |2B - N|."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.ndim != 1:
-        raise DimensionMismatch("u and v must be 1-d of equal length")
-    b = int(np.sum(v > u))
-    return b, abs(2 * b - u.shape[0])
 
 
 def _glm_parts(x_mat, y_mat, family):

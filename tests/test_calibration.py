@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from threshtest import (
     CalibrationResult,
+    CompositeCalibration,
     DesignMatrix,
     LinearHypothesis,
     SubsetHypothesis,
@@ -99,6 +100,15 @@ class TestPValue:
         cal = self._cal()
         for obs in (10.0, 94.5, 95.5, 99.5):
             assert (p_value(obs, cal) <= cal.alpha) == (obs > cal.lambda_alpha)
+
+    def test_only_a_calibration_result_is_counted(self):
+        cal = self._cal()
+        composite = CompositeCalibration(cal, cal, cal)
+        with pytest.raises(InvalidSpec, match="got CompositeCalibration: pass its cal_kappa"):
+            p_value(95.5, composite)
+        with pytest.raises(InvalidSpec, match="got ndarray$"):
+            p_value(95.5, cal.sorted_null_stats)
+        assert p_value(95.5, composite.cal_kappa) == p_value(95.5, cal)
 
     @pytest.mark.parametrize("observed", [np.nan, StatValue(np.nan)], ids=["float", "value"])
     def test_nan_observed_is_refused(self, observed):

@@ -543,7 +543,7 @@ class TestOneCalibrationCache:
                                   MC.seed)
         for cal in (ref.cal_1, ref.cal_2, ref.cal_kappa):
             assert any(_same_calibration(cal, entry) for entry in cache._memory.values())
-        assert cold[-1].p_value == calibration.p_value(cold[-1].observed, ref)
+        assert cold[-1].p_value == calibration.p_value(cold[-1].observed, ref.cal_kappa)
 
     def test_composite_components_are_run_test_files(self, process_cache, dataset, rng,
                                                       tmp_path):

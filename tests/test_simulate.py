@@ -25,7 +25,7 @@ from threshtest import (
     glm_family,
 )
 from threshtest import calibration, inference, simulate
-from threshtest.calibration import calibrate_composite, calibrate_many, substream
+from threshtest.calibration import calibrate_composite, calibrate_many, simulate_null, substream
 from threshtest.inference import McConfig, run_test
 from threshtest.simulate import PowerRow, _Harness, fit_glm_irls
 from threshtest.statistics import Composite, Evaluator, StatisticSpec, evaluate_many
@@ -194,6 +194,20 @@ class TestCellResponses:
                         for m in range(cfg.n_reps))])
         assert y.shape == (cfg.n, cfg.n_reps) and y.flags.c_contiguous
         assert y.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("family,beta0", [("gaussian", -2.0), ("bernoulli", 0.0),
+                                              ("poisson", 0.5)])
+    def test_level_cell_is_a_draw_of_the_true_null(self, family, beta0):
+        # at s = 0 each replicate is a draw of the study's true null, the
+        # plug-in null the harness calibrates a GLM score column on
+        cfg = ExperimentConfig(n=40, p=5, family=family, beta0=beta0, n_reps=30, seed=11,
+                               s_values=(0,), theta_grid=(0.0,), statistics=("lrt",))
+        harness = _Harness(cfg)
+        model = simulate._glm_true_null(harness.x_full, family, beta0)
+        reference = np.column_stack([
+            simulate_null(model, substream(cfg.seed, 1, 0, simulate._theta_key(0.0), m))
+            for m in range(cfg.n_reps)])
+        assert harness.simulate_cell(0, 0.0).tobytes() == reference.tobytes()
 
     def test_poisson_cell_above_the_guard_raises(self):
         cfg = ExperimentConfig(n=40, p=5, family="poisson", beta0=0.0, n_reps=30,

@@ -14,7 +14,6 @@ from threshtest import (
     kernel_basis,
     link_identity_residual,
     residual,
-    sign_test,
     zt_affine_group_lasso,
     zt_affine_lasso,
     zt_lad,
@@ -269,18 +268,6 @@ class TestLadSign:
         y_lad = y - np.median(y, axis=0) if center == "median" else y
         want = [zt_lad(x, y_lad[:, m]).value for m in range(30)]
         assert vals.tolist() == want and not degen.any()
-
-    def test_sign_test_values(self):
-        u = np.zeros(4)
-        assert sign_test(u, u) == (0, 4)
-        assert sign_test(u, np.array([1.0, -1.0, 1.0, -1.0])) == (2, 0)
-        u10 = np.zeros(10)
-        v10 = np.array([1.0] * 7 + [-1.0] * 3)
-        assert sign_test(u10, v10) == (7, 4)
-
-    def test_shape_guard(self):
-        with pytest.raises(DimensionMismatch):
-            sign_test(np.zeros(3), np.zeros(4))
 
 
 class TestGlmScore:
