@@ -331,20 +331,25 @@ def _plot_power(rows, path):
     _svg.line_panels(panels, path)
 
 
-def _cmd_power(args):
-    """``power`` and ``level``: one CSV per scenario of the config."""
-    with open(args.config) as fh:
+def _read_study(path, seed_override):
+    """A study config file's document and one ExperimentConfig per scenario."""
+    with open(path) as fh:
         doc = _object(json.load(fh))
     if "scenarios" in doc:  # then the scenarios carry every setting
         _object(doc, ("scenarios",))
     scenarios = _given(doc, {"scenarios": _scenarios}).get("scenarios", [doc])
+    return doc, [_scenario_config(scenario, seed_override) for scenario in scenarios]
+
+
+def _cmd_power(args):
+    """``power`` and ``level``: one CSV per scenario of the config."""
+    doc, configs = _read_study(args.config, args.seed)
     runner = estimate_level if args.command == "level" else estimate_power
-    configs = [_scenario_config(scenario, args.seed) for scenario in scenarios]
     all_rows = []
     for i, cfg in enumerate(configs):
         rows = runner(cfg, threads=args.threads)
         all_rows.extend(rows)
-        path = args.out if len(scenarios) == 1 else f"{args.out}.scenario{i + 1}.csv"
+        path = args.out if len(configs) == 1 else f"{args.out}.scenario{i + 1}.csv"
         _write_csv(path, PowerRow.HEADER, (row.as_csv_row() for row in rows))
     if args.plot:
         _plot_power(all_rows, args.plot)

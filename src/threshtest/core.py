@@ -208,13 +208,20 @@ class LinearHypothesis:
 
 @dataclass(frozen=True)
 class SubsetHypothesis:
-    """H0: (beta_{j0+1}, ..., beta_P) = c, leaving the first j0 coefficients free."""
+    """H0: (beta_{j0+1}, ..., beta_P) = c, leaving the first j0 coefficients free.
+
+    ``c_vector`` is a read-only copy of the input. Its expansion with no row
+    partition is kept for the last P, so repeated tests take A's SVD once."""
 
     j0: int
     c_vector: np.ndarray
+    # (P, LinearHypothesis) of the last expansion with no row partition
+    _expansion: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "c_vector", _as_1d(self.c_vector, "c"))
+        c = _as_1d(self.c_vector, "c").copy()
+        c.flags.writeable = False
+        object.__setattr__(self, "c_vector", c)
         if not _is_index(self.j0):
             raise DimensionMismatch(f"j0 must be an integer, got {self.j0!r}")
         if self.j0 < 0:
@@ -222,13 +229,19 @@ class SubsetHypothesis:
 
     def expand(self, p, row_partition=None):
         """Expand to a LinearHypothesis with A = [O  I_{P - j0}]."""
+        memo = self._expansion
+        if row_partition is None and memo is not None and memo[0] == p:
+            return memo[1]
         r = p - self.j0
         if not 0 <= self.j0 < p:
             raise DimensionMismatch(f"j0={self.j0} incompatible with P={p}")
         if self.c_vector.shape[0] != r:
             raise DimensionMismatch(f"c has length {self.c_vector.shape[0]}, expected {r}")
         a = np.hstack([np.zeros((r, self.j0)), np.eye(r)])
-        return LinearHypothesis(a, self.c_vector, row_partition)
+        hyp = LinearHypothesis(a, self.c_vector, row_partition)
+        if row_partition is None:
+            object.__setattr__(self, "_expansion", (p, hyp))
+        return hyp
 
 
 @dataclass(frozen=True)

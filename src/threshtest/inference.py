@@ -44,6 +44,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import statistics
 from .calibration import (
     CalibrationResult,
     _check_alpha,
@@ -75,7 +76,6 @@ from .statistics import (
     StatValue,
     _f_ppf,
     _f_sf,
-    _fisher_batch,
     _statistic_id,
     build_evaluator,
 )
@@ -243,8 +243,8 @@ def _get_default_cache():
     return _default_cache
 
 
-def _calibrated(cache, a_matrix, c_vector, model, mc, alpha, statistics):
-    """One (statistic, calibration) per item of ``statistics``, in order,
+def _calibrated(cache, a_matrix, c_vector, model, mc, alpha, items):
+    """One (statistic, calibration) per item of ``items``, in order,
     under H0: A beta = c with null model ``model``. An item is an Evaluator,
     which comes back with its batch-0 calibration, or an (ev1, ev2) pair,
     which comes back as the Composite at the components' batch-0 thresholds
@@ -272,14 +272,14 @@ def _calibrated(cache, a_matrix, c_vector, model, mc, alpha, statistics):
                                      (stat.statistic_id, mc.m_draws, alpha, mc.seed))
                 for i, stat in enumerate(stats)]
 
-    evaluators = [ev for item in statistics
+    evaluators = [ev for item in items
                   for ev in (item if isinstance(item, tuple) else (item,))]
     cals = dict(zip(evaluators, cached(evaluators, 0)))
     composites = [Composite(ev1, ev2, cals[ev1].lambda_alpha, cals[ev2].lambda_alpha)
-                  for ev1, ev2 in (item for item in statistics if isinstance(item, tuple))]
+                  for ev1, ev2 in (item for item in items if isinstance(item, tuple))]
     kappa = zip(composites, cached(composites, 1))
     return [next(kappa) if isinstance(item, tuple) else (item, cals[item])
-            for item in statistics]
+            for item in items]
 
 
 def _test_inputs(y, x, hyp):
@@ -334,7 +334,7 @@ def _fisher_exact_test(y, x, hyp, stat, alpha):
     step is needed.
     """
     _check_alpha(alpha)
-    fisher = _fisher_batch(x, hyp, y[:, None])
+    fisher = statistics._fisher_batch(x, hyp, y[:, None])
     f_crit = float(_f_ppf(1.0 - alpha, fisher.df1, fisher.df2))
     lam_alpha = float(np.sqrt(f_crit * fisher.s2[0] * fisher.df1))
     observed = StatValue(float(fisher.lam0[0]), degenerate=bool(fisher.degenerate[0]))

@@ -36,14 +36,17 @@ id of its statistic.
 
 The likelihood-ratio baseline fits the replicates of a cell together:
 the IRLS fit is batched over response columns (closed form for the
-gaussian family), and ``fit_glm_irls`` is its one-column case. Every
-family requires an intercept design of full column rank with P < N.
-``baseline_lrt`` and ``fit_glm_irls`` refuse a response as the GLM score
-tests do, with DomainError: a bernoulli value outside {0, 1}, or a poisson
-value that is not a non-negative integer. Both, and ``gen_response``,
-refuse an x that is not a finite 2-d array of at least one column with
-DimensionMismatch. A spec, a count or a number of the wrong type given to
-a public entry raises InvalidSpec, not an error from inside numpy.
+gaussian family). ``baseline_lrt`` is its one public entry; it and the
+harness's lrt column go through ``_lrt_statistics``. The fit takes an
+intercept design with the all-ones column first (``baseline_lrt``
+prepends it; the harness's design has it), starts each column from its
+intercept-only fit and requires full column rank with P < N.
+``baseline_lrt`` refuses a response as the GLM score tests do, with
+DomainError: a bernoulli value outside {0, 1}, or a poisson value that is
+not a non-negative integer. It and ``gen_response`` refuse an x that is
+not a finite 2-d array of at least one column with DimensionMismatch. A
+spec, a count or a number of the wrong type given to a public entry
+raises InvalidSpec, not an error from inside numpy.
 """
 
 import dataclasses
@@ -55,6 +58,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from . import statistics
 from .calibration import (
     _check_alpha,
     _check_count,
@@ -86,7 +90,6 @@ from .statistics import (
     _chi2_sf,
     _f_ppf,
     _f_sf,
-    _fisher_batch,
     _overflow_guard,
     build_evaluator,
     evaluate_many,
@@ -104,7 +107,6 @@ __all__ = [
     "estimate_level",
     "baseline_f_test",
     "baseline_lrt",
-    "fit_glm_irls",
 ]
 
 
@@ -415,7 +417,7 @@ class _Harness:
 
     def _fisher_rejects(self, y, _shared):
         """F-test rejections; a degenerate replicate has F = 0 and p = 1."""
-        fisher = _fisher_batch(self.x_full, self.hyp, y)
+        fisher = statistics._fisher_batch(self.x_full, self.hyp, y)
         return _f_sf(fisher.f, fisher.df1, fisher.df2) <= self.cfg.alpha
 
     def _lrt_rejects(self, y, _shared):
@@ -460,7 +462,7 @@ def baseline_f_test(y, x, hyp, alpha=0.05):
     """
     _check_alpha(alpha)
     y, x, hyp = _test_inputs(y, x, hyp)
-    fisher = _fisher_batch(x, hyp, y[:, None])
+    fisher = statistics._fisher_batch(x, hyp, y[:, None])
     degenerate = bool(fisher.degenerate[0])
     p = float(_f_sf(fisher.f[0], fisher.df1, fisher.df2))  # 1 at F = 0
     return TestResult(
@@ -500,15 +502,17 @@ _IRLS_MAX_ITER = 100
 
 
 def _irls_batch(x, y, family):
-    """Canonical-link GLM fits of every column of the N x M response y.
+    """Canonical-link GLM fits of every column of the N x M response y on
+    the intercept design x, whose column 0 is all ones.
 
     Returns the P x M coefficients and the M deviances. The gaussian fit is
-    closed form. Otherwise each column starts from the intercept-only link
-    and iterates until its deviance settles; a settled column is frozen, so
-    it takes the iterations it would take alone. One GEMM with the rows of
-    ``x (x) x`` forms every active column's ``X^T W X``, and one stacked
-    solve updates them all. P < N and full column rank at lstsq's
-    ``max(N, P) * eps * s_max`` cutoff are required of x.
+    closed form. Otherwise each column starts from its intercept-only fit,
+    beta_0 = g(mean of the column), and iterates until its deviance
+    settles; a settled column is frozen, so it takes the iterations it
+    would take alone. One GEMM with the rows of ``x (x) x`` forms every
+    active column's ``X^T W X``, and one stacked solve updates them all.
+    P < N and full column rank at lstsq's ``max(N, P) * eps * s_max``
+    cutoff are required of x.
     """
     n, p = x.shape
     if p >= n:
@@ -524,10 +528,7 @@ def _irls_batch(x, y, family):
     mustart = np.clip(ybar, 1e-8, 1 - 1e-8) if family.tag == "bernoulli" \
         else np.maximum(ybar, 1e-8)
     beta = np.zeros((p, m))
-    # start from the intercept-only fit when an intercept column is present
-    ones = np.where(np.all(x == 1.0, axis=0))[0]
-    if ones.size:
-        beta[ones[0]] = family.canonical_link(mustart)
+    beta[0] = family.canonical_link(mustart)
     xx = (x[:, :, None] * x[:, None, :]).reshape(n, p * p)
     dev = np.full(m, np.inf)
     step = max(1, _IRLS_BLOCK_BYTES // (8 * (n + p * p)))
@@ -562,27 +563,6 @@ def _glm_design(x):
     if x.shape[1] < 1:
         raise DimensionMismatch(f"x needs at least one column, got shape {x.shape}")
     return x
-
-
-def fit_glm_irls(x, y, family):
-    """Canonical-link GLM fit by iteratively reweighted least squares.
-
-    Returns (coefficients, deviance). This is the one-column case of the
-    column-batched fit that the LRT baseline runs. Every family requires
-    P < N and a design of full column rank: a rank-deficient x raises
-    RankDeficient, and an x that is not a finite 2-d array of at least one
-    column DimensionMismatch. As in ``baseline_lrt``, a bernoulli y outside
-    {0, 1} or a poisson y that is not a non-negative integer raises
-    DomainError, and any other y that is not a finite N-vector
-    DimensionMismatch.
-    """
-    family = glm_family(family)
-    x = _glm_design(x)
-    _check_response(family, y)
-    y = _as_response(y, x.shape[0])
-    with _overflow_guard():
-        beta, dev = _irls_batch(x, y[:, None], family)
-    return beta[:, 0], float(dev[0])
 
 
 def _lrt_statistics(y, x1, family):

@@ -7,6 +7,7 @@ the printed line reports the measured quantities alongside the verdict.
 import csv
 import itertools
 import json
+import pathlib
 import time
 
 import numpy as np
@@ -41,9 +42,9 @@ from threshtest import (
 )
 from threshtest.calibration import _simulate_batch, calibrate, gaussian_pivotal_null, substream
 from threshtest.inference import CalibrationCache
-from threshtest.simulate import _glm_true_null
+from threshtest.simulate import _Harness, _glm_true_null
 from threshtest.statistics import StatisticSpec
-from threshtest.cli import main as cli_main
+from threshtest.cli import _read_study, main as cli_main
 from threshtest.exceptions import Untestable
 
 
@@ -397,3 +398,50 @@ def test_criterion_11_reproducibility(tmp_path):
     elapsed = time.time() - started
     _report(11, "reproducibility", identical and elapsed < 300.0,
             f"byte-identical across thread counts: {identical}, {elapsed:.0f}s")
+
+
+PAPER_CLAIMS = pathlib.Path(__file__).resolve().parents[1] / "studies" / "paper_claims.json"
+
+
+def _cell_rejections(cfg):
+    """Each column's per-replicate rejections on the one cell of a study,
+    keyed by its tag or statistic family."""
+    harness = _Harness(cfg)
+    (s,), (theta,) = cfg.s_values, cfg.theta_grid
+    y = harness.simulate_cell(s, theta)
+    shared = {}
+    return {entry if isinstance(entry, str) else entry.family:
+            np.asarray(decide(harness, y, shared), dtype=float)
+            for entry, (_, decide) in zip(cfg.statistics, harness.columns)}
+
+
+def _paired_gap(better, worse):
+    """The mean per-replicate difference in units of its standard error:
+    both columns are decided on the same replicates."""
+    d = better - worse
+    return d.mean() / (d.std(ddof=1) / np.sqrt(d.size))
+
+
+def test_criterion_12_comparative_claim():
+    started = time.time()
+    _, (sparse_cfg, dense_cfg, glm_cfg) = _read_study(PAPER_CLAIMS, None)
+    sparse, dense, glm = map(_cell_rejections, (sparse_cfg, dense_cfg, glm_cfg))
+    sparse_gaps = [_paired_gap(sparse[key], sparse["fisher"])
+                   for key in ("sqrt_affine_lasso", "composite")]
+    dense_gap = _paired_gap(dense["composite"], dense["fisher"])
+    levels = {key: rejects.mean() for key, rejects in glm.items()}
+    lrt_miss = abs(levels["lrt"] - glm_cfg.alpha)
+    glm_ok = all(abs(levels[key] - glm_cfg.alpha) < lrt_miss
+                 for key in ("glm_score_sup", "composite"))
+    elapsed = time.time() - started
+    _report(12, "comparative claim",
+            min(sparse_gaps) >= 5.0 and dense_gap >= -2.0 and glm_ok and elapsed < 60.0,
+            f"sparse power sqrt lasso {sparse['sqrt_affine_lasso'].mean():.3f}, composite "
+            f"{sparse['composite'].mean():.3f}, F {sparse['fisher'].mean():.3f} (gaps "
+            f"{sparse_gaps[0]:+.1f}/{sparse_gaps[1]:+.1f} paired se); dense power composite "
+            f"{dense['composite'].mean():.3f}, F {dense['fisher'].mean():.3f} (gap "
+            f"{dense_gap:+.1f} paired se); bernoulli level glm_score_sup "
+            f"{levels['glm_score_sup']:.3f}, composite {levels['composite']:.3f}, LRT "
+            f"{levels['lrt']:.3f}; the GLM level row uses the harness's true-mean null, "
+            f"and the gaussian cells compare with F, not with the sigma = 1 LRT; "
+            f"{elapsed:.1f}s")

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from threshtest import (
     CalibrationResult,
     DesignMatrix,
+    ExperimentConfig,
     LinearHypothesis,
     McConfig,
     SubsetHypothesis,
@@ -28,6 +29,7 @@ from threshtest import (
     confidence_region,
     cr_grid,
     cr_member,
+    estimate_power,
     gaussian_pivotal_null,
     run_composite,
     run_test,
@@ -1005,6 +1007,50 @@ class TestRegionSharesOneReduction:
         run_test(y, x, SubsetHypothesis(2, np.zeros(4)), StatisticSpec("sqrt_affine_lasso"),
                  mc=MC, cache=CalibrationCache(directory=False))
         assert calls == [(4, 6), (50, 2)]  # A, when the hypothesis is expanded, and X K_A
+
+    def test_a_subset_hypothesis_keeps_its_expansion(self, monkeypatch, rng):
+        x = DesignMatrix(rng.standard_normal((50, 6)))
+        y = rng.standard_normal(50)
+        c = np.zeros(4)
+        hyp = SubsetHypothesis(2, c)
+        stat = StatisticSpec("sqrt_affine_lasso")
+        cache = CalibrationCache(directory=False)
+        first = run_test(y, x, hyp, stat, mc=MC, cache=cache)
+        calls = _counting_svds(monkeypatch)
+        second = run_test(y, x, hyp, stat, mc=MC, cache=cache)
+        assert calls == []  # the hypothesis keeps its expansion, the design its factor
+        assert second == first
+        c[0] = 1.0  # the hypothesis holds a copy of c
+        assert run_test(y, x, hyp, stat, mc=MC, cache=cache) == first
+        # the kept expansion serves only its own P and no row partition
+        with pytest.raises(DimensionMismatch, match="c has length 4, expected 5"):
+            hyp.expand(7)
+        blocks = hyp.expand(6, row_partition=[[0, 1], [2, 3]]).row_partition
+        assert blocks == ((0, 1), (2, 3))
+        assert hyp.expand(6) is hyp.expand(6) and hyp.expand(6).row_partition is None
+
+
+def test_every_f_test_looks_up_fisher_batch_at_call_time(monkeypatch, rng):
+    """``run_test``'s exact F, ``baseline_f_test`` and a study's fisher
+    column call ``statistics._fisher_batch`` through its module, so a
+    wrapper set on the module sees each of them."""
+    batches = []
+    fisher_batch = statistics._fisher_batch
+
+    def counting(x, hyp, y_mat):
+        batches.append(y_mat.shape[1])
+        return fisher_batch(x, hyp, y_mat)
+
+    monkeypatch.setattr(statistics, "_fisher_batch", counting)
+    x = DesignMatrix(rng.standard_normal((30, 4)))
+    y = rng.standard_normal(30)
+    hyp = SubsetHypothesis(1, np.zeros(3))
+    run_test(y, x, hyp, StatisticSpec("fisher_weighted"))
+    baseline_f_test(y, x, hyp)
+    assert batches == [1, 1]
+    estimate_power(ExperimentConfig(n=30, p=3, n_reps=5, theta_grid=(0.0, 0.5),
+                                    statistics=("fisher",)))
+    assert batches == [1, 1, 5, 5]  # one batch per cell
 
 
 @st.composite

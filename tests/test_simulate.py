@@ -1,5 +1,6 @@
 """Simulation harness: generators, power/level grids, baselines."""
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -27,7 +28,7 @@ from threshtest import (
 from threshtest import calibration, inference, simulate
 from threshtest.calibration import calibrate_composite, calibrate_many, simulate_null, substream
 from threshtest.inference import McConfig, run_test
-from threshtest.simulate import PowerRow, _Harness, fit_glm_irls
+from threshtest.simulate import PowerRow, _Harness
 from threshtest.statistics import Composite, Evaluator, StatisticSpec, evaluate_many
 from threshtest.exceptions import (
     DimensionMismatch,
@@ -655,22 +656,23 @@ class TestBaselines:
         x1 = np.hstack([np.ones((n, 1)), rng.standard_normal((n, 2))])
         truth = np.array([0.5, 0.3, -0.2])
         y = rng.poisson(np.exp(x1 @ truth)).astype(float)
-        beta, dev = fit_glm_irls(x1, y, "poisson")
-        np.testing.assert_allclose(beta, truth, atol=0.1)
-        assert dev >= 0.0
+        beta, dev = simulate._irls_batch(x1, y[:, None], glm_family("poisson"))
+        np.testing.assert_allclose(beta[:, 0], truth, atol=0.1)
+        assert dev[0] >= 0.0
 
-    def test_irls_on_responses_near_the_float_range_raises(self, rng):
+    def test_irls_on_responses_near_the_float_range_raises(self, rng, monkeypatch):
         x1 = np.hstack([np.ones((40, 1)), rng.standard_normal((40, 3))])
         y = rng.standard_normal(40)
         with pytest.raises(OverflowGuard):
-            fit_glm_irls(x1, 1e200 * y, "gaussian")
-        # at ordinary scales the guard changes no bit of the fit
-        for family, resp in (("gaussian", 1e150 * y), ("gaussian", y),
-                             ("poisson", np.floor(np.exp(y))), ("bernoulli", 1.0 * (y > 0))):
-            beta, dev = fit_glm_irls(x1, resp, family)
-            want_beta, want_dev = simulate._irls_batch(x1, resp[:, None], glm_family(family))
-            assert beta.tobytes() == want_beta[:, 0].tobytes()
-            assert dev == float(want_dev[0])
+            baseline_lrt(1e200 * y, x1[:, 1:], "gaussian")
+        # at ordinary scales the guard changes no bit of the statistic
+        cases = [(glm_family(family), resp[:, None]) for family, resp in (
+            ("gaussian", 1e150 * y), ("gaussian", y), ("poisson", np.floor(np.exp(y))),
+            ("bernoulli", 1.0 * (y > 0)))]
+        guarded = [simulate._lrt_statistics(resp, x1, fam) for fam, resp in cases]
+        monkeypatch.setattr(simulate, "_overflow_guard", contextlib.nullcontext)
+        for (fam, resp), got in zip(cases, guarded):
+            assert got.tobytes() == simulate._lrt_statistics(resp, x1, fam).tobytes()
 
     def test_irls_recovers_bernoulli_coefficients(self, rng):
         n = 8000
@@ -678,8 +680,8 @@ class TestBaselines:
         truth = np.array([-1.0, 0.8, 0.0])
         prob = 1.0 / (1.0 + np.exp(-(x1 @ truth)))
         y = rng.binomial(1, prob).astype(float)
-        beta, _ = fit_glm_irls(x1, y, "bernoulli")
-        np.testing.assert_allclose(beta, truth, atol=0.12)
+        beta, _ = simulate._irls_batch(x1, y[:, None], glm_family("bernoulli"))
+        np.testing.assert_allclose(beta[:, 0], truth, atol=0.12)
 
     def test_lrt_null_level_poisson(self, rng):
         n, p = 60, 3
@@ -828,7 +830,8 @@ class TestBatchedIrls:
             # the deviance of the last update, not of the one before it
             mu = fam.canonical_inverse_link(np.clip(x1 @ beta[:, m], -30.0, 30.0))
             assert dev[m] == pytest.approx(_deviance(y[:, m], mu, family), rel=1e-12)
-            assert fit_glm_irls(x1, y[:, m], family)[1] == pytest.approx(ref_dev, rel=1e-10)
+            one = simulate._irls_batch(x1, y[:, m:m + 1], fam)[1][0]
+            assert one == pytest.approx(ref_dev, rel=1e-10)
         # every column was still active: the converged fits reach lower deviances
         assert np.all(dev > converged + 1e-6)
 
@@ -837,8 +840,6 @@ class TestBatchedIrls:
         x1, y = _lrt_cell(family, 0.0, 1, 0.5, 4, 1)
         dup = np.hstack([x1, x1[:, 1:2]])
         with pytest.raises(RankDeficient, match="design is rank deficient"):
-            fit_glm_irls(dup, y[:, 0], family)
-        with pytest.raises(RankDeficient):
             baseline_lrt(y[:, 0], dup[:, 1:], family)
 
     @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan])
@@ -846,8 +847,6 @@ class TestBatchedIrls:
         x1, y = _lrt_cell("bernoulli", 0.0, 1, 0.5, 5, 1)
         y = y[:, 0].copy()
         y[3] = bad
-        with pytest.raises(DomainError, match="bernoulli responses must be 0 or 1"):
-            fit_glm_irls(x1, y, "bernoulli")
         with pytest.raises(DomainError, match="bernoulli responses must be 0 or 1"):
             baseline_lrt(y, x1[:, 1:], "bernoulli")
 
@@ -868,8 +867,9 @@ class TestBatchedIrls:
 
 
 class TestOneResponseRule:
-    """The GLM score test, the LRT baseline and the IRLS fit judge a
-    response by one rule, so they refuse it with one exception type."""
+    """The GLM score test and the LRT baseline, the one entry to the IRLS
+    fit, judge a response by one rule, so they refuse it with one exception
+    type."""
 
     @pytest.mark.parametrize("family, bad, error", [
         ("bernoulli", 0.5, DomainError),
@@ -894,7 +894,6 @@ class TestOneResponseRule:
                                mc=McConfig(m_draws=99),
                                cache=inference.CalibrationCache(directory=False)),
             lambda y: baseline_lrt(y, x1[:, 1:], family),
-            lambda y: fit_glm_irls(x1, y, family),
         ]
         for call in calls:
             call(good)  # the response as drawn is valid on every path
@@ -903,8 +902,9 @@ class TestOneResponseRule:
 
 
 class TestGlmDesignRule:
-    """The LRT baseline and the IRLS fit take x as a finite 2-d array of at
-    least one column, and refuse any other x with DimensionMismatch."""
+    """The LRT baseline, the one entry to the IRLS fit, takes x as a finite
+    2-d array of at least one column, and refuses any other x with
+    DimensionMismatch."""
 
     @pytest.mark.parametrize("family", ["gaussian", "bernoulli", "poisson"])
     @pytest.mark.parametrize("bad", ["no_columns", "1d", "3d", "nan"])
@@ -913,12 +913,9 @@ class TestGlmDesignRule:
         y = y[:, 0]
         x = {"no_columns": x1[:, :0], "1d": x1[:, 1], "3d": x1[:, :, None],
              "nan": np.where(np.arange(40)[:, None] == 3, np.nan, x1)}[bad]
-        baseline_lrt(y, x1[:, 1:], family)  # the drawn design is valid on both paths
-        fit_glm_irls(x1, y, family)
+        baseline_lrt(y, x1[:, 1:], family)  # the drawn design is valid
         with pytest.raises(DimensionMismatch):
             baseline_lrt(y, x, family)
-        with pytest.raises(DimensionMismatch):
-            fit_glm_irls(x, y, family)
 
     def test_design_of_only_an_intercept_leaves_no_tested_column(self):
         x1, y = _lrt_cell("poisson", 0.0, 1, 0.5, 9, 1, n=40)
@@ -968,7 +965,7 @@ _X53 = np.arange(15.0).reshape(5, 3) / 7.0
      "theta_grid must be a sequence, got 0.5"),
     (lambda rng: ExperimentConfig(n=20, p=3, s_values=1), InvalidSpec,
      "s_values must be a sequence, got 1"),
-    (lambda rng: fit_glm_irls(_X53[:3], np.array([0.0, 1.0, 2.0]), "poisson"), NotApplicable,
+    (lambda rng: baseline_lrt(np.array([0.0, 1.0, 2.0]), _X53[:3, :2], "poisson"), NotApplicable,
      "the IRLS fit needs P < N"),
 ], ids=["response_beta_length", "response_nan_x", "response_1d_x", "response_nan_beta0",
         "alternative_fractional_s", "alternative_bool_s", "alternative_string_theta",
