@@ -4,16 +4,16 @@
 evaluation and the rejection rule together; ``run_composite`` does the
 same for the max-of-ratios composite test, whose ``Composite`` evaluator
 is calibrated like any other statistic, and ``fisher_weighted`` runs the
-exact F-test. All three decide through ``_decide``, the two Monte-Carlo
-tests through one tail, ``_decide_calibrated``: a degenerate statistic
-gives p = 1, no rejection and a note; any other statistic rejects when
-it exceeds its threshold. Confidence regions invert the
-square-root (scale-pivotal) tests, so one calibration at c = 0 serves
-every candidate c. A ``ConfidenceRegion`` is the one place lambda_CR(c) is
-evaluated: it keeps the reduction factor of (X, A) and the evaluator it
-calibrated at c = 0, and candidates go through that evaluator in stacked
-passes of up to 256, each candidate costing only ``X beta_c`` (from
-``beta_c``) and its share of a pass of y - X beta_c. The
+exact F-test. ``_decide`` builds every TestResult, the baselines' too: a
+degenerate statistic gives p = 1, no rejection and a note. The two
+Monte-Carlo tests, through ``_decide_calibrated``, reject when the
+statistic exceeds its threshold, and the F-test when p <= alpha.
+Confidence regions invert the square-root (scale-pivotal) tests, so one
+calibration at c = 0 serves every candidate c. A ``ConfidenceRegion`` is
+the one place lambda_CR(c) is evaluated: it keeps the reduction factor of
+(X, A) and the evaluator it calibrated at c = 0, and candidates go through
+that evaluator in stacked passes of up to 256, each candidate costing only
+``X beta_c`` (from ``beta_c``) and its share of a pass of y - X beta_c. The
 reduction factor itself is kept on the DesignMatrix, so a test and then
 its region, or many responses tested on one design and one A, factor
 (X, A) once. ``run_test``, ``run_composite`` and ``baseline_f_test`` refuse
@@ -75,7 +75,6 @@ from .statistics import (
     StatisticSpec,
     StatValue,
     _f_ppf,
-    _f_sf,
     _statistic_id,
     build_evaluator,
 )
@@ -299,17 +298,16 @@ _DEGENERATE_NOTE = "statistic denominator vanished; conservative no-reject"
 _COMPONENT_NOTE = "component statistic degenerate; conservative no-reject"
 
 
-def _decide(observed, lambda_alpha, p, alpha, statistic_id, mc=McConfig(m_draws=0),
+def _decide(observed, lambda_alpha, p, reject, alpha, statistic_id, mc=McConfig(m_draws=0),
             note=_DEGENERATE_NOTE):
-    """The TestResult of ``observed`` against its threshold: p-value ``p``,
-    and a rejection when the statistic exceeds ``lambda_alpha``. A
-    degenerate statistic gives p = 1, no rejection and ``note``."""
+    """The TestResult of ``observed``, with p-value ``p`` and the test's own
+    ``reject``. A degenerate statistic gives p = 1, no rejection and ``note``."""
     degenerate = observed.degenerate
     return TestResult(
         observed=observed,
         lambda_alpha=lambda_alpha,
         p_value=1.0 if degenerate else p,
-        reject=not degenerate and bool(observed.value > lambda_alpha),
+        reject=not degenerate and bool(reject),
         alpha=alpha,
         statistic_id=statistic_id,
         m_draws=mc.m_draws,
@@ -320,10 +318,11 @@ def _decide(observed, lambda_alpha, p, alpha, statistic_id, mc=McConfig(m_draws=
 
 def _decide_calibrated(statistic, cal, y, alpha, mc, note=_DEGENERATE_NOTE):
     """The TestResult of an Evaluator or a Composite on ``y`` against its
-    Monte-Carlo calibration ``cal``."""
+    Monte-Carlo calibration ``cal``: a rejection when the statistic exceeds
+    the calibrated ``lambda_alpha``."""
     observed = statistic.evaluate(y)
-    return _decide(observed, cal.lambda_alpha, mc_p_value(observed, cal), alpha,
-                   cal.statistic_id, mc, note)
+    return _decide(observed, cal.lambda_alpha, mc_p_value(observed, cal),
+                   observed.value > cal.lambda_alpha, alpha, cal.statistic_id, mc, note)
 
 
 def _fisher_exact_test(y, x, hyp, stat, alpha):
@@ -331,15 +330,14 @@ def _fisher_exact_test(y, x, hyp, stat, alpha):
 
     With Fisher weighting the thresholding test is identical to Fisher's
     F-test, whose null distribution is known exactly, so no Monte-Carlo
-    step is needed.
+    step is needed. It rejects when p <= alpha, as ``baseline_f_test`` does.
     """
     _check_alpha(alpha)
-    fisher = statistics._fisher_batch(x, hyp, y[:, None])
+    fisher, p, reject = statistics._f_test(x, hyp, y[:, None], alpha)
     f_crit = float(_f_ppf(1.0 - alpha, fisher.df1, fisher.df2))
     lam_alpha = float(np.sqrt(f_crit * fisher.s2[0] * fisher.df1))
     observed = StatValue(float(fisher.lam0[0]), degenerate=bool(fisher.degenerate[0]))
-    p = float(_f_sf(fisher.f[0], fisher.df1, fisher.df2))
-    return _decide(observed, lam_alpha, p, alpha,
+    return _decide(observed, lam_alpha, float(p[0]), reject[0], alpha,
                    _statistic_id(stat.family, None, stat.glm_family) + "|exact_f")
 
 

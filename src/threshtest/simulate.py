@@ -32,7 +32,9 @@ its calibration from the process cache of ``inference``, keyed as
 ``run_test`` keys the same test. The grid and n_reps change no
 calibration: a rerun, or a level run after a power run, draws no null
 batch. A row whose computation fails on a cell is an error row with the
-id of its statistic.
+id of its statistic; a cell that cannot be drawn gives every column one.
+The baselines are exact and reject when p <= alpha (the F-test by
+``statistics._f_test``); their results come from ``inference._decide``.
 
 The likelihood-ratio baseline fits the replicates of a cell together:
 the IRLS fit is batched over response columns (closed form for the
@@ -74,14 +76,7 @@ from .core import (DesignMatrix, SubsetHypothesis, _as_1d, _as_2d, _as_response,
                    build_reduction, glm_family)
 from .exceptions import (DimensionMismatch, InvalidSpec, NotApplicable, OverflowGuard,
                          RankDeficient)
-from .inference import (
-    _DEGENERATE_NOTE,
-    McConfig,
-    TestResult,
-    _calibrated,
-    _get_default_cache,
-    _test_inputs,
-)
+from .inference import McConfig, _calibrated, _decide, _get_default_cache, _test_inputs
 from .statistics import (
     GLM_FAMILIES,
     StatValue,
@@ -89,7 +84,6 @@ from .statistics import (
     _chi2_ppf,
     _chi2_sf,
     _f_ppf,
-    _f_sf,
     _overflow_guard,
     build_evaluator,
     evaluate_many,
@@ -390,15 +384,21 @@ class _Harness:
         return _draw_responses(self.x_cov, cfg.beta0, betas, self.family, rngs)
 
     def evaluate_cell(self, s, theta):
-        """One row per column, an error row where the column fails on this cell."""
+        """One row per column, an error row where the column fails on this
+        cell: every column's when the cell cannot be drawn."""
         cfg = self.cfg
-        y = self.simulate_cell(s, theta)
-        shared = {}  # {statistic: (values, degenerate mask)}: the mc columns' one pass on y
+        try:  # per-cell failures never abort the grid
+            y = self.simulate_cell(s, theta)
+        except Exception as exc:
+            y = exc
+        shared = {}  # the mc columns' one pass on y: {statistic: (values, mask)} or its error
         rows = []
         for sid, decide in self.columns:
             try:
+                if isinstance(y, Exception):
+                    raise y
                 rejects = decide(self, y, shared)
-            except Exception as exc:  # per-cell failures never abort the grid
+            except Exception as exc:
                 rows.append(PowerRow(sid, cfg.family, s, theta, np.nan, np.nan,
                                      cfg.n_reps, status=f"error: {exc}"))
                 continue
@@ -409,16 +409,21 @@ class _Harness:
 
     def _exceeds(self, y, shared, stat, threshold):
         """Rejections of a Monte-Carlo column: its statistic above its
-        threshold. The first such column of a cell fills ``shared``."""
+        threshold. The first such column of a cell fills ``shared`` with the
+        one pass's values, or with its error, which the others then raise."""
         if not shared:
-            shared.update(zip(self._mc, evaluate_many(self._mc, y)))
+            try:
+                shared.update(zip(self._mc, evaluate_many(self._mc, y)))
+            except Exception as exc:
+                shared.update(dict.fromkeys(self._mc, exc))
+        if isinstance(shared[stat], Exception):
+            raise shared[stat]
         vals, degen = shared[stat]
         return ~degen & (vals > threshold)
 
     def _fisher_rejects(self, y, _shared):
         """F-test rejections; a degenerate replicate has F = 0 and p = 1."""
-        fisher = statistics._fisher_batch(self.x_full, self.hyp, y)
-        return _f_sf(fisher.f, fisher.df1, fisher.df2) <= self.cfg.alpha
+        return statistics._f_test(self.x_full, self.hyp, y, self.cfg.alpha)[2]
 
     def _lrt_rejects(self, y, _shared):
         stats = _lrt_statistics(y, self.x_full.values, self.family)
@@ -462,18 +467,10 @@ def baseline_f_test(y, x, hyp, alpha=0.05):
     """
     _check_alpha(alpha)
     y, x, hyp = _test_inputs(y, x, hyp)
-    fisher = statistics._fisher_batch(x, hyp, y[:, None])
-    degenerate = bool(fisher.degenerate[0])
-    p = float(_f_sf(fisher.f[0], fisher.df1, fisher.df2))  # 1 at F = 0
-    return TestResult(
-        observed=StatValue(float(fisher.f[0]), degenerate=degenerate),
-        lambda_alpha=float(_f_ppf(1.0 - alpha, fisher.df1, fisher.df2)),
-        p_value=p,
-        reject=p <= alpha,
-        alpha=alpha,
-        statistic_id=_STUDY_TAGS["fisher"],
-        degenerate_note=_DEGENERATE_NOTE if degenerate else None,
-    )
+    fisher, p, reject = statistics._f_test(x, hyp, y[:, None], alpha)
+    observed = StatValue(float(fisher.f[0]), degenerate=bool(fisher.degenerate[0]))
+    return _decide(observed, float(_f_ppf(1.0 - alpha, fisher.df1, fisher.df2)), float(p[0]),
+                   reject[0], alpha, _STUDY_TAGS["fisher"])
 
 
 def _deviance(y, mu, tag):
@@ -601,11 +598,5 @@ def baseline_lrt(y, x, family, alpha=0.05):
     x1 = np.hstack([np.ones((n, 1)), x])
     stat = float(_lrt_statistics(y[:, None], x1, family)[0])
     p_val = float(_chi2_sf(stat, p))
-    return TestResult(
-        observed=StatValue(stat),
-        lambda_alpha=float(_chi2_ppf(1.0 - alpha, p)),
-        p_value=p_val,
-        reject=p_val <= alpha,
-        alpha=alpha,
-        statistic_id=_STUDY_TAGS["lrt"],
-    )
+    return _decide(StatValue(stat), float(_chi2_ppf(1.0 - alpha, p)), p_val, p_val <= alpha,
+                   alpha, _STUDY_TAGS["lrt"])

@@ -231,6 +231,15 @@ def _fisher_batch(x, hyp, y_mat):
     return _Fisher(lam0, s2, f, hyp.r, df2, degen)
 
 
+def _f_test(x, hyp, y_mat, alpha):
+    """The exact F-test of H0 on each column of an N x M batch: its
+    ``_fisher_batch`` pieces, its p-values and its rejections, p <= alpha.
+    A degenerate column has F = 0, so p = 1 and no rejection."""
+    fisher = _fisher_batch(x, hyp, y_mat)
+    p = _f_sf(fisher.f, fisher.df1, fisher.df2)
+    return fisher, p, p <= alpha
+
+
 # The F and chi-squared tails of the classical baselines. Each calls the
 # scipy.special function that scipy.stats' f or chi2 calls, so its values are
 # bit-identical to scipy.stats'. scipy.special is imported at the first call:

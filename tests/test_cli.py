@@ -957,6 +957,30 @@ class TestCmdPower:
         assert all(r["status"] == "ok" for r in rows)
         assert svg.exists()
 
+    def test_a_cell_that_cannot_be_drawn_writes_error_rows(self, tmp_path):
+        """A poisson cell whose linear predictor passes the exp(30) guard
+        gives an error row per column; the study still exits 0, and its
+        other cell's rows are those of a run without the failing cell."""
+        doc = {"family": "poisson", "n": 30, "p": 3, "beta0": 0.0, "s_values": [3],
+               "theta_grid": [0.1, 40], "seed": 3, "m_calib": 99, "n_reps": 20,
+               "statistics": ["glm_score_sup", "lrt"]}
+
+        def power(theta_grid):
+            cfg, out = tmp_path / "cfg.json", tmp_path / "power.csv"
+            cfg.write_text(json.dumps(dict(doc, theta_grid=theta_grid)))
+            assert main(["power", "--config", str(cfg), "--out", str(out)]) == 0
+            return out.read_text().splitlines()[1:]
+
+        rows, alone = power([0.1, 40]), power([0.1])
+        assert len(alone) == 2 and all(row.endswith(",ok") for row in alone)
+        assert [row for row in rows if ",0.1," in row] == alone
+        failed = [row for row in rows if ",40.0," in row]
+        assert [row.split(",")[0] for row in failed] == ["baseline_lrt",
+                                                         "glm_score_sup|family=poisson"]
+        assert all(row.endswith(",nan,nan,20,error: poisson linear predictor exceeds the "
+                                "exp(30) guard") for row in failed)
+        assert len(rows) == 4
+
     def test_thread_invariant_bytes(self, tmp_path):
         cfg = self._config(tmp_path)
         out1, out2 = tmp_path / "p1.csv", tmp_path / "p2.csv"

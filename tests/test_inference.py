@@ -3,8 +3,10 @@
 import dataclasses
 import gc
 import hashlib
+import json
 import math
 import os
+import subprocess
 import sys
 import tracemalloc
 import weakref
@@ -1330,3 +1332,171 @@ def test_a_real_scalar_threshold_is_its_value(dataset, rng, threshold):
     for c in grid[::10]:
         assert cr_member(np.array([c]), y, x, a, stat, threshold) == \
             cr_member(np.array([c]), y, x, a, stat, 1.5)
+
+
+# McConfig of the decision-rule tests
+_MC_199 = McConfig(m_draws=199, seed=5)
+
+
+def _decision_problem(kind, family):
+    """(y, X, H0: beta_1..5 = 0) on a seeded intercept design of 40 rows and
+    5 covariates. ``kind`` "null" draws y of ``family`` under H0, "signal"
+    with beta_1 = 1, and "flat" gives y = 1, in the null fit space."""
+    rng = np.random.default_rng(31)
+    x = DesignMatrix(np.hstack([np.ones((40, 1)), rng.standard_normal((40, 5))]),
+                     intercept_column=0)
+    eta = (kind == "signal") * x.values[:, 1]
+    if kind == "flat":
+        y = np.ones(40)
+    elif family == "gaussian":
+        y = eta + rng.standard_normal(40)
+    elif family == "bernoulli":
+        y = (rng.random(40) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    else:
+        y = rng.poisson(np.exp(eta)).astype(float)
+    return y, x, SubsetHypothesis(1, np.zeros(5))
+
+
+# each path that returns a TestResult: (response family, call)
+_DECISION_PATHS = {
+    **{family: ("gaussian", lambda y, x, hyp, family=family: run_test(y, x, hyp, family,
+                                                                      mc=_MC_199))
+       for family in ("affine_lasso", "affine_group_lasso", "sqrt_affine_lasso",
+                      "sqrt_affine_group_lasso", "lad_sign")},
+    **{f"{family}_{tag}": (tag, lambda y, x, hyp, family=family, tag=tag: run_test(
+        y, x, hyp, StatisticSpec(family, glm_family=tag), mc=_MC_199))
+       for family, tag in (("glm_score_sup", "bernoulli"), ("glm_score_group", "poisson"))},
+    "composite": ("gaussian", lambda y, x, hyp: run_composite(y, x, hyp, mc=_MC_199)),
+    "fisher_weighted": ("gaussian", lambda y, x, hyp: run_test(y, x, hyp, "fisher_weighted")),
+    "baseline_f_test": ("gaussian", baseline_f_test),
+    "baseline_lrt": ("bernoulli", lambda y, x, hyp: baseline_lrt(y, x, "bernoulli")),
+}
+
+
+@pytest.mark.parametrize("kind", ["null", "signal", "flat"])
+@pytest.mark.parametrize("path", list(_DECISION_PATHS))
+def test_a_result_rejects_exactly_when_its_p_value_is_at_most_alpha(path, kind):
+    """The invariant the benchmark checks on every request: a result
+    rejects if and only if p <= alpha, and a degenerate one has p = 1 and
+    no rejection."""
+    family, call = _DECISION_PATHS[path]
+    res = call(*_decision_problem(kind, family))
+    if res.observed.degenerate:
+        assert res.p_value == 1.0 and not res.reject and res.degenerate_note
+    else:
+        assert res.reject == (res.p_value <= res.alpha)
+        assert res.degenerate_note is None
+
+
+def _at_the_f_critical_value(seed, n=30, p=4, r=2):
+    """(X, H0, responses) for H0: the last r of p coefficients are 0: the
+    responses e + t X d, for seeded noise e and a direction d in the tested
+    coefficients, at t on both sides of F = f_crit at alpha 0.05, as close
+    as a bisection of t in floats gets. None when F >= f_crit at t = 0."""
+    rng = np.random.default_rng(seed)
+    x = DesignMatrix(rng.standard_normal((n, p)))
+    hyp = SubsetHypothesis(p - r, np.zeros(r))
+    noise = rng.standard_normal(n)
+    signal = x.values[:, p - r:] @ rng.standard_normal(r)
+
+    def above(t):
+        res = baseline_f_test(noise + t * signal, x, hyp)
+        return res.observed.value >= res.lambda_alpha  # F against f_crit
+
+    lo, hi = 0.0, 1.0
+    if above(lo):
+        return None
+    while not above(hi):
+        hi *= 2.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+    return x, hyp, [noise + t * signal for t in (lo, hi)]
+
+
+def test_the_exact_f_test_has_one_rejection_rule_at_its_critical_value():
+    """At F within rounding of f_crit, ``run_test(..., "fisher_weighted")``,
+    ``baseline_f_test`` and p <= alpha give one decision. A rejection by
+    lambda_0 > lambda_alpha disagrees with the F-test's p there, as in a
+    rejection at p = 0.05000000000000003 and alpha 0.05."""
+    disagree, near = [], 0
+    for seed in range(30):
+        problem = _at_the_f_critical_value(seed)
+        if problem is None:
+            continue
+        x, hyp, responses = problem
+        for y in responses:
+            fisher = run_test(y, x, hyp, "fisher_weighted")
+            f_test = baseline_f_test(y, x, hyp)
+            assert fisher.p_value == f_test.p_value
+            near += abs(f_test.p_value - 0.05) < 1e-12
+            if not fisher.reject == f_test.reject == (f_test.p_value <= 0.05):
+                disagree.append((seed, fisher.reject, f_test.reject, f_test.p_value))
+    assert near >= 40  # the responses do sit at the critical value
+    assert disagree == []
+
+
+# one child of the BLAS thread-count test: argv is the data CSV, the
+# hypothesis file of the region and the region's output CSV
+_BLAS_CHILD = """
+import json, sys
+import numpy as np
+from threshtest import DesignMatrix, McConfig, SubsetHypothesis, cli, run_composite, run_test
+
+data, hypothesis, out = sys.argv[1:]
+table = np.loadtxt(data, delimiter=",", skiprows=1)
+y = table[:, 0]
+x = DesignMatrix(np.hstack([np.ones((len(y), 1)), table[:, 1:]]), intercept_column=0)
+hyp = SubsetHypothesis(x.p - 10, np.zeros(10))
+results = [run_test(y, x, hyp, "sqrt_affine_lasso", mc=McConfig(2000, seed=3)),
+           run_composite(y, x, hyp, mc=McConfig(999, seed=3))]
+assert cli.main(["region", "--data", data, "--response", "y", "--intercept",
+                 "--hypothesis", hypothesis, "--mc", "2000", "--seed", "3",
+                 "--grid=-1:1.6:121", "--out", out]) == 0
+with open(out) as fh:
+    member = [line.rstrip().split(",")[2] for line in fh][1:]
+print(json.dumps({"tests": [[r.observed.value, r.p_value, r.reject] for r in results],
+                  "member": member}))
+"""
+
+
+def test_the_blas_thread_count_moves_no_p_value_decision_or_membership(tmp_path):
+    """One seeded 500 x 51 problem, at the benchmark's sizes, run in two
+    child processes with OPENBLAS_NUM_THREADS at 1 and at 2: ``run_test``
+    with ``sqrt_affine_lasso`` at M = 2000, ``run_composite`` at M = 999 and
+    the CLI ``region`` on a 121-point grid give equal observed values,
+    p-values, decisions and region memberships.
+
+    The bits of ``lambda_alpha`` and ``lambda_CR`` are not compared: they
+    can differ in the last bit between the two settings, since OpenBLAS sums
+    some products of N-length vectors in another order on two threads (the
+    N x M projection of a null batch, and the SVD of X K_A)."""
+    rng = np.random.default_rng(12)
+    n, p = 500, 50
+    covariates = rng.standard_normal((n, p))
+    beta = np.concatenate([[0.5, 0.4], rng.normal(0.0, 0.3, p - 12), 0.03 * np.ones(10)])
+    y = 0.5 + covariates @ beta + rng.standard_normal(n)
+    data = tmp_path / "data.csv"
+    with open(data, "w") as fh:
+        fh.write(",".join(["y"] + [f"x{j}" for j in range(1, p + 1)]) + "\n")
+        for row in np.column_stack([y, covariates]):
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
+    contrast = np.zeros(p + 1)
+    contrast[1], contrast[2] = 1.0, -1.0  # beta_1 - beta_2
+    hypothesis = tmp_path / "contrast.json"
+    hypothesis.write_text(json.dumps({"A": [contrast.tolist()], "c": [0.0]}))
+    env = {k: v for k, v in os.environ.items() if k != "THRESHTEST_CACHE_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(inference.__file__))]
+        + [path for path in [env.get("PYTHONPATH")] if path])
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"region{threads}.csv"
+        child = subprocess.run(
+            [sys.executable, "-c", _BLAS_CHILD, str(data), str(hypothesis), str(out)],
+            env=dict(env, OPENBLAS_NUM_THREADS=threads), check=True, capture_output=True,
+            text=True, timeout=300)
+        runs.append(json.loads(child.stdout.splitlines()[-1]))
+    one, two = runs
+    assert one["tests"] == two["tests"]
+    assert one["member"] == two["member"]
+    assert len(one["member"]) == 121 and 0 < one["member"].count("1") < 121

@@ -215,8 +215,10 @@ class TestCellResponses:
                                s_values=(5,), theta_grid=(20.0,), statistics=("lrt",))
         with pytest.raises(OverflowGuard, match="exp\\(30\\) guard"):
             _Harness(cfg).simulate_cell(5, 20.0)
-        with pytest.raises(OverflowGuard):
-            estimate_power(cfg)
+        # the study does not raise: the cell's one column gets an error row
+        (row,) = estimate_power(cfg)
+        assert row.statistic_id == "baseline_lrt"
+        assert row.status == "error: poisson linear predictor exceeds the exp(30) guard"
 
 
 class TestPowerGrid:
@@ -503,6 +505,23 @@ class TestPowerGrid:
         rows = estimate_power(cfg)
         assert len(rows) == 4
         assert all(r.status.startswith("error: responses too large") for r in rows)
+
+    def test_a_failed_shared_pass_is_made_once_per_cell(self, monkeypatch):
+        # the Monte-Carlo columns share one evaluate_many pass per cell; when
+        # it fails, each of them gets its error row and the pass is not retried
+        calls = []
+
+        def failing(evaluators, y_mat):
+            calls.append(len(evaluators))
+            raise OverflowGuard("responses too large")
+
+        monkeypatch.setattr(simulate, "evaluate_many", failing)
+        cfg = self._cfg(statistics=(StatisticSpec("sqrt_affine_lasso"), "composite", "fisher"))
+        rows = estimate_power(cfg)
+        assert calls == [2, 2]  # one pass of the two statistics per cell
+        assert [r.status for r in rows if r.statistic_id != "baseline_fisher"] == \
+            ["error: responses too large"] * 4
+        assert [r.status for r in rows if r.statistic_id == "baseline_fisher"] == ["ok"] * 2
 
     @pytest.mark.parametrize("kw", [{"theta_grid": ()}, {"s_values": ()},
                                     {"theta_grid": np.array([])}],
