@@ -6,11 +6,16 @@ by a ``<out>.manifest.json`` run manifest. Exit codes: 0 completed
 inference, the ``exit_code`` of a library error (2 invalid input,
 3 untestable/not-applicable), 2 for an unreadable or malformed file,
 4 internal error.
+
+``main`` parses with one argument parser per process, built at its first
+call (``build_parser`` still gives a new one on each call). A CSV body is
+parsed by one ``np.loadtxt`` call as its list of lines, split at LF only.
 """
 
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -62,8 +67,12 @@ def _read_csv(path):
         body = fh.read()
     if not body.strip():
         raise InvalidSpec(f"{path} has no data rows")
-    # one correctly rounded parse of every cell, as float() gives
-    data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2,
+    # one correctly rounded parse of every cell, as float() gives. The body
+    # goes in as its list of lines, split at LF only and each keeping its LF,
+    # which loadtxt reads faster than the stream of the same text: a lone CR,
+    # NEL or U+2028 ends no line (splitlines would end one at each), and a
+    # quoted cell that spans two lines keeps its LF and is refused
+    data = np.loadtxt(io.StringIO(body).readlines(), delimiter=",", comments=None, ndmin=2,
                       quotechar='"')
     if data.shape[1] != len(header):
         raise InvalidSpec("ragged CSV data")
@@ -190,14 +199,16 @@ def _cmd_region(args):
     points, lam = region.scan(
         np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, r))
     member = lam <= region.lambda_alpha
+    # rows from Python floats: repr of a numpy scalar writes the same digits
+    # at a higher cost per cell
     if r == 1:
         _write_csv(args.out, ["c", "lambda_cr", "member"],
-                   ([repr(float(c)), repr(float(v)), int(m)]
-                    for (c,), v, m in zip(points, lam, member)))
+                   ([repr(c), repr(v), int(m)]
+                    for c, v, m in zip(points[:, 0].tolist(), lam.tolist(), member.tolist())))
     else:
         _write_csv(args.out, ["c1", "c2", "member"],
-                   ([repr(float(c1)), repr(float(c2)), int(m)]
-                    for (c1, c2), m in zip(points, member)))
+                   ([repr(c1), repr(c2), int(m)]
+                    for (c1, c2), m in zip(points.tolist(), member.tolist())))
     if args.plot:
         _svg.line_panels([{
             "title": f"lambda_CR(c), threshold {region.lambda_alpha:.4g}",
@@ -357,6 +368,7 @@ def _cmd_power(args):
 
 
 def build_parser():
+    """A new parser of every command; ``main`` builds one per process."""
     # the options every data command and every study command shares
     data = argparse.ArgumentParser(add_help=False)
     data.add_argument("--data", required=True, help="CSV data file with header")
@@ -393,10 +405,17 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of every ``main`` call in this process, built at the first
+    call, not at import. Parsing reads it and changes nothing in it."""
+    return build_parser()
+
+
 def main(argv=None):
     """Run one command. Each command writes its outputs and returns the
     config its manifest digests; the manifest is written here."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         started = time.time()
         config = args.func(args)

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -144,6 +145,80 @@ class TestParser:
             main([command, *required, "--out", "o.csv", flag, value])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+class TestParserMemo:
+    """``main`` parses with one parser per process; a call leaves nothing in
+    it that the next call reads."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_import_builds_no_parser(self):
+        code = ("import argparse\n"
+                "built = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "def counting(self, *args, **kwargs):\n"
+                "    built.append(1)\n"
+                "    init(self, *args, **kwargs)\n"
+                "argparse.ArgumentParser.__init__ = counting\n"
+                "import threshtest.cli\n"
+                "assert not built and threshtest.cli._parser.cache_info().currsize == 0\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(threshtest.__file__))]
+            + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    def test_a_second_call_builds_no_parser(self, dataset, tmp_path, monkeypatch):
+        built = []
+
+        def counting():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        data, hyp = dataset
+        for name in ("a.csv", "b.csv"):
+            assert main(["test", "--data", str(data), "--response", "y", "--intercept",
+                         "--hypothesis", str(hyp), "--mc", "99",
+                         "--out", str(tmp_path / name)]) == 0
+        assert len(built) == 1
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_the_grid_default_carries_nothing_over(self, dataset, tmp_path):
+        data, _ = dataset
+        h1, h2 = tmp_path / "h1.json", tmp_path / "h2.json"
+        h1.write_text(json.dumps(_R1))
+        h2.write_text(json.dumps({"A": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "c": [0.0, 0.0]}))
+
+        def region(hyp, grids, out):
+            return main(["region", "--data", str(data), "--response", "y",
+                         "--hypothesis", str(hyp), *(f"--grid={g}" for g in grids),
+                         "--mc", "99", "--out", str(tmp_path / out)])
+
+        assert region(h1, ["-1:1:5"], "first.csv") == 0
+        cli._parser.cache_clear()
+        assert region(h2, ["-1:1:3", "-1:1:3"], "r2.csv") == 0
+        assert region(h1, ["-1:1:5"], "second.csv") == 0
+        assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
+        manifests = [json.loads((tmp_path / f"{out}.manifest.json").read_text())
+                     for out in ("first.csv", "second.csv")]
+        for manifest in manifests:
+            del manifest["timing_seconds"]
+        assert manifests[0] == manifests[1]
+
+    def test_a_usage_error_leaves_the_parser_usable(self, dataset, tmp_path, capsys):
+        data, hyp = dataset
+        argv = ["test", "--data", str(data), "--response", "y", "--intercept",
+                "--hypothesis", str(hyp), "--mc", "99", "--out", str(tmp_path / "o.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+        assert main(argv) == 0
 
 
 class TestCmdTest:
@@ -406,6 +481,34 @@ class TestReadData:
         path.write_text(text)
         with pytest.raises(InvalidSpec):
             _read_csv(str(path))
+
+    # a line ends at LF only: str.splitlines would also end one at a form
+    # feed, NEL, U+2028 or a lone CR, and a list of lines stripped of their
+    # LF would join a quoted cell's two halves into one number
+    @pytest.mark.parametrize("text", ["y,x1\n1\x0c,2\n3,4\n", 'y,x1\n"1\n",2\n3,4\n'],
+                             ids=["form_feed_in_a_field", "quoted_newline"])
+    def test_a_line_ends_at_lf_only(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        header, data = _read_csv(str(path))
+        assert header == ["y", "x1"] and data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        self._assert_parity(path)
+
+    @pytest.mark.parametrize("text", [
+        "y,x1\n1,2\x853,4\n",
+        "y,x1\n1,2\u20283,4\n",
+        "y,x1\r1,2\r3,4\r",
+        'y,x1\n"1\n2",2\n3,4\n',
+    ], ids=["nel", "line_separator", "lone_cr", "newline_inside_a_quoted_number"])
+    def test_a_line_end_other_than_lf_is_refused(self, dataset, tmp_path, capsys, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with pytest.raises(ValueError):
+            _read_csv(str(path))
+        _, hyp = dataset
+        assert main(["test", "--data", str(path), "--response", "y", "--hypothesis", str(hyp),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert "internal error" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
         "y,x1,x2\n",
@@ -674,6 +777,40 @@ class TestCmdRegion:
                      "--hypothesis", str(hyp), "--mc", "100",
                      "--out", str(tmp_path / "o.csv")])
         assert code == 2
+
+
+def test_region_output_bytes_are_pinned(tmp_path, monkeypatch):
+    """One seeded small ``threshtest region --plot``: n = 40, an intercept
+    and 5 covariates, H0 beta_1 - beta_2 = c, M = 199 and a 21-point grid.
+    No change to how the CLI parses its arguments, reads the CSV body or
+    formats the rows may move a byte of its CSV, its SVG or its manifest
+    (less the timing). The paths are relative, since the manifest digests
+    them."""
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(4040)
+    x = rng.standard_normal((40, 5))
+    y = 0.5 + x @ np.array([1.0, 0.4, 0.0, -0.5, 0.0]) + rng.standard_normal(40)
+    with open("data.csv", "w", newline="\n") as fh:
+        fh.write("y,x1,x2,x3,x4,x5\n")
+        for yi, row in zip(y, x):
+            fh.write(",".join(repr(float(v)) for v in (yi, *row)) + "\n")
+    with open("contrast.json", "w") as fh:
+        json.dump({"A": [[0.0, 1.0, -1.0, 0.0, 0.0, 0.0]], "c": [0.0]}, fh)
+    assert main(["region", "--data", "data.csv", "--response", "y", "--intercept",
+                 "--hypothesis", "contrast.json", "--mc", "199", "--seed", "5",
+                 "--grid=-2:2:21", "--out", "region.csv", "--plot", "region.svg"]) == 0
+    with open("region.csv.manifest.json") as fh:
+        manifest = json.load(fh)
+    del manifest["timing_seconds"]
+    digests = {"csv": hashlib.sha256((tmp_path / "region.csv").read_bytes()).hexdigest(),
+               "svg": hashlib.sha256((tmp_path / "region.svg").read_bytes()).hexdigest(),
+               "manifest": hashlib.sha256(json.dumps(manifest, sort_keys=True).encode())
+               .hexdigest()}
+    assert digests == {
+        "csv": "8ad57e6c37245d08f0067efbfb61ede1c59bd17f183abbce0c8e6aa6afce015a",
+        "svg": "15abccb2e18029bbe4ea99db71d65621fe5593db2b1fa241532ba2398087437d",
+        "manifest": "f4610f674f913de886a9a8381dd8fb867455f8c3c2320d6199129533b2bde9e9",
+    }
 
 
 class TestCacheDirectory:

@@ -804,20 +804,21 @@ def _lrt_cell(family, beta0, s, theta, seed, width, n=100, p=4):
 
 
 class TestBatchedIrls:
-    @pytest.mark.parametrize("family,beta0,s,theta", [
-        ("gaussian", -2.0, 1, 0.4),
-        ("bernoulli", 0.0, 2, 0.4),
-        ("poisson", 0.5, 2, 0.3),
-        ("bernoulli", 0.0, 4, 3.0),  # about a tenth of the columns are separated
-        ("bernoulli", -3.0, 1, 0.4),  # rare events
+    @pytest.mark.parametrize("family,beta0,s,theta,every_column", [
+        ("gaussian", -2.0, 1, 0.4, False),
+        ("bernoulli", 0.0, 2, 0.4, False),
+        ("poisson", 0.5, 2, 0.3, False),
+        ("bernoulli", 0.0, 4, 3.0, True),  # about a tenth of the columns are separated
+        ("bernoulli", -3.0, 1, 0.4, False),  # rare events
     ], ids=["gaussian", "bernoulli", "poisson", "separated", "rare_events"])
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), width=st.sampled_from([1, 2, 300]))
     @example(seed=0, width=1)
     @example(seed=1, width=2)
     @example(seed=2, width=300)
+    @example(seed=232, width=300)  # rare events: a column with one event and no MLE
     def test_lrt_statistics_equal_per_column_reference(self, family, beta0, s, theta,
-                                                       seed, width):
+                                                       every_column, seed, width):
         x1, y = _lrt_cell(family, beta0, s, theta, seed, width)
         fam = glm_family(family)
         stats = simulate._lrt_statistics(y, x1, fam)
@@ -827,12 +828,24 @@ class TestBatchedIrls:
         p = x1.shape[1] - 1
         assert (sp_stats.chi2.sf(stats, p) <= 0.05).tolist() == \
             (sp_stats.chi2.sf(reference, p) <= 0.05).tolist()
-        # a settled column is frozen: one more iteration moves a separated
-        # fit's coefficients far more than the deviance rule notices
-        beta, _ = simulate._irls_batch(x1, y, fam)
+        # The coefficients are compared where the MLE exists, by this rule:
+        # the reference fit's linear predictor stays inside the +-30 clip.
+        # Where there is no MLE (one event in 100 rows, say), both fits walk
+        # out along a ridge and stop by the deviance rule at points that
+        # differ by the order of their float sums (an intercept near -8594,
+        # 2.6e-8 apart at seed 232), so only their deviances are compared,
+        # to 100 times the rule's tolerance. The separated case compares
+        # every column: a settled column is frozen, and one more iteration
+        # moves a separated fit's coefficients far more than the deviance
+        # rule notices.
+        beta, dev = simulate._irls_batch(x1, y, fam)
         for m in range(width):
-            ref_beta, _ = _reference_irls(x1, y[:, m], fam)
-            assert np.max(np.abs(beta[:, m] - ref_beta)) <= 1e-8 * np.max(np.abs(ref_beta))
+            ref_beta, ref_dev = _reference_irls(x1, y[:, m], fam)
+            if every_column or np.max(np.abs(x1 @ ref_beta)) < _ETA_CLIP:
+                assert np.max(np.abs(beta[:, m] - ref_beta)) <= \
+                    1e-8 * np.max(np.abs(ref_beta))
+            else:
+                assert abs(dev[m] - ref_dev) <= 1e-6 * (abs(ref_dev) + 0.1)
 
     @pytest.mark.parametrize("family,beta0", [("bernoulli", 0.0), ("poisson", 0.5)])
     def test_column_active_at_max_iter_returns_last_deviance(self, family, beta0,
